@@ -9,7 +9,7 @@ dense ids only and reports translate back to raw ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -44,16 +44,6 @@ class RatingsDataset:
     item_ids: np.ndarray  # dense -> raw
     user_index: dict[int, int]  # raw -> dense
     item_index: dict[int, int]  # raw -> dense
-    _rated: list[np.ndarray] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._rated:
-            order = np.lexsort((self.items, self.users))
-            bounds = np.searchsorted(self.users[order], np.arange(self.n_users + 1))
-            self._rated = [
-                self.items[order[bounds[u] : bounds[u + 1]]]
-                for u in range(self.n_users)
-            ]
 
     @property
     def n_ratings(self) -> int:
@@ -61,7 +51,7 @@ class RatingsDataset:
 
     def rated_items(self, user: int) -> np.ndarray:
         """Dense ids of the items this user has rated, ascending."""
-        return self._rated[user]
+        return np.sort(self.items[self.users == user])
 
     def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (ratings, observed-mask) as dense (n_users, n_items) arrays."""
@@ -74,16 +64,22 @@ class RatingsDataset:
 
 @dataclass
 class CandidateSets:
-    """Per-user ascending item ids the user has not rated."""
+    """The items each user has not rated, as one (n_users, n_items) bool mask.
 
-    sets: list[np.ndarray]
-    n_items: int
+    candidates[u] gives user u's candidate ids in ascending order.
+    """
+
+    mask: np.ndarray
+
+    @property
+    def n_items(self) -> int:
+        return self.mask.shape[1]
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.mask)
 
     def __getitem__(self, user: int) -> np.ndarray:
-        return self.sets[user]
+        return np.flatnonzero(self.mask[user])
 
 
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -178,8 +174,13 @@ def write_ratings(dataset: RatingsDataset, destination: str | Path | IO[str]) ->
         f"{dataset.user_ids[u]}\t{dataset.item_ids[i]}\t{int(r)}\t0\n"
         for u, i, r in zip(dataset.users, dataset.items, dataset.ratings)
     )
+    _write_lines(destination, lines)
+
+
+def _write_lines(destination: str | Path | IO[str], lines: Iterable[str]) -> None:
+    """Write text lines to a path (ASCII, newlines untranslated) or an open stream."""
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii") as handle:
+        with open(destination, "w", encoding="ascii", newline="") as handle:
             handle.writelines(lines)
     else:
         destination.writelines(lines)
@@ -191,15 +192,13 @@ def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> Cand
     If min_size is given, reject any user with fewer candidates than that
     (the recommendation list size k cannot be met for them).
     """
-    sets: list[np.ndarray] = []
-    for u in range(dataset.n_users):
-        mask = np.ones(dataset.n_items, dtype=bool)
-        mask[dataset.rated_items(u)] = False
-        cand = np.flatnonzero(mask)
-        if min_size is not None and cand.size < min_size:
-            raise CandidateShortfallError(
-                f"user {dataset.user_ids[u]} has only {cand.size} unrated items, "
-                f"fewer than the requested list size {min_size}"
-            )
-        sets.append(cand)
-    return CandidateSets(sets=sets, n_items=dataset.n_items)
+    mask = np.ones((dataset.n_users, dataset.n_items), dtype=bool)
+    mask[dataset.users, dataset.items] = False
+    sizes = mask.sum(axis=1)
+    if min_size is not None and np.any(sizes < min_size):
+        u = np.argmax(sizes < min_size)  # the first such user
+        raise CandidateShortfallError(
+            f"user {dataset.user_ids[u]} has only {sizes[u]} unrated items, "
+            f"fewer than the requested list size {min_size}"
+        )
+    return CandidateSets(mask)

@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .dataset import RatingsDataset
+from .dataset import RatingsDataset, _write_lines
 from .errors import InvalidInputError
 from .predictors import ScoreGraph
 from .reranking import RecommendationSet
@@ -46,27 +46,23 @@ def satisfaction(
 ) -> np.ndarray:
     """Per-user ratio of served score mass to top-k score mass, in (0, 1]."""
     _check_aligned(recs, top, graph.n_users)
-    out = np.empty(graph.n_users)
-    for u in range(graph.n_users):
-        achieved = float(graph.lookup(u, recs.lists[u]).sum())
-        best = float(graph.lookup(u, top.lists[u]).sum())
-        if best <= 0.0:
-            raise InvalidInputError(
-                f"top-k score mass for user {u} is not positive; "
-                "scores must be clamped to [1, 5]"
-            )
-        out[u] = achieved / best
-    return out
+    users = np.arange(graph.n_users)[:, None]
+    achieved = graph.lookup(users, recs.lists).sum(axis=1)
+    best = graph.lookup(users, top.lists).sum(axis=1)
+    nonpositive = np.flatnonzero(best <= 0.0)
+    if nonpositive.size:
+        raise InvalidInputError(
+            f"top-k score mass for user {graph.user_ids[nonpositive[0]]} is not positive; "
+            "scores must be clamped to [1, 5]"
+        )
+    return achieved / best
 
 
 def overlap_similarity(recs: RecommendationSet, top: RecommendationSet) -> np.ndarray:
     """Per-user |served intersect top-k| / k, a multiple of 1/k in [0, 1]."""
     _check_aligned(recs, top, recs.n_users)
-    out = np.empty(recs.n_users)
-    for u in range(recs.n_users):
-        common = np.intersect1d(recs.lists[u], top.lists[u]).size
-        out[u] = common / recs.k
-    return out
+    common = (recs.lists[:, :, None] == top.lists[:, None, :]).any(axis=2).sum(axis=1)
+    return common / recs.k
 
 
 def _check_aligned(recs: RecommendationSet, top: RecommendationSet, n_users: int) -> None:
@@ -158,12 +154,7 @@ RESULTS_HEADER = "predictor,post,param,k,agg_div,d_s,d_r"
 
 
 def write_results_csv(reports: Iterable[DisparityReport], destination: str | Path | IO[str]) -> None:
-    lines = [RESULTS_HEADER + "\n"] + [r.csv_row() + "\n" for r in reports]
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(lines)
-    else:
-        destination.writelines(lines)
+    _write_lines(destination, [RESULTS_HEADER + "\n"] + [r.csv_row() + "\n" for r in reports])
 
 
 def write_per_user_csv(
@@ -176,11 +167,7 @@ def write_per_user_csv(
     for u in range(report.satisfaction.size):
         label = dataset.user_ids[u] if dataset is not None else u
         lines.append(f"{label},{report.satisfaction[u]:.6f},{report.overlap[u]:.6f}\n")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(lines)
-    else:
-        destination.writelines(lines)
+    _write_lines(destination, lines)
 
 
 def as_percent(fraction: float) -> str:

@@ -10,9 +10,10 @@ which keeps every weight strictly positive downstream.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -63,36 +64,81 @@ class NmfParams:
         )
 
 
+class _Rows(Sequence):
+    """Per-user candidate ids, or their scores, of a score matrix, built on access."""
+
+    def __init__(self, matrix: np.ndarray, scores: bool):
+        self._matrix, self._scores = matrix, scores
+
+    def __len__(self) -> int:
+        return len(self._matrix)
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        row = self._matrix[user]
+        items = np.flatnonzero(~np.isnan(row))
+        return row[items] if self._scores else items
+
+
 @dataclass
 class ScoreGraph:
     """Predicted stars for every (user, candidate item) pair.
 
-    items[u] holds the user's candidate ids in ascending order and
-    scores[u] is aligned with it. Scores are finite and lie in [1, 5].
-    Immutable after construction.
+    matrix is one dense (n_users, n_items) float64 array: a score in [1, 5]
+    per candidate and NaN per rated item, so 8 * n_users * n_items bytes,
+    the size of the prediction matrix both predictors build anyway. ranked,
+    computed once on first use, lists each user's items by descending score,
+    ties by ascending id, NaN last. items[u] (candidate ids, ascending) and
+    scores[u] (aligned with them) are per-user views derived on access, for
+    callers off the hot paths. user_ids are the raw ids that error messages
+    name. Immutable after construction.
     """
 
-    items: list[np.ndarray]
-    scores: list[np.ndarray]
-    n_items: int
+    matrix: np.ndarray
+    user_ids: np.ndarray
     provenance: str = ""
 
     @property
-    def n_users(self) -> int:
-        return len(self.items)
+    def items(self) -> Sequence[np.ndarray]:
+        return _Rows(self.matrix, scores=False)
 
-    def lookup(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        """Scores of the given candidate items for one user."""
-        cand = self.items[user]
+    @property
+    def scores(self) -> Sequence[np.ndarray]:
+        return _Rows(self.matrix, scores=True)
+
+    @property
+    def n_users(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_items(self) -> int:
+        return self.matrix.shape[1]
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        return np.argsort(-self.matrix, axis=1, kind="stable")
+
+    @cached_property
+    def n_candidates(self) -> np.ndarray:
+        return self.n_items - np.isnan(self.matrix).sum(axis=1)
+
+    def lookup(self, user: int | np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+        """Scores of candidate items for one user, or per row for an (n, 1) user array."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        if item_ids.size == 0:
-            return np.empty(0)
-        if cand.size == 0:
-            raise InvalidInputError(f"user {user} has no candidate items")
-        pos = np.minimum(np.searchsorted(cand, item_ids), cand.size - 1)
-        if np.any(cand[pos] != item_ids):
-            raise InvalidInputError(f"item not in candidate set of user {user}")
-        return self.scores[user][pos]
+        if np.any((item_ids < 0) | (item_ids >= self.n_items)):  # numpy wraps negative ids
+            raise InvalidInputError(f"item id outside [0, {self.n_items})")
+        found = self.matrix[user, item_ids]
+        if np.isnan(found).any():
+            bad_user = np.broadcast_to(user, found.shape)[np.isnan(found)][0]
+            raise InvalidInputError(f"item not in candidate set of user {self.user_ids[bad_user]}")
+        return found
+
+    @classmethod
+    def from_matrix(cls, scores: np.ndarray, candidates: CandidateSets, user_ids: np.ndarray,
+                    provenance: str = "") -> "ScoreGraph":
+        """Wrap a full prediction matrix, clamped to [1, 5] and non-candidates NaN, in place."""
+        np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
+        np.copyto(scores, np.nan, where=~candidates.mask)
+        return cls(scores, user_ids, provenance)
 
     @classmethod
     def from_pairs(
@@ -102,22 +148,15 @@ class ScoreGraph:
         provenance: str = "",
     ) -> "ScoreGraph":
         """Build from unordered (item, score) pairs; order of pairs is irrelevant."""
-        items: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for pairs in pairs_per_user:
+        matrix = np.full((len(pairs_per_user), n_items), np.nan)
+        for u, pairs in enumerate(pairs_per_user):
             ids = np.asarray([p[0] for p in pairs], dtype=np.int64)
-            vals = np.asarray([p[1] for p in pairs], dtype=np.float64)
-            order = np.argsort(ids)
-            ids, vals = ids[order], vals[order]
-            if ids.size and np.any(ids[1:] == ids[:-1]):
-                raise InvalidInputError("duplicate item within one user's pairs")
-            items.append(ids)
-            scores.append(vals)
-        return cls(items=items, scores=scores, n_items=n_items, provenance=provenance)
-
-
-def _clamp(scores: np.ndarray) -> np.ndarray:
-    return np.clip(scores, RATING_MIN, RATING_MAX)
+            if np.any((ids < 0) | (ids >= n_items)):
+                raise InvalidInputError(f"user {u}: item id outside [0, {n_items})")
+            matrix[u, ids] = [p[1] for p in pairs]
+        if np.count_nonzero(~np.isnan(matrix)) < sum(map(len, pairs_per_user)):
+            raise InvalidInputError("duplicate item within one user's pairs, or a NaN score")
+        return cls(matrix, np.arange(len(matrix)), provenance)
 
 
 def predict_knn(
@@ -168,13 +207,7 @@ def predict_knn(
         safe = np.where(denom > 0, denom, 1.0)
         predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
 
-    predictions = _clamp(predictions)
-    return ScoreGraph(
-        items=[candidates[u] for u in range(n)],
-        scores=[predictions[u, candidates[u]] for u in range(n)],
-        n_items=m,
-        provenance=params.tag(),
-    )
+    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids, params.tag())
 
 
 def fit_nmf(
@@ -220,23 +253,16 @@ def predict_nmf(
 ) -> ScoreGraph:
     """Score each user's candidates with the trained factor model."""
     p, q, _ = fit_nmf(dataset, params)
-    full = _clamp(p @ q.T)
-    return ScoreGraph(
-        items=[candidates[u] for u in range(dataset.n_users)],
-        scores=[full[u, candidates[u]] for u in range(dataset.n_users)],
-        n_items=dataset.n_items,
-        provenance=params.tag(),
-    )
+    return ScoreGraph.from_matrix(p @ q.T, candidates, dataset.user_ids, params.tag())
 
 
 def save_score_cache(graph: ScoreGraph, dataset: RatingsDataset, path: str | Path) -> None:
     """Write the graph as CSV ``user,item,score`` (raw ids, 6 decimals)."""
     with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write("user,item,score\n")
-        for u in range(graph.n_users):
-            raw_user = dataset.user_ids[u]
-            for item, score in zip(graph.items[u], graph.scores[u]):
-                handle.write(f"{raw_user},{dataset.item_ids[item]},{score:.6f}\n")
+        for raw_user, items, scores in zip(dataset.user_ids.tolist(), graph.items, graph.scores):
+            for item, score in zip(dataset.item_ids[items].tolist(), scores.tolist()):
+                handle.write(f"{raw_user},{item},{score:.6f}\n")
 
 
 def load_score_cache(
@@ -246,7 +272,7 @@ def load_score_cache(
     provenance: str = "cache",
 ) -> ScoreGraph:
     """Read a cached score file and check it against the current candidates."""
-    per_user: list[list[tuple[int, float]]] = [[] for _ in range(dataset.n_users)]
+    users, items, scores = [], [], []
     with open(path, "r", encoding="ascii", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -256,8 +282,8 @@ def load_score_cache(
             if len(row) != 3:
                 raise InvalidInputError(f"{path}: malformed cache row {row!r}")
             try:
-                u = dataset.user_index[int(row[0])]
-                i = dataset.item_index[int(row[1])]
+                users.append(dataset.user_index[int(row[0])])
+                items.append(dataset.item_index[int(row[1])])
                 score = float(row[2])
             except (KeyError, ValueError):
                 raise InvalidInputError(
@@ -265,13 +291,16 @@ def load_score_cache(
                 ) from None
             if not RATING_MIN <= score <= RATING_MAX:
                 raise InvalidInputError(f"{path}: cached score {score} outside [1, 5]")
-            per_user[u].append((i, score))
+            scores.append(score)
 
-    graph = ScoreGraph.from_pairs(per_user, dataset.n_items, provenance=provenance)
-    for u in range(dataset.n_users):
-        if not np.array_equal(graph.items[u], candidates[u]):
-            raise InvalidInputError(
-                f"{path}: cached items for user {dataset.user_ids[u]} do not match "
-                "the current candidate set (stale cache?)"
-            )
-    return graph
+    matrix = np.full((dataset.n_users, dataset.n_items), np.nan)
+    matrix[users, items] = scores
+    if np.count_nonzero(~np.isnan(matrix)) < len(scores):
+        raise InvalidInputError(f"{path}: duplicate (user, item) row")
+    stale = np.flatnonzero((np.isnan(matrix) == candidates.mask).any(axis=1))
+    if stale.size:
+        raise InvalidInputError(
+            f"{path}: cached items for user {dataset.user_ids[stale[0]]} do not match "
+            "the current candidate set (stale cache?)"
+        )
+    return ScoreGraph(matrix, dataset.user_ids, provenance)

@@ -1,13 +1,17 @@
 """Top-k list construction and the two diversity post-processors.
 
 Lists are always ordered by descending score with ties broken by ascending
-item id. Random draws k items uniformly from each user's top-l list using a
-per-user substream of the global seed, so results do not depend on
-evaluation order. Greedy introduces not-yet-recommended items with a score
-above a threshold, one at a time in globally descending score order, each
-replacing the victim user's lowest-ranked recommendation that at least one
-other user still receives; the recommended-item pool therefore never
-shrinks and grows by exactly the achieved increase.
+item id. That order is computed once per score graph (``ScoreGraph.ranked``,
+one stable row-wise sort of the score matrix) and shared by every grid
+point: top-k is its first k columns, and Random gathers its draws from it.
+Random draws k items uniformly from each user's top-l list using a per-user
+substream of the global seed, so results do not depend on evaluation order;
+sorting the drawn rank positions puts them back in list order. Greedy
+introduces not-yet-recommended items with a score above a threshold, one at
+a time in globally descending score order, each replacing the victim user's
+lowest-ranked recommendation that at least one other user still receives;
+the recommended-item pool therefore never shrinks and grows by exactly the
+achieved increase.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingsDataset
+from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, _write_lines
 from .errors import CandidateShortfallError, InvalidInputError
 from .predictors import ScoreGraph
 
@@ -72,23 +76,20 @@ class GreedyRerankResult:
     achieved_increase: int
 
 
-def _ranked_order(graph: ScoreGraph, user: int) -> np.ndarray:
-    """Positions of a user's candidates sorted by (score desc, item id asc)."""
-    return np.lexsort((graph.items[user], -graph.scores[user]))
+def _require_candidates(graph: ScoreGraph, k: int) -> None:
+    if np.any(graph.n_candidates < k):
+        u = np.argmax(graph.n_candidates < k)  # the first such user
+        raise CandidateShortfallError(
+            f"user {graph.user_ids[u]} has only {graph.n_candidates[u]} candidates, needs k={k}"
+        )
 
 
 def top_k(graph: ScoreGraph, k: int) -> RecommendationSet:
     """The k highest-scored candidates per user."""
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    lists = np.empty((graph.n_users, k), dtype=np.int64)
-    for u in range(graph.n_users):
-        if graph.items[u].size < k:
-            raise CandidateShortfallError(
-                f"user {u} has only {graph.items[u].size} candidates, needs k={k}"
-            )
-        lists[u] = graph.items[u][_ranked_order(graph, u)[:k]]
-    return RecommendationSet(k=k, lists=lists, provenance="none")
+    _require_candidates(graph, k)
+    return RecommendationSet(k=k, lists=graph.ranked[:, :k].copy(), provenance="none")
 
 
 def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> RecommendationSet:
@@ -100,19 +101,12 @@ def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> Recommenda
     """
     if params.ell < k:
         raise InvalidInputError(f"ell={params.ell} must be >= k={k}")
-    lists = np.empty((graph.n_users, k), dtype=np.int64)
-    for u in range(graph.n_users):
-        if graph.items[u].size < k:
-            raise CandidateShortfallError(
-                f"user {u} has only {graph.items[u].size} candidates, needs k={k}"
-            )
-        limit = min(params.ell, graph.items[u].size)
-        prefix = _ranked_order(graph, u)[:limit]
-        rng = np.random.default_rng([params.seed, u])
-        chosen = prefix[rng.choice(limit, size=k, replace=False)]
-        picked_items = graph.items[u][chosen]
-        picked_scores = graph.scores[u][chosen]
-        lists[u] = picked_items[np.lexsort((picked_items, -picked_scores))]
+    _require_candidates(graph, k)
+    ranks = np.empty((graph.n_users, k), dtype=np.int64)
+    for u, limit in enumerate(np.minimum(params.ell, graph.n_candidates).tolist()):
+        ranks[u] = np.random.default_rng([params.seed, u]).choice(limit, size=k, replace=False)
+    ranks.sort(axis=1)
+    lists = np.take_along_axis(graph.ranked, ranks, axis=1)
     return RecommendationSet(k=k, lists=lists, provenance=params.tag())
 
 
@@ -131,28 +125,18 @@ def greedy_rerank(
     if base.n_users != graph.n_users:
         raise InvalidInputError("base recommendations do not match the score graph")
     k = base.k
+    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base.lists).tolist()
     counts = np.bincount(base.lists.ravel(), minlength=graph.n_items)
 
-    move_scores: list[np.ndarray] = []
-    move_items: list[np.ndarray] = []
-    move_users: list[np.ndarray] = []
-    in_pool = counts > 0
-    for u in range(graph.n_users):
-        eligible = (graph.scores[u] >= params.threshold) & ~in_pool[graph.items[u]]
-        move_scores.append(graph.scores[u][eligible])
-        move_items.append(graph.items[u][eligible])
-        move_users.append(np.full(int(eligible.sum()), u, dtype=np.int64))
-    scores_all = np.concatenate(move_scores) if move_scores else np.empty(0)
-    items_all = np.concatenate(move_items) if move_items else np.empty(0, dtype=np.int64)
-    users_all = np.concatenate(move_users) if move_users else np.empty(0, dtype=np.int64)
-    order = np.lexsort((users_all, items_all, -scores_all))
+    move_users, move_items = np.nonzero((graph.matrix >= params.threshold) & (counts == 0))
+    move_scores = graph.matrix[move_users, move_items]
+    order = np.lexsort((move_users, move_items, -move_scores))
 
-    current = [list(row) for row in base.lists.tolist()]
-    current_scores = [graph.lookup(u, base.lists[u]).tolist() for u in range(graph.n_users)]
+    current = base.lists.tolist()
     counts_list = counts.tolist()
-    walk_items = items_all[order].tolist()
-    walk_users = users_all[order].tolist()
-    walk_scores = scores_all[order].tolist()
+    walk_items = move_items[order].tolist()
+    walk_users = move_users[order].tolist()
+    walk_scores = move_scores[order].tolist()
 
     achieved = 0
     for item, user, score in zip(walk_items, walk_users, walk_scores):
@@ -180,11 +164,8 @@ def greedy_rerank(
         row_scores[victim_pos] = score
         achieved += 1
 
-    lists = np.empty((graph.n_users, k), dtype=np.int64)
-    for u in range(graph.n_users):
-        items_u = np.asarray(current[u], dtype=np.int64)
-        scores_u = np.asarray(current_scores[u])
-        lists[u] = items_u[np.lexsort((items_u, -scores_u))]
+    items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
+    lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
     recs = RecommendationSet(k=k, lists=lists, provenance=params.tag())
     return GreedyRerankResult(recommendations=recs, achieved_increase=achieved)
 
@@ -200,14 +181,10 @@ def write_recommendations(
     With a dataset, ids are translated back to raw file ids.
     """
     rows = ["user,rank,item,score\n"]
-    for u in range(recs.n_users):
-        scores = graph.lookup(u, recs.lists[u])
+    all_scores = graph.lookup(np.arange(recs.n_users)[:, None], recs.lists)
+    for u, scores in enumerate(all_scores):
         user_label = dataset.user_ids[u] if dataset is not None else u
         for rank, (item, score) in enumerate(zip(recs.lists[u], scores), start=1):
             item_label = dataset.item_ids[item] if dataset is not None else item
             rows.append(f"{user_label},{rank},{item_label},{score:.6f}\n")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(rows)
-    else:
-        destination.writelines(rows)
+    _write_lines(destination, rows)

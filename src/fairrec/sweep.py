@@ -61,6 +61,14 @@ class SweepConfig:
             raise InvalidInputError("theta grid is empty but post=greedy selected")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
+        # build every parameter the run will use, so a bad value fails before the fit
+        _predictor(self)
+        for ell in self.ell_grid if self.post == "random" else ():
+            RandomParams(ell=ell, seed=self.seed)
+            if ell < self.k:
+                raise InvalidInputError(f"ell={ell} must be >= k={self.k}")
+        for theta in self.theta_grid if self.post == "greedy" else ():
+            GreedyParams(theta=theta, threshold=self.threshold)
 
 
 _BOOL_KEYS = {"cache", "per_user", "svg"}
@@ -156,21 +164,20 @@ def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfi
     return cfg
 
 
-def _fit_scores(cfg: SweepConfig, dataset, candidates):
+def _predictor(cfg: SweepConfig):
     if cfg.predictor == "knn":
-        return predict_knn(dataset, candidates, KnnParams(cfg.knn_neighbors, cfg.knn_min_overlap))
-    return predict_nmf(dataset, candidates, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed))
+        return predict_knn, KnnParams(cfg.knn_neighbors, cfg.knn_min_overlap)
+    return predict_nmf, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed)
 
 
 def _obtain_scores(cfg: SweepConfig, dataset, candidates):
+    predict, params = _predictor(cfg)
     if not cfg.use_cache:
-        return _fit_scores(cfg, dataset, candidates)
+        return predict(dataset, candidates, params)
     cache_path = cfg.output_dir / f"scores_{cfg.predictor}.csv"
-    if cache_path.exists():
-        return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
-    graph = _fit_scores(cfg, dataset, candidates)
-    save_score_cache(graph, dataset, cache_path)
-    # reload so cached and fresh runs see identical (6-decimal) scores
+    if not cache_path.exists():
+        save_score_cache(predict(dataset, candidates, params), dataset, cache_path)
+    # a fresh fit is reloaded too, so cached and fresh runs see identical (6-decimal) scores
     return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
 
 

@@ -169,6 +169,29 @@ def test_satisfaction_bounded_for_both_post_processors():
         assert np.all(a <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("k", [3, 8, 17])
+def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
+    # the whole-matrix gathers must reproduce the per-user arithmetic exactly,
+    # including k >= 8, where numpy's pairwise summation starts to unroll
+    from fairrec import RandomParams, random_rerank
+
+    rng = np.random.default_rng(k)
+    pairs = [
+        [(int(i), float(rng.uniform(1, 5))) for i in rng.choice(60, size=45, replace=False)]
+        for _ in range(20)
+    ]
+    graph = ScoreGraph.from_pairs(pairs, 60)
+    top = top_k(graph, k)
+    served = random_rerank(graph, RandomParams(ell=30, seed=k), k)
+    sat = [
+        float(graph.lookup(u, served.lists[u]).sum()) / float(graph.lookup(u, top.lists[u]).sum())
+        for u in range(graph.n_users)
+    ]
+    common = [len(set(served.lists[u].tolist()) & set(top.lists[u].tolist())) for u in range(20)]
+    assert satisfaction(graph, served, top).tolist() == sat
+    assert overlap_similarity(served, top).tolist() == [c / k for c in common]
+
+
 # ------------------------------------------------------------ overlap ----
 
 def test_overlap_identical_and_disjoint():

@@ -5,17 +5,24 @@ import pytest
 from pytest import approx
 
 from fairrec import (
+    CandidateShortfallError,
     FactorizationError,
     InvalidInputError,
     KnnParams,
     NmfParams,
+    RandomParams,
+    RecommendationSet,
+    ScoreGraph,
     candidate_sets,
     fit_nmf,
     load_score_cache,
     parse_ratings,
     predict_knn,
     predict_nmf,
+    random_rerank,
+    satisfaction,
     save_score_cache,
+    top_k,
 )
 from fairrec.predictors import _check_finite
 
@@ -288,6 +295,37 @@ def test_nmf_hidden_entry_matches_reference_implementation():
     )
     reference = min(5.0, max(1.0, sum(p_ref[3][t] * q_ref[3][t] for t in range(2))))
     assert predicted == approx(reference, abs=1.0)
+
+
+# -------------------------------------------------------------- graph ----
+
+def test_lookup_rejects_rated_and_out_of_range_items():
+    d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
+    graph = predict_knn(d, c)
+    assert graph.lookup(0, [d.item_index[3]]).shape == (1,)
+    for item in (d.item_index[1], -1, d.n_items):
+        with pytest.raises(InvalidInputError):
+            graph.lookup(0, np.array([item]))
+
+
+def test_errors_name_raw_user_ids():
+    # raw user ids 101 and 205 map to dense 0 and 1; 205 rated all but one item
+    lines = ["101 1 5 0\n", "101 2 3 0\n"]
+    lines += [f"205 {i} {1 + i % 5} 0\n" for i in range(1, 5)]
+    d = parse_ratings(lines)
+    graph = predict_knn(d, candidate_sets(d))
+    assert graph.user_ids.tolist() == [101, 205]
+    with pytest.raises(InvalidInputError, match="user 205"):
+        graph.lookup(1, np.array([d.item_index[1]]))
+    with pytest.raises(CandidateShortfallError, match="user 205"):
+        top_k(graph, 2)
+    with pytest.raises(CandidateShortfallError, match="user 205"):
+        random_rerank(graph, RandomParams(ell=3), 2)
+
+    zero = ScoreGraph(np.zeros((2, 4)), d.user_ids)
+    lists = RecommendationSet(k=1, lists=np.array([[0], [0]]))
+    with pytest.raises(InvalidInputError, match="user 101"):
+        satisfaction(zero, lists, lists)
 
 
 # -------------------------------------------------------------- cache ----

@@ -82,6 +82,26 @@ def test_config_validation_errors():
         SweepConfig(post="random", ell_grid=()).validate()
     with pytest.raises(InvalidInputError):
         SweepConfig(post="greedy", theta_grid=()).validate()
+    # every grid value and hyperparameter is checked before any work starts
+    with pytest.raises(InvalidInputError, match="ell=4 must be >= k=5"):
+        SweepConfig(post="random", k=5, ell_grid=(10, 4)).validate()
+    with pytest.raises(InvalidInputError, match="ell must be >= 1"):
+        SweepConfig(post="random", ell_grid=(10, 0)).validate()
+    with pytest.raises(InvalidInputError, match="theta"):
+        SweepConfig(post="greedy", theta_grid=(10, -1)).validate()
+    for threshold in (0.5, 5.5):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            SweepConfig(post="greedy", threshold=threshold).validate()
+    with pytest.raises(InvalidInputError, match="n_neighbors"):
+        SweepConfig(predictor="knn", knn_neighbors=0).validate()
+    with pytest.raises(InvalidInputError, match="min_overlap"):
+        SweepConfig(predictor="knn", knn_min_overlap=0).validate()
+    with pytest.raises(InvalidInputError, match="n_factors"):
+        SweepConfig(predictor="nmf", nmf_factors=0).validate()
+    with pytest.raises(InvalidInputError, match="n_epochs"):
+        SweepConfig(predictor="nmf", nmf_epochs=-1).validate()
+    # a grid that the selected post-processor does not use is not checked
+    SweepConfig(post="greedy", ell_grid=(0,)).validate()
 
 
 # --------------------------------------------------------------- sweep ----
@@ -144,6 +164,20 @@ def test_greedy_sweep_regression_lock(synthetic_file, tmp_path):
         "knn,greedy,1,3,0.275000,0.000109,0.005493\n"
         "knn,greedy,4,3,0.312500,0.000678,0.021780\n"
         "knn,greedy,50,3,0.862500,0.027808,0.258838\n"
+    )
+
+
+def test_random_sweep_regression_lock(synthetic_file, tmp_path):
+    # exact outputs frozen from the per-user-loop implementation of Random;
+    # ell=60 exceeds some users' candidate counts, so their draw is truncated
+    cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell_grid=(3, 8, 60), seed=9)
+    run_sweep(cfg, quiet=True)
+    assert (tmp_path / "out" / "results.csv").read_text() == (
+        "predictor,post,param,k,agg_div,d_s,d_r\n"
+        "knn,none,0,3,0.262500,0.000000,0.000000\n"
+        "knn,random,3,3,0.262500,0.000000,0.000000\n"
+        "knn,random,8,3,0.337500,0.013023,0.336190\n"
+        "knn,random,60,3,0.887500,0.048501,0.900000\n"
     )
 
 
@@ -280,6 +314,17 @@ def test_cli_reports_invalid_config(synthetic_file, tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_grid_before_writing_cache(synthetic_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(
+        ["run", "--data", str(synthetic_file), "--predictor", "nmf", "--post", "random",
+         "--ell", "10,2", "--k", "3", "--cache", "--out", str(out)]
+    )
+    assert code == 2
+    assert "ell=2 must be >= k=3" in capsys.readouterr().err
+    assert not (out / "scores_nmf.csv").exists()
 
 
 def test_cli_rejects_unknown_choice():
