@@ -9,6 +9,7 @@ dense ids only and reports translate back to raw ids.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -24,6 +25,7 @@ from .errors import (
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
+_ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
 
 
 @dataclass
@@ -52,6 +54,13 @@ class RatingsDataset:
     def rated_items(self, user: int) -> np.ndarray:
         """Dense ids of the items this user has rated, ascending."""
         return np.sort(self.items[self.users == user])
+
+    def fingerprint(self) -> str:
+        """SHA-256 (hex) of the shape, the ratings in file order and the raw id maps."""
+        digest = hashlib.sha256(f"{self.n_users},{self.n_items}".encode())
+        for array in (self.users, self.items, self.ratings, self.user_ids, self.item_ids):
+            digest.update(array.tobytes())
+        return digest.hexdigest()
 
     def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (ratings, observed-mask) as dense (n_users, n_items) arrays."""
@@ -119,6 +128,8 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
                 raise RatingParseError(
                     f"line {line_no}: non-numeric user or item id"
                 ) from None
+            if not (_ID_MIN <= user <= _ID_MAX and _ID_MIN <= item <= _ID_MAX):
+                raise RatingParseError(f"line {line_no}: user or item id outside the int64 range")
             try:
                 rating = int(fields[2])
             except ValueError:

@@ -9,7 +9,7 @@ which keeps every weight strictly positive downstream.
 
 from __future__ import annotations
 
-import csv
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,12 +257,10 @@ def predict_nmf(
 
 
 def save_score_cache(graph: ScoreGraph, dataset: RatingsDataset, path: str | Path) -> None:
-    """Write the graph as CSV ``user,item,score`` (raw ids, 6 decimals)."""
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write("user,item,score\n")
-        for raw_user, items, scores in zip(dataset.user_ids.tolist(), graph.items, graph.scores):
-            for item, score in zip(dataset.item_ids[items].tolist(), scores.tolist()):
-                handle.write(f"{raw_user},{item},{score:.6f}\n")
+    """Write graph.matrix as one exact float64 ``.npy``; a rename makes the write all-or-nothing."""
+    partial = Path(path).with_suffix(".partial.npy")
+    np.save(partial, graph.matrix, allow_pickle=False)
+    os.replace(partial, path)
 
 
 def load_score_cache(
@@ -271,36 +269,20 @@ def load_score_cache(
     candidates: CandidateSets,
     provenance: str = "cache",
 ) -> ScoreGraph:
-    """Read a cached score file and check it against the current candidates."""
-    users, items, scores = [], [], []
-    with open(path, "r", encoding="ascii", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["user", "item", "score"]:
-            raise InvalidInputError(f"{path}: not a score cache file")
-        for row in reader:
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}: malformed cache row {row!r}")
-            try:
-                users.append(dataset.user_index[int(row[0])])
-                items.append(dataset.item_index[int(row[1])])
-                score = float(row[2])
-            except (KeyError, ValueError):
-                raise InvalidInputError(
-                    f"{path}: cache row {row!r} does not match the loaded dataset"
-                ) from None
-            if not RATING_MIN <= score <= RATING_MAX:
-                raise InvalidInputError(f"{path}: cached score {score} outside [1, 5]")
-            scores.append(score)
-
-    matrix = np.full((dataset.n_users, dataset.n_items), np.nan)
-    matrix[users, items] = scores
-    if np.count_nonzero(~np.isnan(matrix)) < len(scores):
-        raise InvalidInputError(f"{path}: duplicate (user, item) row")
-    stale = np.flatnonzero((np.isnan(matrix) == candidates.mask).any(axis=1))
-    if stale.size:
-        raise InvalidInputError(
-            f"{path}: cached items for user {dataset.user_ids[stale[0]]} do not match "
-            "the current candidate set (stale cache?)"
-        )
+    """Read a save_score_cache file and check it against the dataset and current candidates."""
+    try:
+        with open(path, "rb") as handle:
+            matrix = np.lib.format.read_array(handle, allow_pickle=False)
+    except ValueError as exc:  # not .npy, truncated, empty, or an object array
+        raise InvalidInputError(f"{path}: not a score cache file ({exc})") from None
+    shape = candidates.mask.shape
+    if matrix.dtype != np.float64 or matrix.shape != shape:
+        raise InvalidInputError(f"{path}: holds {matrix.dtype} {matrix.shape}, not float64 {shape}")
+    stale = (np.isnan(matrix) == candidates.mask).any(axis=1)
+    if stale.any():
+        user = dataset.user_ids[np.argmax(stale)]
+        raise InvalidInputError(f"{path}: cached items for user {user} do not match its candidates (stale cache?)")
+    outside = matrix[(matrix < RATING_MIN) | (matrix > RATING_MAX)]
+    if outside.size:
+        raise InvalidInputError(f"{path}: cached score {outside[0]} outside [1, 5]")
     return ScoreGraph(matrix, dataset.user_ids, provenance)

@@ -9,6 +9,7 @@ Grid points share one immutable ScoreGraph and are evaluated in grid order.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -133,19 +134,22 @@ def read_config_file(path: str | Path) -> dict:
     Blank lines and ``#`` comments are ignored; grids are comma-separated.
     """
     overrides: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip().strip("\"'")
-            if key not in _KEY_TO_FIELD:
-                raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
-            overrides[_KEY_TO_FIELD[key]] = _coerce(key, value)
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: config file is not UTF-8 text: {exc}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip().strip("\"'")
+        if key not in _KEY_TO_FIELD:
+            raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
+        overrides[_KEY_TO_FIELD[key]] = _coerce(key, value)
     return overrides
 
 
@@ -174,11 +178,13 @@ def _obtain_scores(cfg: SweepConfig, dataset, candidates):
     predict, params = _predictor(cfg)
     if not cfg.use_cache:
         return predict(dataset, candidates, params)
-    cache_path = cfg.output_dir / f"scores_{cfg.predictor}.csv"
-    if not cache_path.exists():
-        save_score_cache(predict(dataset, candidates, params), dataset, cache_path)
-    # a fresh fit is reloaded too, so cached and fresh runs see identical (6-decimal) scores
-    return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
+    key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
+    cache_path = cfg.output_dir / f"scores_{cfg.predictor}_{key}.npy"
+    if cache_path.exists():
+        return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
+    graph = predict(dataset, candidates, params)
+    save_score_cache(graph, dataset, cache_path)
+    return graph
 
 
 def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:

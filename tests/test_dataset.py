@@ -46,7 +46,8 @@ def test_rating_out_of_range(rating):
 
 @pytest.mark.parametrize(
     "line",
-    ["1 10 4\n", "1 10 4 0 extra\n", "x 10 4 0\n", "1 y 4 0\n", "1 10 3.5 0\n"],
+    ["1 10 4\n", "1 10 4 0 extra\n", "x 10 4 0\n", "1 y 4 0\n", "1 10 3.5 0\n",
+     "99999999999999999999 1 5 0\n", "1 -99999999999999999999 5 0\n"],
 )
 def test_malformed_line_is_a_parse_error(line):
     with pytest.raises(RatingParseError, match="line 2"):
@@ -105,6 +106,15 @@ def test_write_then_parse_round_trip(synthetic_dataset):
     )
     rewritten = set(zip(again.users.tolist(), again.items.tolist(), again.ratings.tolist()))
     assert original == rewritten
+
+
+def test_fingerprint_changes_with_any_rating_or_raw_id():
+    lines = ["1 10 4 0\n", "2 10 3 0\n", "2 20 5 0\n"]
+    digest = parse_ratings(lines).fingerprint()
+    assert parse_ratings(list(lines)).fingerprint() == digest
+    for changed in (["1 10 5 0\n"] + lines[1:], ["7 10 4 0\n"] + lines[1:],
+                    lines[:2] + ["2 21 5 0\n"], lines[:2]):
+        assert parse_ratings(changed).fingerprint() != digest
 
 
 def test_rating_counts_add_up(synthetic_dataset):

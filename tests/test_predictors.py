@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from pytest import approx
 
 from fairrec import (
+    CandidateSets,
     CandidateShortfallError,
     FactorizationError,
     InvalidInputError,
@@ -333,34 +335,79 @@ def test_errors_name_raw_user_ids():
 def test_score_cache_round_trip(tmp_path, synthetic_dataset):
     c = candidate_sets(synthetic_dataset)
     graph = predict_knn(synthetic_dataset, c)
-    path = tmp_path / "scores.csv"
+    path = tmp_path / "scores.npy"
     save_score_cache(graph, synthetic_dataset, path)
 
-    assert path.read_text().splitlines()[0] == "user,item,score"
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]  # no partial file left
     loaded = load_score_cache(path, synthetic_dataset, c)
-    for u in range(graph.n_users):
-        assert np.array_equal(loaded.items[u], graph.items[u])
-        assert np.allclose(loaded.scores[u], graph.scores[u], atol=5e-7)
+    assert loaded.matrix.dtype == np.float64
+    assert np.array_equal(loaded.matrix, graph.matrix, equal_nan=True)
+    assert np.array_equal(loaded.user_ids, synthetic_dataset.user_ids)
 
 
 def test_score_cache_rejects_stale_candidates(tmp_path, synthetic_dataset):
     c = candidate_sets(synthetic_dataset)
     graph = predict_knn(synthetic_dataset, c)
-    path = tmp_path / "scores.csv"
+    path = tmp_path / "scores.npy"
     save_score_cache(graph, synthetic_dataset, path)
 
-    lines = path.read_text().splitlines(keepends=True)
-    user, item, score = lines[1].strip().split(",")
-    wrong_item = synthetic_dataset.item_ids[synthetic_dataset.rated_items(0)[0]]
-    lines[1] = f"{user},{wrong_item},{score}\n"
-    path.write_text("".join(lines))
-    with pytest.raises(InvalidInputError):
-        load_score_cache(path, synthetic_dataset, c)
+    # the cache was written before user 0 rated one more item
+    stale = CandidateSets(c.mask.copy())
+    stale.mask[0, stale[0][0]] = False
+    raw_user = synthetic_dataset.user_ids[0]
+    with pytest.raises(InvalidInputError, match=f"user {raw_user} do not match"):
+        load_score_cache(path, synthetic_dataset, stale)
 
 
 def test_score_cache_rejects_foreign_header(tmp_path, synthetic_dataset):
     c = candidate_sets(synthetic_dataset)
-    path = tmp_path / "bogus.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(InvalidInputError):
+    path = tmp_path / "bogus.npy"
+    path.write_text("user,item,score\n1,2,3.000000\n")
+    with pytest.raises(InvalidInputError, match="not a score cache file"):
         load_score_cache(path, synthetic_dataset, c)
+
+
+def _npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
+
+
+def _npz(array):
+    buffer = io.BytesIO()
+    np.savez(buffer, scores=array)
+    return buffer.getvalue()
+
+
+def _scored(matrix, value):
+    matrix = matrix.copy()
+    matrix[2, 0] = value  # item 0 is a candidate of raw user 103
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        pytest.param(lambda m: _npy(m)[:-8], "not a score cache file", id="truncated"),
+        pytest.param(lambda m: _npy(m)[:20], "not a score cache file", id="header-only"),
+        pytest.param(lambda m: b"", "not a score cache file", id="empty"),
+        pytest.param(_npz, "not a score cache file", id="npz"),
+        pytest.param(lambda m: _npy(np.array([m], dtype=object)), "not a score cache file",
+                     id="object"),
+        pytest.param(lambda m: _npy(m.astype(np.float32)), "holds float32", id="float32"),
+        pytest.param(lambda m: _npy(m[:-1]), r"\(4, 7\), not float64 \(5, 7\)", id="short-rows"),
+        pytest.param(lambda m: _npy(m[:, :-1]), r"\(5, 6\), not", id="short-columns"),
+        pytest.param(lambda m: _npy(m.ravel()), r"\(35,\), not", id="flat"),
+        pytest.param(lambda m: _npy(_scored(m, 5.5)), r"5.5 outside \[1, 5\]", id="above-5"),
+        pytest.param(lambda m: _npy(_scored(m, 0.0)), r"0.0 outside \[1, 5\]", id="below-1"),
+        pytest.param(lambda m: _npy(_scored(m, np.inf)), r"inf outside \[1, 5\]", id="inf"),
+    ],
+)
+def test_score_cache_rejects_malformed_files(tmp_path, contents, message):
+    d = parse_ratings([f"{101 + u} {i} {1 + (u + i) % 5} 0\n" for u in range(5) for i in range(u, u + 3)])
+    c = candidate_sets(d)
+    graph = ScoreGraph.from_matrix(np.full((d.n_users, d.n_items), 3.0), c, d.user_ids)
+    path = tmp_path / "scores.npy"
+    path.write_bytes(contents(graph.matrix))
+    with pytest.raises(InvalidInputError, match=message):
+        load_score_cache(path, d, c)

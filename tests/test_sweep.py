@@ -63,6 +63,15 @@ def test_read_config_rejects_bad_boolean(tmp_path):
         read_config_file(path)
 
 
+def test_read_config_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_bytes(b"k = 3\n\xff\xfe\x00binary\n")
+    with pytest.raises(InvalidInputError, match="not UTF-8"):
+        read_config_file(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("fairrec: error:")
+
+
 def test_build_config_overrides_beat_file(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("k = 3\npredictor = nmf\n")
@@ -187,7 +196,7 @@ def test_nmf_sweep_with_cache(synthetic_file, tmp_path):
         synthetic_file, out, predictor="nmf", post="random", ell_grid=(4,), use_cache=True
     )
     reports = run_sweep(cfg, quiet=True)
-    assert (out / "scores_nmf.csv").exists()
+    assert len(list(out.glob("scores_nmf_*.npy"))) == 1
     assert reports[0].predictor == "nmf"
     assert reports[0].score_disparity == 0.0
     first = (out / "results.csv").read_bytes()
@@ -229,12 +238,31 @@ def test_sweep_cache_round_trip_is_stable(synthetic_file, tmp_path):
     out = tmp_path / "out"
     cfg = small_cfg(synthetic_file, out, post="greedy", use_cache=True)
     run_sweep(cfg, quiet=True)
-    cache = out / "scores_knn.csv"
-    assert cache.exists()
+    assert len(list(out.glob("scores_knn_*.npy"))) == 1
     first = (out / "results.csv").read_bytes()
 
     run_sweep(cfg, quiet=True)  # warm: loads the cache instead of refitting
     assert (out / "results.csv").read_bytes() == first
+
+
+def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path, monkeypatch):
+    def outputs(out, **kw):
+        cfg = small_cfg(synthetic_file, out, predictor="nmf", post="greedy", per_user=True, **kw)
+        run_sweep(cfg, quiet=True)
+        return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.startswith("scores_")}
+
+    fresh = outputs(tmp_path / "fresh", use_cache=True)
+    with monkeypatch.context() as patch:
+        patch.setattr("fairrec.sweep.predict_nmf", lambda *a: pytest.fail("refit on a cache hit"))
+        assert outputs(tmp_path / "fresh", use_cache=True) == fresh
+    assert outputs(tmp_path / "plain") == fresh
+    assert len(list((tmp_path / "fresh").glob("scores_nmf_*.npy"))) == 1
+
+    # a changed hyperparameter refits into its own cache file instead of loading the old one
+    refit = outputs(tmp_path / "fresh", use_cache=True, nmf_epochs=3)
+    assert len(list((tmp_path / "fresh").glob("scores_nmf_*.npy"))) == 2
+    assert refit == outputs(tmp_path / "plain3", nmf_epochs=3)
+    assert refit["results.csv"] != fresh["results.csv"]
 
 
 def test_per_user_files_written(synthetic_file, tmp_path):
@@ -324,7 +352,7 @@ def test_cli_rejects_bad_grid_before_writing_cache(synthetic_file, tmp_path, cap
     )
     assert code == 2
     assert "ell=2 must be >= k=3" in capsys.readouterr().err
-    assert not (out / "scores_nmf.csv").exists()
+    assert not list(out.glob("scores_*"))
 
 
 def test_cli_rejects_unknown_choice():
