@@ -37,23 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    settings = vars(_build_parser().parse_args(argv))  # flag dests are SweepConfig fields
+    del settings["command"]
     try:
-        cfg = build_config(
-            args.config,
-            data_path=args.data,
-            predictor=args.predictor,
-            post=args.post,
-            k=args.k,
-            ell_grid=args.ell,
-            theta_grid=args.theta,
-            threshold=args.threshold,
-            seed=args.seed,
-            output_dir=args.out,
-            use_cache=args.cache,
-            per_user=args.per_user,
-            emit_svg=args.svg,
-        )
+        cfg = build_config(settings.pop("config"), **settings)
         run_sweep(cfg)
     except FairrecError as exc:
         print(f"fairrec: error: {exc}", file=sys.stderr)

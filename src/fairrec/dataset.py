@@ -121,6 +121,8 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
                     f"line {line_no}: expected 4 fields (user item rating timestamp), "
                     f"got {len(fields)}"
                 )
+            if "_" in line and "_" in "".join(fields[:3]):  # int() accepts digit separators
+                raise RatingParseError(f"line {line_no}: '_' in the user, item or rating field")
             try:
                 user = int(fields[0])
                 item = int(fields[1])

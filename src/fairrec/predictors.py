@@ -181,7 +181,8 @@ def predict_knn(
     safe_norms = np.where(norms > 0, norms, 1.0)
     sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
 
-    overlap = observed.astype(np.float64) @ observed.T.astype(np.float64)
+    observed_f = observed.astype(np.float64)
+    overlap = observed_f @ observed_f.T
     valid = overlap >= params.min_overlap
     usable_sims = np.where(valid, sims, 0.0)
     # invalid pairs must rank below every valid similarity, including -1
@@ -230,11 +231,13 @@ def fit_nmf(
     q = rng.uniform(size=(dataset.n_items, params.n_factors)) * scale
 
     eps = 1e-12
-    losses = [float(((target - mask * (p @ q.T)) ** 2).sum())]
+    fitted = mask * (p @ q.T)  # from the current p and q: the loss, then the next p update
+    losses = [float(((target - fitted) ** 2).sum())]
     for _ in range(params.n_epochs):
-        p *= (target @ q) / ((mask * (p @ q.T)) @ q + eps)
+        p *= (target @ q) / (fitted @ q + eps)
         q *= (target.T @ p) / ((mask * (p @ q.T)).T @ p + eps)
-        loss = float(((target - mask * (p @ q.T)) ** 2).sum())
+        fitted = mask * (p @ q.T)
+        loss = float(((target - fitted) ** 2).sum())
         if not np.isfinite(loss):
             raise FactorizationError("factorization diverged to non-finite values")
         losses.append(loss)

@@ -32,18 +32,18 @@ POSTS = ("none", "random", "greedy")
 
 @dataclass
 class SweepConfig:
-    data_path: Path = Path("u.data")
+    data: Path = Path("u.data")
     predictor: str = "knn"
     post: str = "none"
     k: int = 5
-    ell_grid: tuple[int, ...] = (10, 50, 100, 500)
-    theta_grid: tuple[int, ...] = (10, 100, 200, 500, 1000)
+    ell: tuple[int, ...] = (10, 50, 100, 500)
+    theta: tuple[int, ...] = (10, 100, 200, 500, 1000)
     threshold: float = 3.5
     seed: int = 0
-    output_dir: Path = Path("results")
-    use_cache: bool = False
+    out: Path = Path("results")
+    cache: bool = False
     per_user: bool = False
-    emit_svg: bool = False
+    svg: bool = False
     knn_neighbors: int = 40
     knn_min_overlap: int = 1
     nmf_factors: int = 15
@@ -56,43 +56,23 @@ class SweepConfig:
             raise InvalidInputError(f"unknown post-processor {self.post!r}")
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        if self.post == "random" and not self.ell_grid:
+        if self.post == "random" and not self.ell:
             raise InvalidInputError("ell grid is empty but post=random selected")
-        if self.post == "greedy" and not self.theta_grid:
+        if self.post == "greedy" and not self.theta:
             raise InvalidInputError("theta grid is empty but post=greedy selected")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
         # build every parameter the run will use, so a bad value fails before the fit
         _predictor(self)
-        for ell in self.ell_grid if self.post == "random" else ():
+        for ell in self.ell if self.post == "random" else ():
             RandomParams(ell=ell, seed=self.seed)
             if ell < self.k:
                 raise InvalidInputError(f"ell={ell} must be >= k={self.k}")
-        for theta in self.theta_grid if self.post == "greedy" else ():
+        for theta in self.theta if self.post == "greedy" else ():
             GreedyParams(theta=theta, threshold=self.threshold)
 
 
-_BOOL_KEYS = {"cache", "per_user", "svg"}
-_INT_KEYS = {"k", "seed", "knn_neighbors", "knn_min_overlap", "nmf_factors", "nmf_epochs"}
-_GRID_KEYS = {"ell", "theta"}
-_KEY_TO_FIELD = {
-    "data": "data_path",
-    "predictor": "predictor",
-    "post": "post",
-    "k": "k",
-    "ell": "ell_grid",
-    "theta": "theta_grid",
-    "threshold": "threshold",
-    "seed": "seed",
-    "out": "output_dir",
-    "cache": "use_cache",
-    "per_user": "per_user",
-    "svg": "emit_svg",
-    "knn_neighbors": "knn_neighbors",
-    "knn_min_overlap": "knn_min_overlap",
-    "nmf_factors": "nmf_factors",
-    "nmf_epochs": "nmf_epochs",
-}
+_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
 
 
 def parse_grid(text: str) -> tuple[int, ...]:
@@ -104,34 +84,30 @@ def parse_grid(text: str) -> tuple[int, ...]:
 
 
 def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
+    """Convert a config file value to the type of the field's default."""
+    kind = type(_DEFAULTS[key])
+    if kind is bool:
         lowered = str(value).strip().lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise InvalidInputError(f"config key {key!r} expects a boolean, got {value!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise InvalidInputError(f"config key {key!r} expects an integer, got {value!r}") from None
-    if key in _GRID_KEYS:
+    if kind is tuple:
         return parse_grid(value)
-    if key == "threshold":
-        try:
-            return float(value)
-        except ValueError:
-            raise InvalidInputError(f"threshold expects a number, got {value!r}") from None
-    if key in ("data", "out"):
-        return Path(value)
-    return value
+    try:
+        return kind(value)
+    except ValueError:
+        if kind is int:
+            raise InvalidInputError(f"config key {key!r} expects an integer, got {value!r}") from None
+        raise InvalidInputError(f"{key} expects a number, got {value!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into SweepConfig field overrides.
 
-    Blank lines and ``#`` comments are ignored; grids are comma-separated.
+    Each key is a SweepConfig field name. Blank lines and ``#`` comments are
+    ignored; grids are comma-separated.
     """
     overrides: dict = {}
     try:
@@ -147,9 +123,9 @@ def read_config_file(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip().strip("\"'")
-        if key not in _KEY_TO_FIELD:
+        if key not in _DEFAULTS:
             raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
-        overrides[_KEY_TO_FIELD[key]] = _coerce(key, value)
+        overrides[key] = _coerce(key, value)
     return overrides
 
 
@@ -159,8 +135,7 @@ def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfi
     if file_path is not None:
         settings.update(read_config_file(file_path))
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(SweepConfig)}
-    unknown = set(settings) - known
+    unknown = set(settings) - set(_DEFAULTS)
     if unknown:
         raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
     cfg = SweepConfig(**settings)
@@ -176,10 +151,10 @@ def _predictor(cfg: SweepConfig):
 
 def _obtain_scores(cfg: SweepConfig, dataset, candidates):
     predict, params = _predictor(cfg)
-    if not cfg.use_cache:
+    if not cfg.cache:
         return predict(dataset, candidates, params)
     key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
-    cache_path = cfg.output_dir / f"scores_{cfg.predictor}_{key}.npy"
+    cache_path = cfg.out / f"scores_{cfg.predictor}_{key}.npy"
     if cache_path.exists():
         return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
     graph = predict(dataset, candidates, params)
@@ -193,8 +168,8 @@ def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:
     Returns the reports in output order: baseline first, then grid order.
     """
     cfg.validate()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_ratings(cfg.data_path)
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    dataset = load_ratings(cfg.data)
     candidates = candidate_sets(dataset, min_size=cfg.k)
     graph = _obtain_scores(cfg, dataset, candidates)
     top = top_k(graph, cfg.k)
@@ -203,13 +178,13 @@ def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:
         disparity_report(graph, top, top, predictor=cfg.predictor, post="none", param=0)
     ]
     if cfg.post == "random":
-        for ell in cfg.ell_grid:
+        for ell in cfg.ell:
             recs = random_rerank(graph, RandomParams(ell=ell, seed=cfg.seed), cfg.k)
             reports.append(
                 disparity_report(graph, recs, top, predictor=cfg.predictor, post="random", param=ell)
             )
     elif cfg.post == "greedy":
-        for theta in cfg.theta_grid:
+        for theta in cfg.theta:
             result = greedy_rerank(graph, top, GreedyParams(theta=theta, threshold=cfg.threshold))
             reports.append(
                 disparity_report(
@@ -223,12 +198,12 @@ def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:
                 )
             )
 
-    write_results_csv(reports, cfg.output_dir / "results.csv")
-    emit_plot_data(reports, cfg.output_dir, svg=cfg.emit_svg)
+    write_results_csv(reports, cfg.out / "results.csv")
+    emit_plot_data(reports, cfg.out, svg=cfg.svg)
     if cfg.per_user:
         for report in reports:
             name = f"per_user__{report.post}__{report.param}.csv"
-            write_per_user_csv(report, cfg.output_dir / name, dataset)
+            write_per_user_csv(report, cfg.out / name, dataset)
     if not quiet:
         for report in reports:
             print(report.summary())

@@ -53,8 +53,8 @@ def test_criterion_1_baseline_identity(tmp_path):
     start = time.monotonic()
     for predictor in ("knn", "nmf"):
         cfg = SweepConfig(
-            data_path=data, predictor=predictor, post="none", k=5,
-            output_dir=tmp_path / predictor,
+            data=data, predictor=predictor, post="none", k=5,
+            out=tmp_path / predictor,
         )
         report = run_sweep(cfg, quiet=True)[0]
         assert report.score_disparity == 0.0
@@ -134,8 +134,8 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
     data = require_ml100k()
     start = time.monotonic()
     cfg = SweepConfig(
-        data_path=data, predictor="knn", post="greedy", k=5,
-        output_dir=tmp_path / "sweep",
+        data=data, predictor="knn", post="greedy", k=5,
+        out=tmp_path / "sweep",
     )
     reports = run_sweep(cfg, quiet=True)
     elapsed = time.monotonic() - start
@@ -203,8 +203,8 @@ def test_criterion_7_determinism(tmp_path):
     for run_name in ("first", "second"):
         out = tmp_path / run_name
         cfg = SweepConfig(
-            data_path=data, predictor="knn", post="random", k=5, seed=17,
-            ell_grid=(10, 50), output_dir=out, emit_svg=True,
+            data=data, predictor="knn", post="random", k=5, seed=17,
+            ell=(10, 50), out=out, svg=True,
         )
         run_sweep(cfg, quiet=True)
         blobs.append(

@@ -47,7 +47,8 @@ def test_rating_out_of_range(rating):
 @pytest.mark.parametrize(
     "line",
     ["1 10 4\n", "1 10 4 0 extra\n", "x 10 4 0\n", "1 y 4 0\n", "1 10 3.5 0\n",
-     "99999999999999999999 1 5 0\n", "1 -99999999999999999999 5 0\n"],
+     "99999999999999999999 1 5 0\n", "1 -99999999999999999999 5 0\n",
+     "1_0 10 4 0\n", "1 1_0 4 0\n", "1 10 0_5 0\n"],
 )
 def test_malformed_line_is_a_parse_error(line):
     with pytest.raises(RatingParseError, match="line 2"):

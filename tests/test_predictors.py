@@ -225,6 +225,28 @@ def test_nmf_factors_stay_nonnegative_after_every_epoch():
         assert np.all(q >= 0)
 
 
+def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
+    # the literal updates, forming mask * (P Q^T) afresh for each use
+    params = NmfParams(n_factors=5, n_epochs=12, init_seed=3)
+    rated_values, observed = synthetic_dataset.dense_matrix()
+    mask = observed.astype(np.float64)
+    target = rated_values * mask
+    rng = np.random.default_rng(params.init_seed)
+    scale = np.sqrt(synthetic_dataset.ratings.mean() / params.n_factors)
+    p = rng.uniform(size=(synthetic_dataset.n_users, params.n_factors)) * scale
+    q = rng.uniform(size=(synthetic_dataset.n_items, params.n_factors)) * scale
+    losses = [float(((target - mask * (p @ q.T)) ** 2).sum())]
+    for _ in range(params.n_epochs):
+        p *= (target @ q) / ((mask * (p @ q.T)) @ q + 1e-12)
+        q *= (target.T @ p) / ((mask * (p @ q.T)).T @ p + 1e-12)
+        losses.append(float(((target - mask * (p @ q.T)) ** 2).sum()))
+
+    got_p, got_q, got_losses = fit_nmf(synthetic_dataset, params)
+    assert np.array_equal(got_p, p)
+    assert np.array_equal(got_q, q)
+    assert got_losses == losses
+
+
 def test_nmf_params_validation():
     with pytest.raises(InvalidInputError):
         NmfParams(n_factors=0)

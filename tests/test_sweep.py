@@ -1,21 +1,24 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from fairrec import InvalidInputError, build_config, emit_plot_data, run_sweep
-from fairrec.cli import main
+from fairrec.cli import _build_parser, main
 from fairrec.metrics import RESULTS_HEADER
 from fairrec.sweep import SweepConfig, read_config_file
 
 
 def small_cfg(synthetic_file, out_dir, **kw):
     defaults = dict(
-        data_path=synthetic_file,
+        data=synthetic_file,
         predictor="knn",
         post="none",
         k=3,
-        ell_grid=(4, 8),
-        theta_grid=(1, 4),
+        ell=(4, 8),
+        theta=(1, 4),
         seed=11,
-        output_dir=out_dir,
+        out=out_dir,
         nmf_factors=4,
         nmf_epochs=10,
     )
@@ -43,10 +46,10 @@ def test_read_config_file(tmp_path):
     )
     overrides = read_config_file(path)
     assert overrides["predictor"] == "nmf"
-    assert overrides["ell_grid"] == (10, 50, 100, 500)
+    assert overrides["ell"] == (10, 50, 100, 500)
     assert overrides["k"] == 5
-    assert overrides["use_cache"] is True
-    assert str(overrides["output_dir"]) == "results"
+    assert overrides["cache"] is True
+    assert str(overrides["out"]) == "results"
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
@@ -61,6 +64,20 @@ def test_read_config_rejects_bad_boolean(tmp_path):
     path.write_text("cache = maybe\n")
     with pytest.raises(InvalidInputError):
         read_config_file(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("cache = maybe", "config key 'cache' expects a boolean, got 'maybe'"),
+    ("k = 2.5", "config key 'k' expects an integer, got '2.5'"),
+    ("threshold = high", "threshold expects a number, got 'high'"),
+    ("theta = 10,x", "grid must be comma-separated integers, got '10,x'"),
+])
+def test_read_config_type_errors_name_the_bad_value(tmp_path, line, message):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(InvalidInputError) as info:
+        read_config_file(path)
+    assert str(info.value) == message
 
 
 def test_read_config_rejects_non_utf8_file(tmp_path, capsys):
@@ -80,6 +97,45 @@ def test_build_config_overrides_beat_file(tmp_path):
     assert cfg.predictor == "nmf"
 
 
+def _other_value(field) -> str:
+    """Config file text for a valid value of the field other than its default."""
+    default = field.default
+    if isinstance(default, bool):
+        return "true"
+    if isinstance(default, (int, float)):
+        return str(default + 1)
+    if isinstance(default, tuple):
+        return ",".join(str(v + 1) for v in default)
+    if isinstance(default, Path):
+        return f"{default}.other"
+    return {"predictor": "nmf", "post": "greedy"}[field.name]
+
+
+def test_every_run_flag_is_a_field():
+    dests = set(vars(_build_parser().parse_args(["run"]))) - {"command", "config"}
+    assert dests <= {f.name for f in fields(SweepConfig)}
+
+
+@pytest.mark.parametrize("field", fields(SweepConfig), ids=lambda f: f.name)
+def test_each_setting_has_one_name(field, tmp_path, monkeypatch):
+    # the field name is the config key and, where a flag exists, the flag's dest
+    text = _other_value(field)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{field.name} = {text}\n")
+    from_file = read_config_file(path)[field.name]
+    assert type(from_file) is type(field.default)
+    assert from_file != field.default
+
+    captured = []
+    monkeypatch.setattr("fairrec.cli.run_sweep", captured.append)
+    assert main(["run", "--config", str(path)]) == 0
+    assert captured == [SweepConfig(**{field.name: from_file})]
+    if field.name in vars(_build_parser().parse_args(["run"])):
+        flag = "--" + field.name.replace("_", "-")
+        assert main(["run", flag] if isinstance(field.default, bool) else ["run", flag, text]) == 0
+        assert captured[1] == captured[0]
+
+
 def test_config_validation_errors():
     with pytest.raises(InvalidInputError):
         SweepConfig(predictor="svd").validate()
@@ -88,16 +144,16 @@ def test_config_validation_errors():
     with pytest.raises(InvalidInputError):
         SweepConfig(k=0).validate()
     with pytest.raises(InvalidInputError):
-        SweepConfig(post="random", ell_grid=()).validate()
+        SweepConfig(post="random", ell=()).validate()
     with pytest.raises(InvalidInputError):
-        SweepConfig(post="greedy", theta_grid=()).validate()
+        SweepConfig(post="greedy", theta=()).validate()
     # every grid value and hyperparameter is checked before any work starts
     with pytest.raises(InvalidInputError, match="ell=4 must be >= k=5"):
-        SweepConfig(post="random", k=5, ell_grid=(10, 4)).validate()
+        SweepConfig(post="random", k=5, ell=(10, 4)).validate()
     with pytest.raises(InvalidInputError, match="ell must be >= 1"):
-        SweepConfig(post="random", ell_grid=(10, 0)).validate()
+        SweepConfig(post="random", ell=(10, 0)).validate()
     with pytest.raises(InvalidInputError, match="theta"):
-        SweepConfig(post="greedy", theta_grid=(10, -1)).validate()
+        SweepConfig(post="greedy", theta=(10, -1)).validate()
     for threshold in (0.5, 5.5):
         with pytest.raises(InvalidInputError, match="threshold"):
             SweepConfig(post="greedy", threshold=threshold).validate()
@@ -110,7 +166,7 @@ def test_config_validation_errors():
     with pytest.raises(InvalidInputError, match="n_epochs"):
         SweepConfig(predictor="nmf", nmf_epochs=-1).validate()
     # a grid that the selected post-processor does not use is not checked
-    SweepConfig(post="greedy", ell_grid=(0,)).validate()
+    SweepConfig(post="greedy", ell=(0,)).validate()
 
 
 # --------------------------------------------------------------- sweep ----
@@ -129,7 +185,7 @@ def test_baseline_run_has_zero_disparity(synthetic_file, tmp_path):
 
 
 def test_random_with_ell_equal_k_matches_baseline(synthetic_file, tmp_path):
-    cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell_grid=(3,))
+    cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell=(3,))
     reports = run_sweep(cfg, quiet=True)
     baseline, point = reports
     assert point.aggregate_diversity == baseline.aggregate_diversity
@@ -147,7 +203,7 @@ def test_random_grid_emits_one_report_per_point(synthetic_file, tmp_path):
 
 
 def test_greedy_grid_reports_achieved_increase(synthetic_file, tmp_path):
-    cfg = small_cfg(synthetic_file, tmp_path / "out", post="greedy", theta_grid=(1, 4, 1000))
+    cfg = small_cfg(synthetic_file, tmp_path / "out", post="greedy", theta=(1, 4, 1000))
     reports = run_sweep(cfg, quiet=True)
     assert reports[0].achieved is None
     greedy = reports[1:]
@@ -164,7 +220,7 @@ def test_greedy_sweep_regression_lock(synthetic_file, tmp_path):
     # exact outputs frozen after a run whose structure was verified by the
     # invariant tests (monotone diversity, exact achieved counts)
     cfg = small_cfg(
-        synthetic_file, tmp_path / "out", post="greedy", theta_grid=(1, 4, 50), seed=9
+        synthetic_file, tmp_path / "out", post="greedy", theta=(1, 4, 50), seed=9
     )
     run_sweep(cfg, quiet=True)
     assert (tmp_path / "out" / "results.csv").read_text() == (
@@ -179,7 +235,7 @@ def test_greedy_sweep_regression_lock(synthetic_file, tmp_path):
 def test_random_sweep_regression_lock(synthetic_file, tmp_path):
     # exact outputs frozen from the per-user-loop implementation of Random;
     # ell=60 exceeds some users' candidate counts, so their draw is truncated
-    cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell_grid=(3, 8, 60), seed=9)
+    cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell=(3, 8, 60), seed=9)
     run_sweep(cfg, quiet=True)
     assert (tmp_path / "out" / "results.csv").read_text() == (
         "predictor,post,param,k,agg_div,d_s,d_r\n"
@@ -193,7 +249,7 @@ def test_random_sweep_regression_lock(synthetic_file, tmp_path):
 def test_nmf_sweep_with_cache(synthetic_file, tmp_path):
     out = tmp_path / "out"
     cfg = small_cfg(
-        synthetic_file, out, predictor="nmf", post="random", ell_grid=(4,), use_cache=True
+        synthetic_file, out, predictor="nmf", post="random", ell=(4,), cache=True
     )
     reports = run_sweep(cfg, quiet=True)
     assert len(list(out.glob("scores_nmf_*.npy"))) == 1
@@ -212,8 +268,8 @@ def test_sweep_when_no_user_has_neighbors(tmp_path):
     lines += [f"2 {i} 4 0\n" for i in (5, 6, 7, 8)]
     data.write_text("".join(lines))
     cfg = SweepConfig(
-        data_path=data, predictor="knn", post="random", k=2, ell_grid=(3,),
-        seed=0, output_dir=tmp_path / "out",
+        data=data, predictor="knn", post="random", k=2, ell=(3,),
+        seed=0, out=tmp_path / "out",
     )
     reports = run_sweep(cfg, quiet=True)
     assert len(reports) == 2
@@ -225,7 +281,7 @@ def test_sweep_is_deterministic_byte_for_byte(synthetic_file, tmp_path):
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        cfg = small_cfg(synthetic_file, out, post="random", emit_svg=True, per_user=True)
+        cfg = small_cfg(synthetic_file, out, post="random", svg=True, per_user=True)
         run_sweep(cfg, quiet=True)
         files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         outputs.append({str(p): (out / p).read_bytes() for p in files})
@@ -236,7 +292,7 @@ def test_sweep_is_deterministic_byte_for_byte(synthetic_file, tmp_path):
 
 def test_sweep_cache_round_trip_is_stable(synthetic_file, tmp_path):
     out = tmp_path / "out"
-    cfg = small_cfg(synthetic_file, out, post="greedy", use_cache=True)
+    cfg = small_cfg(synthetic_file, out, post="greedy", cache=True)
     run_sweep(cfg, quiet=True)
     assert len(list(out.glob("scores_knn_*.npy"))) == 1
     first = (out / "results.csv").read_bytes()
@@ -251,15 +307,15 @@ def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path
         run_sweep(cfg, quiet=True)
         return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.startswith("scores_")}
 
-    fresh = outputs(tmp_path / "fresh", use_cache=True)
+    fresh = outputs(tmp_path / "fresh", cache=True)
     with monkeypatch.context() as patch:
         patch.setattr("fairrec.sweep.predict_nmf", lambda *a: pytest.fail("refit on a cache hit"))
-        assert outputs(tmp_path / "fresh", use_cache=True) == fresh
+        assert outputs(tmp_path / "fresh", cache=True) == fresh
     assert outputs(tmp_path / "plain") == fresh
     assert len(list((tmp_path / "fresh").glob("scores_nmf_*.npy"))) == 1
 
     # a changed hyperparameter refits into its own cache file instead of loading the old one
-    refit = outputs(tmp_path / "fresh", use_cache=True, nmf_epochs=3)
+    refit = outputs(tmp_path / "fresh", cache=True, nmf_epochs=3)
     assert len(list((tmp_path / "fresh").glob("scores_nmf_*.npy"))) == 2
     assert refit == outputs(tmp_path / "plain3", nmf_epochs=3)
     assert refit["results.csv"] != fresh["results.csv"]
@@ -267,7 +323,7 @@ def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path
 
 def test_per_user_files_written(synthetic_file, tmp_path):
     out = tmp_path / "out"
-    cfg = small_cfg(synthetic_file, out, post="random", ell_grid=(4,), per_user=True)
+    cfg = small_cfg(synthetic_file, out, post="random", ell=(4,), per_user=True)
     run_sweep(cfg, quiet=True)
     baseline = out / "per_user__none__0.csv"
     point = out / "per_user__random__4.csv"
