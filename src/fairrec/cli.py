@@ -7,7 +7,15 @@ import sys
 from pathlib import Path
 
 from .errors import FairrecError
-from .sweep import build_config, parse_grid, run_sweep
+from .sweep import build_config, parse_grid, parse_number, run_sweep
+
+
+def _number(kind: type):
+    def parse(text: str):
+        return parse_number(text, kind)
+
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value: '1_0'"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,11 +29,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", type=Path, help="ratings file (user item rating timestamp)")
     run.add_argument("--predictor", choices=("knn", "nmf"))
     run.add_argument("--post", choices=("none", "random", "greedy"))
-    run.add_argument("--k", type=int, help="recommendation list size")
+    run.add_argument("--k", type=_number(int), help="recommendation list size")
     run.add_argument("--ell", type=parse_grid, metavar="L1,L2,...", help="random pool sizes")
     run.add_argument("--theta", type=parse_grid, metavar="T1,T2,...", help="greedy diversity targets")
-    run.add_argument("--threshold", type=float, help="greedy score threshold in [1, 5]")
-    run.add_argument("--seed", type=int, help="global random seed")
+    run.add_argument("--threshold", type=_number(float), help="greedy score threshold in [1, 5]")
+    run.add_argument("--seed", type=_number(int), help="global random seed")
     run.add_argument("--out", type=Path, help="output directory")
     run.add_argument("--cache", action="store_true", default=None,
                      help="reuse (or create) a score cache in the output directory")
@@ -37,9 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    settings = vars(_build_parser().parse_args(argv))  # flag dests are SweepConfig fields
-    del settings["command"]
-    try:
+    try:  # a bad --ell or --theta grid raises InvalidInputError from parse_args
+        settings = vars(_build_parser().parse_args(argv))  # flag dests are SweepConfig fields
+        del settings["command"]
         cfg = build_config(settings.pop("config"), **settings)
         run_sweep(cfg)
     except FairrecError as exc:

@@ -95,8 +95,11 @@ def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
             yield from handle
-    else:
-        yield from source
+    else:  # files are decoded as ASCII; other lines are checked here
+        for line_no, line in enumerate(source, start=1):
+            if not line.isascii():  # int() reads non-ASCII digits such as '١'
+                raise RatingParseError(f"line {line_no}: not ASCII text")
+            yield line
 
 
 def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDataset:

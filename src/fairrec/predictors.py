@@ -182,11 +182,17 @@ def predict_knn(
     sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
 
     observed_f = observed.astype(np.float64)
-    overlap = observed_f @ observed_f.T
-    valid = overlap >= params.min_overlap
-    usable_sims = np.where(valid, sims, 0.0)
-    # invalid pairs must rank below every valid similarity, including -1
-    rank_keys = np.where(valid, sims, -2.0)
+    valid = observed_f @ observed_f.T >= params.min_overlap
+    # each user's order of all users: descending similarity, invalid pairs
+    # (keyed below -1) last, ties by ascending id; rank inverts it
+    neighbours = np.argsort(-np.where(valid, sims, -2.0), axis=1, kind="stable")
+    rank = np.empty(neighbours.shape, dtype=np.int32)  # n**2 memory keeps n far below 2**31
+    rows = np.arange(n)[:, None]
+    rank[rows, neighbours] = np.arange(n)
+    sims[~valid] = 0.0
+    sims_by_rank = sims[rows, neighbours].ravel()
+    neighbours = neighbours.ravel()
+    row_starts = rows * n
 
     by_item = np.lexsort((dataset.users, dataset.items))
     item_bounds = np.searchsorted(dataset.items[by_item], np.arange(m + 1))
@@ -195,15 +201,18 @@ def predict_knn(
     nn = params.n_neighbors
     for i in range(m):
         raters = dataset.users[by_item[item_bounds[i] : item_bounds[i + 1]]]
-        devs = deviations[raters, i]
         if raters.size <= nn:
-            sim_block = usable_sims[:, raters]
-            numer = sim_block @ devs
+            sim_block = sims[:, raters]
+            numer = sim_block @ deviations[raters, i]
             denom = np.abs(sim_block).sum(axis=1)
         else:
-            order = np.argsort(-rank_keys[:, raters], axis=1, kind="stable")[:, :nn]
-            sim_sel = np.take_along_axis(usable_sims[:, raters], order, axis=1)
-            numer = (sim_sel * devs[order]).sum(axis=1)
+            # ranks are unique, so the nn smallest, ascending, are exactly the
+            # stable order's first nn; take keeps C order, and with it the
+            # addition order of the row sums below
+            top = np.partition(rank.take(raters, axis=1), nn - 1, axis=1)[:, :nn]
+            flat = row_starts + np.sort(top, axis=1)
+            sim_sel = sims_by_rank[flat]
+            numer = (sim_sel * deviations[neighbours[flat], i]).sum(axis=1)
             denom = np.abs(sim_sel).sum(axis=1)
         safe = np.where(denom > 0, denom, 1.0)
         predictions[:, i] = np.where(denom > 0, means + numer / safe, means)

@@ -75,9 +75,21 @@ class SweepConfig:
 _DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
 
 
+def parse_number(text: str, kind: type = int):
+    """kind(text), for ASCII text without '_' only.
+
+    int and float alone also read digit separators and non-ASCII digits, so
+    '1_0', '٣' and '３.5' would silently stand for 10, 3 and 3.5.
+    """
+    text = str(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
 def parse_grid(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in str(text).split(",") if part.strip())
+        values = tuple(parse_number(part) for part in str(text).split(",") if part.strip())
     except ValueError:
         raise InvalidInputError(f"grid must be comma-separated integers, got {text!r}") from None
     return values
@@ -96,7 +108,7 @@ def _coerce(key: str, value: str):
     if kind is tuple:
         return parse_grid(value)
     try:
-        return kind(value)
+        return parse_number(value, kind) if kind in (int, float) else kind(value)
     except ValueError:
         if kind is int:
             raise InvalidInputError(f"config key {key!r} expects an integer, got {value!r}") from None

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: the Gini oracle is
 the literal pairwise double sum, and the greedy oracle re-scans every
 possible move from scratch on each iteration instead of walking a
-presorted move list.
+presorted move list. knn_full_sort is the exception: the vectorized KNN as
+it was before neighbour selection used partial selection, kept as written
+so the rewrite can be held to it bit for bit.
 """
 
 import numpy as np
@@ -126,6 +128,53 @@ def knn_rescan(dataset, candidates, n_neighbors: int, min_overlap: int):
                 value = means[u]
             predictions[(u, i)] = min(5.0, max(1.0, value))
     return predictions
+
+
+def knn_full_sort(dataset, candidates, params):
+    """Reference user-KNN matrix: one full stable argsort of the raters per item.
+
+    The vectorized formulation predict_knn used before neighbour selection
+    moved to a per-user rank matrix, kept as written; returns the clamped
+    (n_users, n_items) matrix, NaN for rated items, to compare bit for bit.
+    """
+    n, m = dataset.n_users, dataset.n_items
+    rated_values, observed = dataset.dense_matrix()
+    counts = observed.sum(axis=1)
+    means = rated_values.sum(axis=1) / counts
+
+    deviations = np.where(observed, rated_values - means[:, None], 0.0)
+    norms = np.sqrt((deviations**2).sum(axis=1))
+    safe_norms = np.where(norms > 0, norms, 1.0)
+    sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
+
+    observed_f = observed.astype(np.float64)
+    overlap = observed_f @ observed_f.T
+    valid = overlap >= params.min_overlap
+    usable_sims = np.where(valid, sims, 0.0)
+    # invalid pairs must rank below every valid similarity, including -1
+    rank_keys = np.where(valid, sims, -2.0)
+
+    by_item = np.lexsort((dataset.users, dataset.items))
+    item_bounds = np.searchsorted(dataset.items[by_item], np.arange(m + 1))
+
+    predictions = np.empty((n, m))
+    nn = params.n_neighbors
+    for i in range(m):
+        raters = dataset.users[by_item[item_bounds[i] : item_bounds[i + 1]]]
+        devs = deviations[raters, i]
+        if raters.size <= nn:
+            sim_block = usable_sims[:, raters]
+            numer = sim_block @ devs
+            denom = np.abs(sim_block).sum(axis=1)
+        else:
+            order = np.argsort(-rank_keys[:, raters], axis=1, kind="stable")[:, :nn]
+            sim_sel = np.take_along_axis(usable_sims[:, raters], order, axis=1)
+            numer = (sim_sel * devs[order]).sum(axis=1)
+            denom = np.abs(sim_sel).sum(axis=1)
+        safe = np.where(denom > 0, denom, 1.0)
+        predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
+
+    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids).matrix
 
 
 SCORE_CHOICES = (1.0, 2.0, 3.5, 4.0, 5.0)

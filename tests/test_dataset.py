@@ -48,7 +48,8 @@ def test_rating_out_of_range(rating):
     "line",
     ["1 10 4\n", "1 10 4 0 extra\n", "x 10 4 0\n", "1 y 4 0\n", "1 10 3.5 0\n",
      "99999999999999999999 1 5 0\n", "1 -99999999999999999999 5 0\n",
-     "1_0 10 4 0\n", "1 1_0 4 0\n", "1 10 0_5 0\n"],
+     "1_0 10 4 0\n", "1 1_0 4 0\n", "1 10 0_5 0\n",
+     "\u0661 10 4 0\n", "2 \uff11\uff10 5 0\n", "2 10 4 0\u00e9\n"],  # int() reads non-ASCII digits
 )
 def test_malformed_line_is_a_parse_error(line):
     with pytest.raises(RatingParseError, match="line 2"):

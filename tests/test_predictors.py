@@ -107,6 +107,28 @@ def test_knn_equal_similarity_tie_breaks_by_ascending_user_id():
     assert knn_score(graph, 0, d.item_index[5]) == 1.0
 
 
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
+    # the best rater takes the first place; three raters tie exactly for the
+    # second (each has centered ratings a permutation of (2,-2,2,-2,1,-1), so
+    # every similarity to u is 8 / (sqrt(8) * sqrt(18))) with deviations +2,
+    # -2 and +1 on item 9; the tied rater with the lowest id must win
+    tied = [
+        ({1: 5, 2: 1, 9: 5, 10: 1, 11: 4, 12: 2}, 2),
+        ({1: 5, 2: 1, 9: 1, 10: 5, 11: 4, 12: 2}, -2),
+        ({1: 5, 2: 1, 9: 4, 10: 2, 11: 5, 12: 1}, 1),
+    ]
+    tied = tied[first:] + tied[:first]
+    best = {1: 5, 2: 1, 9: 4, 10: 2}  # similarity 8 / (sqrt(8) * sqrt(10)), deviation +1
+    d, c = dataset_of({1: 5, 2: 1}, *(r for r, _ in tied), best)
+    graph = predict_knn(d, c, KnnParams(n_neighbors=2))
+
+    s_best = 8 / (math.sqrt(8) * math.sqrt(10))
+    s_tied = 8 / (math.sqrt(8) * math.sqrt(18))
+    expected = 3 + (s_best * 1 + s_tied * tied[0][1]) / (s_best + s_tied)
+    assert knn_score(graph, 0, d.item_index[9]) == approx(expected, abs=1e-12)
+
+
 def test_knn_falls_back_to_user_mean_without_valid_raters():
     # v shares no rated item with u, so u's candidates keep u's mean 3.0
     d, c = dataset_of({1: 4, 2: 2}, {3: 5, 4: 1})
@@ -151,6 +173,36 @@ def test_knn_is_invariant_under_user_relabeling():
         u2 = d2.user_index[raw_new]
         assert np.array_equal(g1.items[u1], g2.items[u2])
         assert np.allclose(g1.scores[u1], g2.scores[u2], atol=1e-9)
+
+
+def _popular_items_lines(tie_heavy: bool) -> list[str]:
+    """About 200 users on 60 items, so most items have more than 40 raters.
+
+    The tie-heavy variant is 100 users each present twice under two ids, plus
+    ten users who give every item the same stars (zero similarity to all):
+    equal similarities then straddle the n_neighbors-th place. min_overlap=10
+    leaves about half of all pairs invalid.
+    """
+    if not tie_heavy:
+        triples = synthetic_triples(n_users=200, n_items=60, seed=11, min_per_user=8, max_per_user=40)
+        return triples_to_lines(triples)
+    triples = synthetic_triples(n_users=100, n_items=60, seed=12, min_per_user=8, max_per_user=40)
+    twins = [(u + 100, i, r) for u, i, r in triples]
+    flat = [(201 + u, i, 4) for u in range(10) for i in range(1 + u, 60, 3)]
+    return triples_to_lines(triples + twins + flat)
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+@pytest.mark.parametrize("n_neighbors,min_overlap", [(40, 1), (5, 3), (1, 1), (100, 1), (40, 10)])
+def test_knn_matches_full_sort_bit_for_bit(tie_heavy, n_neighbors, min_overlap):
+    from _oracles import knn_full_sort
+
+    d = parse_ratings(_popular_items_lines(tie_heavy))
+    c = candidate_sets(d)
+    params = KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap)
+    assert (np.bincount(d.items) > n_neighbors).sum() >= 15  # the partial-selection path
+    graph = predict_knn(d, c, params)
+    assert np.array_equal(graph.matrix, knn_full_sort(d, c, params), equal_nan=True)
 
 
 @pytest.mark.parametrize(

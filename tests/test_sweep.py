@@ -71,13 +71,38 @@ def test_read_config_rejects_bad_boolean(tmp_path):
     ("k = 2.5", "config key 'k' expects an integer, got '2.5'"),
     ("threshold = high", "threshold expects a number, got 'high'"),
     ("theta = 10,x", "grid must be comma-separated integers, got '10,x'"),
+    # int() and float() alone read these as 10, 3, (10, 20), (10,), 3.5 and 35
+    ("k = 1_0", "config key 'k' expects an integer, got '1_0'"),
+    ("seed = \u0663", "config key 'seed' expects an integer, got '\u0663'"),
+    ("ell = 1_0,2_0", "grid must be comma-separated integers, got '1_0,2_0'"),
+    ("theta = \uff11\uff10", "grid must be comma-separated integers, got '\uff11\uff10'"),
+    ("threshold = \uff13.5", "threshold expects a number, got '\uff13.5'"),
+    ("threshold = 3_5", "threshold expects a number, got '3_5'"),
 ])
 def test_read_config_type_errors_name_the_bad_value(tmp_path, line, message):
     path = tmp_path / "sweep.cfg"
-    path.write_text(line + "\n")
+    path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(InvalidInputError) as info:
         read_config_file(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "1_0"), ("--seed", "\u0663"), ("--threshold", "\uff13.5"), ("--threshold", "3_5"),
+])
+def test_cli_number_flags_reject_separators_and_non_ascii_digits(flag, value, capsys):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["run", flag, value])
+    kind = "float" if flag == "--threshold" else "int"
+    assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--ell", "--theta"])
+def test_cli_reports_bad_grid_flag(flag, tmp_path, capsys):
+    assert main(["run", flag, "1_0,x", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "fairrec: error: grid must be comma-separated integers, got '1_0,x'\n"
+    )
 
 
 def test_read_config_rejects_non_utf8_file(tmp_path, capsys):
