@@ -45,7 +45,6 @@ from .reranking import (
     greedy_rerank,
     random_rerank,
     top_k,
-    write_recommendations,
 )
 from .sweep import SweepConfig, build_config, emit_plot_data, run_sweep
 
@@ -92,5 +91,4 @@ __all__ = [
     "score_disparity",
     "top_k",
     "write_ratings",
-    "write_recommendations",
 ]

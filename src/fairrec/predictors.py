@@ -87,10 +87,14 @@ class ScoreGraph:
     per candidate and NaN per rated item, so 8 * n_users * n_items bytes,
     the size of the prediction matrix both predictors build anyway. ranked,
     computed once on first use, lists each user's items by descending score,
-    ties by ascending id, NaN last. items[u] (candidate ids, ascending) and
-    scores[u] (aligned with them) are per-user views derived on access, for
-    callers off the hot paths. user_ids are the raw ids that error messages
-    name. Immutable after construction.
+    ties by ascending id, NaN last. ranked_users is its column-wise mirror:
+    each item's users by descending score, ties by ascending user id, NaN
+    last, shape (n_items, n_users). Only Greedy reads it, so it is built on
+    Greedy's first call and costs 8 * n_items * n_users bytes. items[u]
+    (candidate ids, ascending) and scores[u] (aligned with them) are
+    per-user views derived on access, for callers off the hot paths.
+    user_ids are the raw ids that error messages name. Immutable after
+    construction.
     """
 
     matrix: np.ndarray
@@ -116,6 +120,10 @@ class ScoreGraph:
     @cached_property
     def ranked(self) -> np.ndarray:
         return np.argsort(-self.matrix, axis=1, kind="stable")
+
+    @cached_property
+    def ranked_users(self) -> np.ndarray:
+        return np.argsort(-self.matrix.T, axis=1, kind="stable")
 
     @cached_property
     def n_candidates(self) -> np.ndarray:

@@ -11,18 +11,21 @@ introduces not-yet-recommended items with a score above a threshold, one at
 a time in globally descending score order, each replacing the victim user's
 lowest-ranked recommendation that at least one other user still receives;
 the recommended-item pool therefore never shrinks and grows by exactly the
-achieved increase.
+achieved increase. Greedy walks its moves as a heap merge of each unpooled
+item's users in descending score order (``ScoreGraph.ranked_users``, one
+stable column-wise sort, built on Greedy's first call and shared by every
+theta and threshold). It tries the moves of one fully sorted move list in
+that list's order, leaving out only those whose item is already introduced.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, _write_lines
+from .dataset import RATING_MAX, RATING_MIN
 from .errors import CandidateShortfallError, InvalidInputError
 from .predictors import ScoreGraph
 
@@ -116,34 +119,44 @@ def greedy_rerank(
     """Raise the number of distinct recommended items by up to theta.
 
     Moves are (user, item) pairs with the item outside the current pool and
-    a score of at least the threshold, applied in order of descending score
+    a score of at least the threshold, tried in order of descending score
     (ties: lower item id, then lower user id). A move replaces the user's
     lowest-scored list entry whose pool count is still >= 2; users without
     such an entry are skipped for that item. Stops after theta introductions
     or when no feasible move remains, reporting the achieved increase.
+
+    The moves are walked as a merge of per-item user orders
+    (``graph.ranked_users``): a heap holds each unpooled item's best untried
+    user. Popping a move that finds a victim introduces its item, which is
+    never pushed again; a move without a victim makes way for the item's
+    next user while that user's score still reaches the threshold (NaN, last
+    in the order, never does). The pool only grows by introductions, so an
+    item's moves are live until it is introduced and no-ops from then on;
+    the heap pops exactly the live moves of the fully sorted move list, in
+    its order, and skips none that could apply.
     """
     if base.n_users != graph.n_users:
         raise InvalidInputError("base recommendations do not match the score graph")
     k = base.k
     current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base.lists).tolist()
     counts = np.bincount(base.lists.ravel(), minlength=graph.n_items)
-
-    move_users, move_items = np.nonzero((graph.matrix >= params.threshold) & (counts == 0))
-    move_scores = graph.matrix[move_users, move_items]
-    order = np.lexsort((move_users, move_items, -move_scores))
-
     current = base.lists.tolist()
     counts_list = counts.tolist()
-    walk_items = move_items[order].tolist()
-    walk_users = move_users[order].tolist()
-    walk_scores = move_scores[order].tolist()
+
+    matrix, ranked_users, threshold = graph.matrix, graph.ranked_users, params.threshold
+    unpooled = np.flatnonzero(counts == 0)
+    best = matrix[ranked_users[unpooled, 0], unpooled]
+    heap = [
+        (-score, item, 0)  # 0: the item's place in its user order
+        for score, item in zip(best.tolist(), unpooled.tolist())
+        if score >= threshold
+    ]
+    heapq.heapify(heap)
 
     achieved = 0
-    for item, user, score in zip(walk_items, walk_users, walk_scores):
-        if achieved >= params.theta:
-            break
-        if counts_list[item] > 0:
-            continue
+    while heap and achieved < params.theta:
+        neg_score, item, place = heap[0]
+        user = int(ranked_users[item, place])
         # victim: lowest score, breaking ties toward the last-ranked (higher id)
         victim_pos = -1
         victim_key: tuple[float, int] | None = None
@@ -157,34 +170,21 @@ def greedy_rerank(
                 victim_key = key
                 victim_pos = pos
         if victim_pos < 0:
+            place += 1
+            score = matrix[ranked_users[item, place], item] if place < graph.n_users else np.nan
+            if score >= threshold:
+                heapq.heapreplace(heap, (-float(score), item, place))
+            else:
+                heapq.heappop(heap)
             continue
+        heapq.heappop(heap)
         counts_list[row[victim_pos]] -= 1
         counts_list[item] = 1
         row[victim_pos] = item
-        row_scores[victim_pos] = score
+        row_scores[victim_pos] = -neg_score
         achieved += 1
 
     items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
     lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
     recs = RecommendationSet(k=k, lists=lists, provenance=params.tag())
     return GreedyRerankResult(recommendations=recs, achieved_increase=achieved)
-
-
-def write_recommendations(
-    recs: RecommendationSet,
-    graph: ScoreGraph,
-    destination: str | Path | IO[str],
-    dataset: RatingsDataset | None = None,
-) -> None:
-    """Export as CSV ``user,rank,item,score`` with ranks 1..k.
-
-    With a dataset, ids are translated back to raw file ids.
-    """
-    rows = ["user,rank,item,score\n"]
-    all_scores = graph.lookup(np.arange(recs.n_users)[:, None], recs.lists)
-    for u, scores in enumerate(all_scores):
-        user_label = dataset.user_ids[u] if dataset is not None else u
-        for rank, (item, score) in enumerate(zip(recs.lists[u], scores), start=1):
-            item_label = dataset.item_ids[item] if dataset is not None else item
-            rows.append(f"{user_label},{rank},{item_label},{score:.6f}\n")
-    _write_lines(destination, rows)

@@ -3,9 +3,11 @@
 These deliberately avoid the library's own code paths: the Gini oracle is
 the literal pairwise double sum, and the greedy oracle re-scans every
 possible move from scratch on each iteration instead of walking a
-presorted move list. knn_full_sort is the exception: the vectorized KNN as
-it was before neighbour selection used partial selection, kept as written
-so the rewrite can be held to it bit for bit.
+presorted move list. knn_full_sort and greedy_move_list are the exception:
+the vectorized KNN as it was before neighbour selection used partial
+selection, and the greedy walk over one fully sorted move list as it was
+before the heap walk, kept as written so the rewrites can be held to them
+exactly at sizes the re-scan oracles cannot reach.
 """
 
 import numpy as np
@@ -77,6 +79,60 @@ def greedy_rescan(graph: ScoreGraph, base_lists, k: int, theta: int, threshold: 
         row_sorted = sorted(row, key=lambda it: (-score_of[u][it], it))
         ordered.append(row_sorted)
     return ordered, achieved
+
+
+def greedy_move_list(graph: ScoreGraph, base_lists, k: int, theta: int, threshold: float):
+    """Reference greedy: one sorted list of every eligible move, walked once.
+
+    greedy_rerank's body before the heap walk, kept as written: every
+    (user, item) move with an unpooled item scoring at least threshold,
+    lexsorted by (-score, item, user), then walked in Python, skipping moves
+    whose item is pooled or whose user has no victim. Returns (lists ordered
+    by score desc then item asc, as an array, achieved increase).
+    """
+    base_lists = np.asarray(base_lists)
+    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base_lists).tolist()
+    counts = np.bincount(base_lists.ravel(), minlength=graph.n_items)
+
+    move_users, move_items = np.nonzero((graph.matrix >= threshold) & (counts == 0))
+    move_scores = graph.matrix[move_users, move_items]
+    order = np.lexsort((move_users, move_items, -move_scores))
+
+    current = base_lists.tolist()
+    counts_list = counts.tolist()
+    walk_items = move_items[order].tolist()
+    walk_users = move_users[order].tolist()
+    walk_scores = move_scores[order].tolist()
+
+    achieved = 0
+    for item, user, score in zip(walk_items, walk_users, walk_scores):
+        if achieved >= theta:
+            break
+        if counts_list[item] > 0:
+            continue
+        # victim: lowest score, breaking ties toward the last-ranked (higher id)
+        victim_pos = -1
+        victim_key: tuple[float, int] | None = None
+        row = current[user]
+        row_scores = current_scores[user]
+        for pos in range(k):
+            if counts_list[row[pos]] < 2:
+                continue
+            key = (row_scores[pos], -row[pos])
+            if victim_key is None or key < victim_key:
+                victim_key = key
+                victim_pos = pos
+        if victim_pos < 0:
+            continue
+        counts_list[row[victim_pos]] -= 1
+        counts_list[item] = 1
+        row[victim_pos] = item
+        row_scores[victim_pos] = score
+        achieved += 1
+
+    items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
+    lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
+    return lists, achieved
 
 
 def knn_rescan(dataset, candidates, n_neighbors: int, min_overlap: int):

@@ -9,13 +9,17 @@ from fairrec import (
     RandomParams,
     ScoreGraph,
     aggregate_diversity,
+    candidate_sets,
     greedy_rerank,
+    parse_ratings,
+    predict_knn,
+    predict_nmf,
     random_rerank,
     top_k,
-    write_recommendations,
 )
 
-from _oracles import enumerate_small_instances, greedy_rescan
+from _oracles import SCORE_CHOICES, enumerate_small_instances, greedy_move_list, greedy_rescan
+from conftest import synthetic_triples, triples_to_lines
 
 
 def graph_of(*pairs_per_user, n_items=None):
@@ -283,14 +287,54 @@ def test_greedy_rejects_mismatched_base():
         greedy_rerank(graph, base, GreedyParams(theta=1))
 
 
-# ------------------------------------------------------------- export ----
+@pytest.fixture(scope="module")
+def tie_heavy_graphs():
+    # clamping ties 28% (KNN) and 82% (NMF) of the top-5 scores at 5.0
+    triples = synthetic_triples(n_users=250, n_items=300, seed=1, min_per_user=10, max_per_user=60)
+    d = parse_ratings(triples_to_lines(triples))
+    c = candidate_sets(d)
+    return {"knn": predict_knn(d, c), "nmf": predict_nmf(d, c)}
 
-def test_write_recommendations_csv(tmp_path):
-    graph = graph_of([(0, 5.0), (1, 4.123456789), (2, 1.0)])
+
+@pytest.mark.parametrize("threshold", [3.5, 5.0])
+@pytest.mark.parametrize("predictor", ["knn", "nmf"])
+def test_greedy_matches_move_list_walk_on_tie_heavy_graphs(tie_heavy_graphs, predictor, threshold):
+    graph = tie_heavy_graphs[predictor]
+    base = top_k(graph, 5)
+    for theta in (1, 10, 100, graph.n_items):
+        result = greedy_rerank(graph, base, GreedyParams(theta=theta, threshold=threshold))
+        lists, achieved = greedy_move_list(graph, base.lists, 5, theta, threshold)
+        assert np.array_equal(result.recommendations.lists, lists), theta
+        assert result.achieved_increase == achieved, theta
+
+
+def test_greedy_calls_sharing_one_graph_equal_calls_on_fresh_graphs(tie_heavy_graphs):
+    graph = tie_heavy_graphs["nmf"]
+    base = top_k(graph, 5)
+    for theta, threshold in [(100, 5.0), (1, 3.5), (graph.n_items, 3.5), (10, 5.0), (100, 3.5)]:
+        params = GreedyParams(theta=theta, threshold=threshold)
+        shared = greedy_rerank(graph, base, params)
+        fresh = greedy_rerank(ScoreGraph(graph.matrix.copy(), graph.user_ids), base, params)
+        assert np.array_equal(shared.recommendations.lists, fresh.recommendations.lists)
+        assert shared.achieved_increase == fresh.achieved_increase
+
+
+def test_ranked_users_orders_each_item_by_score_then_user_nan_last():
+    rng = np.random.default_rng(5)
+    matrix = rng.choice(SCORE_CHOICES, size=(40, 25))
+    matrix[rng.random(matrix.shape) < 0.3] = np.nan
+    graph = ScoreGraph(matrix, np.arange(40))
+    for item in range(25):
+        column = matrix[:, item]
+        missing = np.isnan(column)
+        expected = np.lexsort((np.arange(40), np.where(missing, 0.0, -column), missing))
+        assert graph.ranked_users[item].tolist() == expected.tolist()
+
+
+def test_only_greedy_builds_the_per_item_user_order():
+    graph = _random_graph(4)
     top = top_k(graph, 2)
-    out = tmp_path / "recs.csv"
-    write_recommendations(top, graph, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "user,rank,item,score"
-    assert lines[1] == "0,1,0,5.000000"
-    assert lines[2] == "0,2,1,4.123457"
+    random_rerank(graph, RandomParams(ell=5, seed=1), 2)
+    assert "ranked_users" not in graph.__dict__
+    greedy_rerank(graph, top, GreedyParams(theta=3))
+    assert "ranked_users" in graph.__dict__
