@@ -1,13 +1,6 @@
 """Collaborative filtering, diversity re-ranking, and user-disparity metrics."""
 
-from .dataset import (
-    CandidateSets,
-    RatingsDataset,
-    candidate_sets,
-    load_ratings,
-    parse_ratings,
-    write_ratings,
-)
+from .dataset import RatingsDataset, candidate_sets, load_ratings, parse_ratings
 from .errors import (
     CandidateShortfallError,
     DuplicateRatingError,
@@ -51,7 +44,6 @@ from .sweep import SweepConfig, build_config, emit_plot_data, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSets",
     "CandidateShortfallError",
     "DisparityReport",
     "DuplicateRatingError",
@@ -90,5 +82,4 @@ __all__ = [
     "save_score_cache",
     "score_disparity",
     "top_k",
-    "write_ratings",
 ]

@@ -1,10 +1,12 @@
-"""MovieLens-format ratings: parsing, the rating matrix, per-user candidate sets.
+"""MovieLens-format ratings: parsing, the rating matrix, the candidate mask.
 
 The input format is one rating per line, ``user item rating timestamp``,
 separated by tabs or single spaces. Timestamps are discarded. Raw file ids
 are remapped to dense 0-based ids (assigned in ascending raw-id order, so
 the mapping does not depend on line order); downstream code works with
-dense ids only and reports translate back to raw ids.
+dense ids only, and reports translate back through ``user_ids`` and
+``item_ids``. A user's candidates are the items they have not rated, held
+for all users as one (n_users, n_items) bool mask.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
 
 @dataclass
 class RatingsDataset:
-    """Sparse user-item rating matrix with raw/dense id maps.
+    """Sparse user-item rating matrix with the dense -> raw id arrays.
 
     Immutable after construction and safe to share across threads. Every
     user and every item carries at least one rating, because ids exist only
@@ -44,19 +46,13 @@ class RatingsDataset:
     ratings: np.ndarray  # stars in [1, 5], float64
     user_ids: np.ndarray  # dense -> raw
     item_ids: np.ndarray  # dense -> raw
-    user_index: dict[int, int]  # raw -> dense
-    item_index: dict[int, int]  # raw -> dense
 
     @property
     def n_ratings(self) -> int:
         return self.ratings.size
 
-    def rated_items(self, user: int) -> np.ndarray:
-        """Dense ids of the items this user has rated, ascending."""
-        return np.sort(self.items[self.users == user])
-
     def fingerprint(self) -> str:
-        """SHA-256 (hex) of the shape, the ratings in file order and the raw id maps."""
+        """SHA-256 (hex) of the shape, the ratings in file order and the raw id arrays."""
         digest = hashlib.sha256(f"{self.n_users},{self.n_items}".encode())
         for array in (self.users, self.items, self.ratings, self.user_ids, self.item_ids):
             digest.update(array.tobytes())
@@ -69,26 +65,6 @@ class RatingsDataset:
         mask = np.zeros((self.n_users, self.n_items), dtype=bool)
         mask[self.users, self.items] = True
         return r, mask
-
-
-@dataclass
-class CandidateSets:
-    """The items each user has not rated, as one (n_users, n_items) bool mask.
-
-    candidates[u] gives user u's candidate ids in ascending order.
-    """
-
-    mask: np.ndarray
-
-    @property
-    def n_items(self) -> int:
-        return self.mask.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.mask)
-
-    def __getitem__(self, user: int) -> np.ndarray:
-        return np.flatnonzero(self.mask[user])
 
 
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -163,8 +139,6 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     raw_i = np.asarray(raw_items, dtype=np.int64)
     user_ids = np.unique(raw_u)
     item_ids = np.unique(raw_i)
-    user_index = {int(raw): dense for dense, raw in enumerate(user_ids)}
-    item_index = {int(raw): dense for dense, raw in enumerate(item_ids)}
 
     return RatingsDataset(
         n_users=user_ids.size,
@@ -174,8 +148,6 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
         ratings=np.asarray(values),
         user_ids=user_ids,
         item_ids=item_ids,
-        user_index=user_index,
-        item_index=item_index,
     )
 
 
@@ -184,26 +156,8 @@ def load_ratings(path: str | Path) -> RatingsDataset:
     return parse_ratings(Path(path))
 
 
-def write_ratings(dataset: RatingsDataset, destination: str | Path | IO[str]) -> None:
-    """Serialize back to the line format with raw ids (timestamps become 0)."""
-    lines = (
-        f"{dataset.user_ids[u]}\t{dataset.item_ids[i]}\t{int(r)}\t0\n"
-        for u, i, r in zip(dataset.users, dataset.items, dataset.ratings)
-    )
-    _write_lines(destination, lines)
-
-
-def _write_lines(destination: str | Path | IO[str], lines: Iterable[str]) -> None:
-    """Write text lines to a path (ASCII, newlines untranslated) or an open stream."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(lines)
-    else:
-        destination.writelines(lines)
-
-
-def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> CandidateSets:
-    """Complement of each user's rated items, sorted ascending.
+def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> np.ndarray:
+    """The (n_users, n_items) bool mask of unrated items: row u is user u's candidates.
 
     If min_size is given, reject any user with fewer candidates than that
     (the recommendation list size k cannot be met for them).
@@ -217,4 +171,4 @@ def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> Cand
             f"user {dataset.user_ids[u]} has only {sizes[u]} unrated items, "
             f"fewer than the requested list size {min_size}"
         )
-    return CandidateSets(mask)
+    return mask

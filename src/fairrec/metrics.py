@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .dataset import RatingsDataset, _write_lines
+from .dataset import RatingsDataset
 from .errors import InvalidInputError
 from .predictors import ScoreGraph
 from .reranking import RecommendationSet
@@ -153,20 +153,26 @@ def disparity_report(
 RESULTS_HEADER = "predictor,post,param,k,agg_div,d_s,d_r"
 
 
+def _write_lines(destination: str | Path | IO[str], lines: Iterable[str]) -> None:
+    """Write text lines to a path (ASCII, newlines untranslated) or an open stream."""
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", encoding="ascii", newline="") as handle:
+            handle.writelines(lines)
+    else:
+        destination.writelines(lines)
+
+
 def write_results_csv(reports: Iterable[DisparityReport], destination: str | Path | IO[str]) -> None:
     _write_lines(destination, [RESULTS_HEADER + "\n"] + [r.csv_row() + "\n" for r in reports])
 
 
 def write_per_user_csv(
-    report: DisparityReport,
-    destination: str | Path | IO[str],
-    dataset: RatingsDataset | None = None,
+    report: DisparityReport, destination: str | Path | IO[str], dataset: RatingsDataset
 ) -> None:
-    """Per-user breakdown as ``user,satisfaction,overlap``."""
+    """Per-user breakdown as ``user,satisfaction,overlap``, users by raw id."""
     lines = ["user,satisfaction,overlap\n"]
-    for u in range(report.satisfaction.size):
-        label = dataset.user_ids[u] if dataset is not None else u
-        lines.append(f"{label},{report.satisfaction[u]:.6f},{report.overlap[u]:.6f}\n")
+    for u, raw in enumerate(dataset.user_ids):
+        lines.append(f"{raw},{report.satisfaction[u]:.6f},{report.overlap[u]:.6f}\n")
     _write_lines(destination, lines)
 
 

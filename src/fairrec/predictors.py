@@ -10,14 +10,14 @@ which keeps every weight strictly positive downstream.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, CandidateSets, RatingsDataset
+from .dataset import RATING_MAX, RATING_MIN, RatingsDataset
 from .errors import FactorizationError, InvalidInputError
 
 
@@ -64,21 +64,6 @@ class NmfParams:
         )
 
 
-class _Rows(Sequence):
-    """Per-user candidate ids, or their scores, of a score matrix, built on access."""
-
-    def __init__(self, matrix: np.ndarray, scores: bool):
-        self._matrix, self._scores = matrix, scores
-
-    def __len__(self) -> int:
-        return len(self._matrix)
-
-    def __getitem__(self, user: int) -> np.ndarray:
-        row = self._matrix[user]
-        items = np.flatnonzero(~np.isnan(row))
-        return row[items] if self._scores else items
-
-
 @dataclass
 class ScoreGraph:
     """Predicted stars for every (user, candidate item) pair.
@@ -90,24 +75,23 @@ class ScoreGraph:
     ties by ascending id, NaN last. ranked_users is its column-wise mirror:
     each item's users by descending score, ties by ascending user id, NaN
     last, shape (n_items, n_users). Only Greedy reads it, so it is built on
-    Greedy's first call and costs 8 * n_items * n_users bytes. items[u]
-    (candidate ids, ascending) and scores[u] (aligned with them) are
-    per-user views derived on access, for callers off the hot paths.
-    user_ids are the raw ids that error messages name. Immutable after
-    construction.
+    Greedy's first call and costs 8 * n_items * n_users bytes. items yields
+    each user's candidate ids, ascending; no pipeline path reads it, but the
+    benchmark's scored-pairs count (bench/fairbench/layers.py::_count_pairs)
+    iterates it. user_ids are the raw ids that error messages name. A graph
+    has at least one user. Immutable after construction.
     """
 
     matrix: np.ndarray
     user_ids: np.ndarray
-    provenance: str = ""
+
+    def __post_init__(self) -> None:
+        if self.matrix.shape[0] == 0:
+            raise InvalidInputError("a score graph needs at least one user")
 
     @property
-    def items(self) -> Sequence[np.ndarray]:
-        return _Rows(self.matrix, scores=False)
-
-    @property
-    def scores(self) -> Sequence[np.ndarray]:
-        return _Rows(self.matrix, scores=True)
+    def items(self) -> Iterator[np.ndarray]:
+        return (np.flatnonzero(~np.isnan(row)) for row in self.matrix)
 
     @property
     def n_users(self) -> int:
@@ -141,34 +125,16 @@ class ScoreGraph:
         return found
 
     @classmethod
-    def from_matrix(cls, scores: np.ndarray, candidates: CandidateSets, user_ids: np.ndarray,
-                    provenance: str = "") -> "ScoreGraph":
+    def from_matrix(cls, scores: np.ndarray, candidates: np.ndarray,
+                    user_ids: np.ndarray) -> "ScoreGraph":
         """Wrap a full prediction matrix, clamped to [1, 5] and non-candidates NaN, in place."""
         np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
-        np.copyto(scores, np.nan, where=~candidates.mask)
-        return cls(scores, user_ids, provenance)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs_per_user: Sequence[Sequence[tuple[int, float]]],
-        n_items: int,
-        provenance: str = "",
-    ) -> "ScoreGraph":
-        """Build from unordered (item, score) pairs; order of pairs is irrelevant."""
-        matrix = np.full((len(pairs_per_user), n_items), np.nan)
-        for u, pairs in enumerate(pairs_per_user):
-            ids = np.asarray([p[0] for p in pairs], dtype=np.int64)
-            if np.any((ids < 0) | (ids >= n_items)):
-                raise InvalidInputError(f"user {u}: item id outside [0, {n_items})")
-            matrix[u, ids] = [p[1] for p in pairs]
-        if np.count_nonzero(~np.isnan(matrix)) < sum(map(len, pairs_per_user)):
-            raise InvalidInputError("duplicate item within one user's pairs, or a NaN score")
-        return cls(matrix, np.arange(len(matrix)), provenance)
+        np.copyto(scores, np.nan, where=~candidates)
+        return cls(scores, user_ids)
 
 
 def predict_knn(
-    dataset: RatingsDataset, candidates: CandidateSets, params: KnnParams = KnnParams()
+    dataset: RatingsDataset, candidates: np.ndarray, params: KnnParams = KnnParams()
 ) -> ScoreGraph:
     """Score each user's candidates with user-based KNN.
 
@@ -225,7 +191,7 @@ def predict_knn(
         safe = np.where(denom > 0, denom, 1.0)
         predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
 
-    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids, params.tag())
+    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids)
 
 
 def fit_nmf(
@@ -269,11 +235,11 @@ def _check_finite(factors: np.ndarray) -> None:
 
 
 def predict_nmf(
-    dataset: RatingsDataset, candidates: CandidateSets, params: NmfParams = NmfParams()
+    dataset: RatingsDataset, candidates: np.ndarray, params: NmfParams = NmfParams()
 ) -> ScoreGraph:
     """Score each user's candidates with the trained factor model."""
     p, q, _ = fit_nmf(dataset, params)
-    return ScoreGraph.from_matrix(p @ q.T, candidates, dataset.user_ids, params.tag())
+    return ScoreGraph.from_matrix(p @ q.T, candidates, dataset.user_ids)
 
 
 def save_score_cache(graph: ScoreGraph, dataset: RatingsDataset, path: str | Path) -> None:
@@ -284,10 +250,7 @@ def save_score_cache(graph: ScoreGraph, dataset: RatingsDataset, path: str | Pat
 
 
 def load_score_cache(
-    path: str | Path,
-    dataset: RatingsDataset,
-    candidates: CandidateSets,
-    provenance: str = "cache",
+    path: str | Path, dataset: RatingsDataset, candidates: np.ndarray
 ) -> ScoreGraph:
     """Read a save_score_cache file and check it against the dataset and current candidates."""
     try:
@@ -295,14 +258,14 @@ def load_score_cache(
             matrix = np.lib.format.read_array(handle, allow_pickle=False)
     except ValueError as exc:  # not .npy, truncated, empty, or an object array
         raise InvalidInputError(f"{path}: not a score cache file ({exc})") from None
-    shape = candidates.mask.shape
+    shape = candidates.shape
     if matrix.dtype != np.float64 or matrix.shape != shape:
         raise InvalidInputError(f"{path}: holds {matrix.dtype} {matrix.shape}, not float64 {shape}")
-    stale = (np.isnan(matrix) == candidates.mask).any(axis=1)
+    stale = (np.isnan(matrix) == candidates).any(axis=1)
     if stale.any():
         user = dataset.user_ids[np.argmax(stale)]
         raise InvalidInputError(f"{path}: cached items for user {user} do not match its candidates (stale cache?)")
     outside = matrix[(matrix < RATING_MIN) | (matrix > RATING_MAX)]
     if outside.size:
         raise InvalidInputError(f"{path}: cached score {outside[0]} outside [1, 5]")
-    return ScoreGraph(matrix, dataset.user_ids, provenance)
+    return ScoreGraph(matrix, dataset.user_ids)

@@ -41,9 +41,6 @@ class RandomParams:
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 
-    def tag(self) -> str:
-        return f"random(ell={self.ell},seed={self.seed})"
-
 
 @dataclass(frozen=True)
 class GreedyParams:
@@ -56,9 +53,6 @@ class GreedyParams:
         if not RATING_MIN <= self.threshold <= RATING_MAX:
             raise InvalidInputError("threshold must lie in [1, 5]")
 
-    def tag(self) -> str:
-        return f"greedy(theta={self.theta},threshold={self.threshold})"
-
 
 @dataclass
 class RecommendationSet:
@@ -66,7 +60,6 @@ class RecommendationSet:
 
     k: int
     lists: np.ndarray  # (n_users, k) dense item ids
-    provenance: str = "none"
 
     @property
     def n_users(self) -> int:
@@ -92,7 +85,7 @@ def top_k(graph: ScoreGraph, k: int) -> RecommendationSet:
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     _require_candidates(graph, k)
-    return RecommendationSet(k=k, lists=graph.ranked[:, :k].copy(), provenance="none")
+    return RecommendationSet(k=k, lists=graph.ranked[:, :k].copy())
 
 
 def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> RecommendationSet:
@@ -110,7 +103,7 @@ def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> Recommenda
         ranks[u] = np.random.default_rng([params.seed, u]).choice(limit, size=k, replace=False)
     ranks.sort(axis=1)
     lists = np.take_along_axis(graph.ranked, ranks, axis=1)
-    return RecommendationSet(k=k, lists=lists, provenance=params.tag())
+    return RecommendationSet(k=k, lists=lists)
 
 
 def greedy_rerank(
@@ -186,5 +179,4 @@ def greedy_rerank(
 
     items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
     lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
-    recs = RecommendationSet(k=k, lists=lists, provenance=params.tag())
-    return GreedyRerankResult(recommendations=recs, achieved_increase=achieved)
+    return GreedyRerankResult(RecommendationSet(k=k, lists=lists), achieved_increase=achieved)

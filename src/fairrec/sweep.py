@@ -96,7 +96,7 @@ def parse_grid(text: str) -> tuple[int, ...]:
 
 
 def _coerce(key: str, value: str):
-    """Convert a config file value to the type of the field's default."""
+    """Convert a config file value, or a string keyword, to the type of the field's default."""
     kind = type(_DEFAULTS[key])
     if kind is bool:
         lowered = str(value).strip().lower()
@@ -142,14 +142,17 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfig:
-    """Defaults, then config file values, then explicit overrides."""
-    settings: dict = {}
-    if file_path is not None:
-        settings.update(read_config_file(file_path))
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(settings) - set(_DEFAULTS)
+    """Defaults, then config file values, then explicit overrides.
+
+    A string override is read as a config file value is: out="results" gives
+    a Path and k="3" an int.
+    """
+    settings = read_config_file(file_path) if file_path is not None else {}
+    given = {k: v for k, v in overrides.items() if v is not None}
+    unknown = set(given) - set(_DEFAULTS)
     if unknown:
         raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
+    settings.update({k: _coerce(k, v) if isinstance(v, str) else v for k, v in given.items()})
     cfg = SweepConfig(**settings)
     cfg.validate()
     return cfg
@@ -168,7 +171,7 @@ def _obtain_scores(cfg: SweepConfig, dataset, candidates):
     key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
     cache_path = cfg.out / f"scores_{cfg.predictor}_{key}.npy"
     if cache_path.exists():
-        return load_score_cache(cache_path, dataset, candidates, provenance=f"{cfg.predictor}(cache)")
+        return load_score_cache(cache_path, dataset, candidates)
     graph = predict(dataset, candidates, params)
     save_score_cache(graph, dataset, cache_path)
     return graph
@@ -231,41 +234,41 @@ _METRICS = (
 def emit_plot_data(reports: list[DisparityReport], output_dir: str | Path, svg: bool = False) -> list[Path]:
     """Write scatter data (and optional SVG) per disparity metric.
 
-    One file per (post, predictor, metric) group: two numeric columns,
-    aggregate diversity then disparity, sorted by the first column, with
-    the baseline row flagged in a comment. Byte-stable for equal reports.
+    The reports are one sweep's: one predictor, the baseline and one
+    post-processor. Each metric's file holds two numeric columns, aggregate
+    diversity then disparity, sorted by the first column, with the baseline
+    row flagged in a comment. Byte-stable for equal reports.
     """
     if not reports:
         raise InvalidInputError("no reports to plot")
+    predictor = reports[0].predictor
+    post = next((r.post for r in reports if r.post != "none"), "none")
+    if any(r.predictor != predictor or r.post not in ("none", post) for r in reports):
+        raise InvalidInputError("plot data takes one sweep: one predictor, one post-processor")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    groups: dict[tuple[str, str], list[DisparityReport]] = {}
-    run_post = next((r.post for r in reports if r.post != "none"), "none")
-    for report in reports:
-        groups.setdefault((run_post, report.predictor), []).append(report)
 
     written: list[Path] = []
-    for (post, predictor), group in sorted(groups.items()):
-        for metric_name, metric in _METRICS:
-            points = sorted(
-                ((r.aggregate_diversity, metric(r), r.post == "none") for r in group),
-                key=lambda p: (p[0], p[1]),
-            )
-            path = output_dir / f"{post}__{predictor}__{metric_name}.dat"
-            lines = [
-                f"# {predictor} {post}: aggregate diversity vs {metric_name}\n",
-                "# columns: agg_div  disparity\n",
-            ]
-            for x, y, is_baseline in points:
-                if is_baseline:
-                    lines.append("# next row is the baseline (no post-processing)\n")
-                lines.append(f"{x:.6f}  {y:.6f}\n")
-            path.write_text("".join(lines), encoding="ascii")
-            written.append(path)
-            if svg:
-                svg_path = path.with_suffix(".svg")
-                _write_scatter_svg(points, svg_path, f"{predictor} / {post}", metric_name)
-                written.append(svg_path)
+    for metric_name, metric in _METRICS:
+        points = sorted(
+            ((r.aggregate_diversity, metric(r), r.post == "none") for r in reports),
+            key=lambda p: (p[0], p[1]),
+        )
+        path = output_dir / f"{post}__{predictor}__{metric_name}.dat"
+        lines = [
+            f"# {predictor} {post}: aggregate diversity vs {metric_name}\n",
+            "# columns: agg_div  disparity\n",
+        ]
+        for x, y, is_baseline in points:
+            if is_baseline:
+                lines.append("# next row is the baseline (no post-processing)\n")
+            lines.append(f"{x:.6f}  {y:.6f}\n")
+        path.write_text("".join(lines), encoding="ascii")
+        written.append(path)
+        if svg:
+            svg_path = path.with_suffix(".svg")
+            _write_scatter_svg(points, svg_path, f"{predictor} / {post}", metric_name)
+            written.append(svg_path)
     return written
 
 

@@ -7,12 +7,33 @@ presorted move list. knn_full_sort and greedy_move_list are the exception:
 the vectorized KNN as it was before neighbour selection used partial
 selection, and the greedy walk over one fully sorted move list as it was
 before the heap walk, kept as written so the rewrites can be held to them
-exactly at sizes the re-scan oracles cannot reach.
+exactly at sizes the re-scan oracles cannot reach. graph_from_pairs and
+candidate_scores build and read score graphs the way the tests state them,
+as per-user (item, score) pairs.
 """
 
 import numpy as np
 
-from fairrec import ScoreGraph
+from fairrec import InvalidInputError, ScoreGraph
+
+
+def graph_from_pairs(pairs_per_user, n_items: int) -> ScoreGraph:
+    """Build from unordered (item, score) pairs; order of pairs is irrelevant."""
+    matrix = np.full((len(pairs_per_user), n_items), np.nan)
+    for u, pairs in enumerate(pairs_per_user):
+        ids = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        if np.any((ids < 0) | (ids >= n_items)):
+            raise InvalidInputError(f"user {u}: item id outside [0, {n_items})")
+        matrix[u, ids] = [p[1] for p in pairs]
+    if np.count_nonzero(~np.isnan(matrix)) < sum(map(len, pairs_per_user)):
+        raise InvalidInputError("duplicate item within one user's pairs, or a NaN score")
+    return ScoreGraph(matrix, np.arange(len(matrix)))
+
+
+def candidate_scores(graph: ScoreGraph, u: int):
+    """User u's candidate ids, ascending, and their scores, aligned."""
+    items = np.flatnonzero(~np.isnan(graph.matrix[u]))
+    return items, graph.matrix[u, items]
 
 
 def gini_pairwise(values) -> float:
@@ -36,10 +57,10 @@ def greedy_rescan(graph: ScoreGraph, base_lists, k: int, theta: int, threshold: 
     Returns (lists ordered by score desc then item asc, achieved increase).
     """
     lists = [list(row) for row in np.asarray(base_lists).tolist()]
-    score_of = [
-        dict(zip(graph.items[u].tolist(), graph.scores[u].tolist()))
-        for u in range(graph.n_users)
-    ]
+    score_of = []
+    for u in range(graph.n_users):
+        items, scores = candidate_scores(graph, u)
+        score_of.append(dict(zip(items.tolist(), scores.tolist())))
     counts: dict[int, int] = {}
     for row in lists:
         for item in row:
@@ -49,7 +70,8 @@ def greedy_rescan(graph: ScoreGraph, base_lists, k: int, theta: int, threshold: 
     while achieved < theta:
         moves = []
         for u in range(graph.n_users):
-            for item, score in zip(graph.items[u].tolist(), graph.scores[u].tolist()):
+            items, scores = candidate_scores(graph, u)
+            for item, score in zip(items.tolist(), scores.tolist()):
                 if counts.get(item, 0) == 0 and score >= threshold:
                     moves.append((-score, item, u))
         moves.sort()
@@ -169,7 +191,7 @@ def knn_rescan(dataset, candidates, n_neighbors: int, min_overlap: int):
 
     predictions = {}
     for u in range(n):
-        for i in candidates[u].tolist():
+        for i in np.flatnonzero(candidates[u]).tolist():
             eligible = [
                 v for v in range(n)
                 if i in ratings[v] and co_rated(u, v) >= min_overlap
@@ -256,4 +278,4 @@ def enumerate_small_instances():
                         pairs_per_user.append(
                             [(int(i), float(rng.choice(SCORE_CHOICES))) for i in items]
                         )
-                    yield ScoreGraph.from_pairs(pairs_per_user, n_items), k
+                    yield graph_from_pairs(pairs_per_user, n_items), k

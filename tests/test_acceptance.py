@@ -15,7 +15,6 @@ from fairrec import (
     GreedyParams,
     RandomParams,
     RecommendationSet,
-    ScoreGraph,
     SweepConfig,
     candidate_sets,
     disparity_report,
@@ -30,7 +29,7 @@ from fairrec import (
     top_k,
 )
 
-from _oracles import enumerate_small_instances, gini_pairwise, greedy_rescan
+from _oracles import enumerate_small_instances, gini_pairwise, graph_from_pairs, greedy_rescan
 from conftest import ml100k_path, require_ml100k, synthetic_triples, triples_to_lines
 
 
@@ -171,7 +170,7 @@ def test_criterion_6_small_instance_oracle():
     assert checked >= 500
 
     # hand-worked satisfaction and overlap values
-    graph = ScoreGraph.from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0), (3, 1.0)]], 4)
+    graph = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0), (3, 1.0)]], 4)
     top2 = top_k(graph, 2)
     served = RecommendationSet(k=2, lists=np.array([[1, 2]]))
     assert satisfaction(graph, served, top2)[0] == approx(7 / 9, abs=1e-12)
@@ -181,7 +180,7 @@ def test_criterion_6_small_instance_oracle():
     assert satisfaction(graph, served1, top1)[0] == approx(0.2, abs=1e-12)
 
     # hand-worked greedy replacement
-    wg = ScoreGraph.from_pairs([[(0, 5.0), (1, 4.0), (2, 1.0)], [(0, 5.0), (1, 2.0)]], 3)
+    wg = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 1.0)], [(0, 5.0), (1, 2.0)]], 3)
     base = top_k(wg, 1)
     moved = greedy_rerank(wg, base, GreedyParams(theta=1, threshold=3.5))
     assert moved.recommendations.lists.tolist() == [[1], [0]]

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,9 @@ from fairrec import (
     RatingRangeError,
     candidate_sets,
     parse_ratings,
-    write_ratings,
 )
+
+from conftest import synthetic_triples
 
 
 def test_parse_three_lines_direct_readback():
@@ -21,8 +20,8 @@ def test_parse_three_lines_direct_readback():
     assert d.n_users == 2
     assert d.n_items == 2
     assert d.n_ratings == 3
-    assert d.user_index == {1: 0, 2: 1}
-    assert d.item_index == {10: 0, 20: 1}
+    assert d.user_ids.tolist() == [1, 2]
+    assert d.item_ids.tolist() == [10, 20]
     triples = set(zip(d.users.tolist(), d.items.tolist(), d.ratings.tolist()))
     assert triples == {(0, 0, 4.0), (0, 1, 5.0), (1, 0, 3.0)}
 
@@ -77,37 +76,32 @@ def test_dense_ids_are_contiguous_and_sorted_by_raw_id():
     d = parse_ratings(["7 300 1 0\n", "3 100 2 0\n", "7 100 5 0\n"])
     assert d.user_ids.tolist() == [3, 7]
     assert d.item_ids.tolist() == [100, 300]
-    assert sorted(d.user_index.values()) == [0, 1]
+    assert d.users.tolist() == [1, 0, 1]
+    assert d.items.tolist() == [1, 0, 0]
 
 
 def test_parse_is_independent_of_line_order():
     lines = ["5 8 3 0\n", "2 8 4 0\n", "5 9 5 0\n", "1 7 2 0\n"]
     a = parse_ratings(lines)
     b = parse_ratings(list(reversed(lines)))
-    assert a.user_index == b.user_index
-    assert a.item_index == b.item_index
+    assert np.array_equal(a.user_ids, b.user_ids)
+    assert np.array_equal(a.item_ids, b.item_ids)
     ta = set(zip(a.users.tolist(), a.items.tolist(), a.ratings.tolist()))
     tb = set(zip(b.users.tolist(), b.items.tolist(), b.ratings.tolist()))
     assert ta == tb
 
 
-def test_write_then_parse_round_trip(synthetic_dataset):
-    buf = io.StringIO()
-    write_ratings(synthetic_dataset, buf)
-    again = parse_ratings(io.StringIO(buf.getvalue()))
-    assert again.n_users == synthetic_dataset.n_users
-    assert again.n_items == synthetic_dataset.n_items
-    assert again.user_index == synthetic_dataset.user_index
-    assert again.item_index == synthetic_dataset.item_index
-    original = set(
-        zip(
-            synthetic_dataset.users.tolist(),
-            synthetic_dataset.items.tolist(),
-            synthetic_dataset.ratings.tolist(),
-        )
-    )
-    rewritten = set(zip(again.users.tolist(), again.items.tolist(), again.ratings.tolist()))
-    assert original == rewritten
+def raw_triples(d):
+    """The dataset's ratings in file order, mapped back to raw ids."""
+    return list(zip(d.user_ids[d.users].tolist(), d.item_ids[d.items].tolist(), d.ratings.tolist()))
+
+
+def test_parse_then_map_back_round_trip(synthetic_dataset):
+    d = synthetic_dataset
+    triples = synthetic_triples()
+    assert raw_triples(d) == [(u, i, float(r)) for u, i, r in triples]
+    assert d.n_users == len({u for u, _, _ in triples})
+    assert d.n_items == len({i for _, i, _ in triples})
 
 
 def test_fingerprint_changes_with_any_rating_or_raw_id():
@@ -121,8 +115,10 @@ def test_fingerprint_changes_with_any_rating_or_raw_id():
 
 def test_rating_counts_add_up(synthetic_dataset):
     d = synthetic_dataset
-    assert sum(d.rated_items(u).size for u in range(d.n_users)) == d.n_ratings
-    assert all(d.rated_items(u).size >= 1 for u in range(d.n_users))
+    user_counts = np.bincount(d.users)
+    assert user_counts.size == d.n_users
+    assert user_counts.sum() == d.n_ratings
+    assert user_counts.min() >= 1
     item_counts = np.bincount(d.items, minlength=d.n_items)
     assert item_counts.min() >= 1
 
@@ -130,27 +126,28 @@ def test_rating_counts_add_up(synthetic_dataset):
 def test_candidates_are_the_sorted_complement(synthetic_dataset):
     d = synthetic_dataset
     cands = candidate_sets(d)
+    assert cands.dtype == bool
+    assert cands.shape == (d.n_users, d.n_items)
     for u in range(d.n_users):
-        cand = cands[u]
-        rated = d.rated_items(u)
+        cand = np.flatnonzero(cands[u])
+        rated = d.items[d.users == u]
         assert cand.size + rated.size == d.n_items
         assert np.intersect1d(cand, rated).size == 0
         assert np.array_equal(np.union1d(cand, rated), np.arange(d.n_items))
-        assert np.all(np.diff(cand) > 0)
 
 
 def test_candidate_complement_small_case():
     # item universe fixed by user 1 rating everything; user 2 rated items 1 and 3
     lines = [f"1 {i} 3 0\n" for i in (1, 2, 3, 4, 5)] + ["2 1 4 0\n", "2 3 2 0\n"]
     cands = candidate_sets(parse_ratings(lines))
-    assert cands[0].tolist() == []
-    assert cands[1].tolist() == [1, 3, 4]
+    assert np.flatnonzero(cands[0]).tolist() == []
+    assert np.flatnonzero(cands[1]).tolist() == [1, 3, 4]
 
 
 def test_candidate_singleton_when_all_but_one_rated():
     lines = [f"1 {i} 3 0\n" for i in (1, 2, 3, 4, 5)] + [f"2 {i} 4 0\n" for i in (1, 2, 3, 4)]
     cands = candidate_sets(parse_ratings(lines))
-    assert cands[1].tolist() == [4]
+    assert np.flatnonzero(cands[1]).tolist() == [4]
 
 
 def test_min_size_rejects_user_by_raw_id():
@@ -172,16 +169,7 @@ def test_round_trip_property(triples):
     lines = [f"{u}\t{i}\t{r}\t123\n" for u, i, r in triples]
     d = parse_ratings(lines)
     assert d.n_ratings == len(triples)
-
-    buf = io.StringIO()
-    write_ratings(d, buf)
-    again = parse_ratings(buf.getvalue().splitlines())
-    assert again.user_index == d.user_index
-    assert again.item_index == d.item_index
-    assert set(zip(again.users.tolist(), again.items.tolist(), again.ratings.tolist())) == set(
-        zip(d.users.tolist(), d.items.tolist(), d.ratings.tolist())
-    )
+    assert raw_triples(d) == [(u, i, float(r)) for u, i, r in triples]
 
     cands = candidate_sets(d)
-    for u in range(d.n_users):
-        assert cands[u].size + d.rated_items(u).size == d.n_items
+    assert (cands.sum(axis=1) + np.bincount(d.users)).tolist() == [d.n_items] * d.n_users

@@ -10,7 +10,6 @@ from fairrec import (
     DisparityReport,
     InvalidInputError,
     RecommendationSet,
-    ScoreGraph,
     aggregate_diversity,
     disparity_report,
     gini,
@@ -22,7 +21,7 @@ from fairrec import (
 )
 from fairrec.metrics import RESULTS_HEADER, as_percent, write_results_csv
 
-from _oracles import gini_pairwise, gini_pairwise_loops
+from _oracles import gini_pairwise, gini_pairwise_loops, graph_from_pairs
 
 
 # ---------------------------------------------------------------- gini ----
@@ -100,7 +99,7 @@ def test_gini_positive_when_unequal():
 
 def _single_user_graph():
     # items a..d = 0..3 with scores 5, 4, 3, 1
-    return ScoreGraph.from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0), (3, 1.0)]], 4)
+    return graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0), (3, 1.0)]], 4)
 
 
 def test_satisfaction_hand_values():
@@ -138,7 +137,7 @@ def test_satisfaction_rejects_mismatched_inputs():
 
 def test_satisfaction_rejects_nonpositive_top_mass():
     # a foreign graph with zero scores bypasses the clamping contract
-    graph = ScoreGraph.from_pairs([[(0, 0.0), (1, 0.0)]], 2)
+    graph = graph_from_pairs([[(0, 0.0), (1, 0.0)]], 2)
     lists = RecommendationSet(k=1, lists=np.array([[0]]))
     with pytest.raises(InvalidInputError):
         satisfaction(graph, lists, lists)
@@ -157,7 +156,7 @@ def test_satisfaction_bounded_for_both_post_processors():
         [(int(i), float(rng.uniform(1, 5))) for i in rng.choice(50, size=30, replace=False)]
         for _ in range(15)
     ]
-    graph = ScoreGraph.from_pairs(pairs, 50)
+    graph = graph_from_pairs(pairs, 50)
     top = top_k(graph, 4)
     served_sets = [
         random_rerank(graph, RandomParams(ell=12, seed=s), 4) for s in range(3)
@@ -180,7 +179,7 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
         [(int(i), float(rng.uniform(1, 5))) for i in rng.choice(60, size=45, replace=False)]
         for _ in range(20)
     ]
-    graph = ScoreGraph.from_pairs(pairs, 60)
+    graph = graph_from_pairs(pairs, 60)
     top = top_k(graph, k)
     served = random_rerank(graph, RandomParams(ell=30, seed=k), k)
     sat = [
@@ -249,7 +248,7 @@ def test_aggregate_diversity_rejects_bad_catalog():
 # ------------------------------------------------------------- report ----
 
 def test_disparity_report_fields_and_csv_row():
-    graph = ScoreGraph.from_pairs(
+    graph = graph_from_pairs(
         [[(0, 5.0), (1, 4.0), (2, 3.0)], [(0, 5.0), (1, 2.0), (2, 1.0)]], 3
     )
     top = top_k(graph, 2)
@@ -263,7 +262,7 @@ def test_disparity_report_fields_and_csv_row():
 
 
 def test_write_results_csv_header():
-    graph = ScoreGraph.from_pairs([[(0, 5.0), (1, 4.0)]], 2)
+    graph = graph_from_pairs([[(0, 5.0), (1, 4.0)]], 2)
     top = top_k(graph, 1)
     report = disparity_report(graph, top, top, predictor="nmf", post="none", param=0)
     buf = io.StringIO()

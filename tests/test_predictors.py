@@ -6,7 +6,6 @@ import pytest
 from pytest import approx
 
 from fairrec import (
-    CandidateSets,
     CandidateShortfallError,
     FactorizationError,
     InvalidInputError,
@@ -28,6 +27,7 @@ from fairrec import (
 )
 from fairrec.predictors import _check_finite
 
+from _oracles import candidate_scores
 from conftest import synthetic_triples, triples_to_lines
 
 
@@ -52,14 +52,14 @@ def test_knn_equal_mean_neighbor_copies_deviation():
     # neighbor's deviation transfers whole: 3 + (5 - 3) = 5, 3 + (1 - 3) = 1
     d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
     graph = predict_knn(d, c)
-    assert knn_score(graph, 0, d.item_index[3]) == 5.0
-    assert knn_score(graph, 0, d.item_index[4]) == 1.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 5.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 4)) == 1.0
 
 
 def test_knn_zero_deviations_return_the_mean():
     d, c = dataset_of({1: 5, 2: 3}, {1: 5, 2: 3, 3: 4})
     graph = predict_knn(d, c)
-    assert knn_score(graph, 0, d.item_index[3]) == 4.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 4.0
 
 
 def test_knn_three_user_hand_instance():
@@ -71,7 +71,7 @@ def test_knn_three_user_hand_instance():
     # 3 + (4/3) * (sim_v + |sim_w|) / (sim_v + |sim_w|) = 13/3
     d, c = dataset_of({1: 5, 2: 1}, {1: 4, 2: 2, 3: 5}, {1: 1, 2: 5, 3: 1})
     graph = predict_knn(d, c)
-    assert knn_score(graph, 0, d.item_index[3]) == approx(13 / 3, abs=1e-12)
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == approx(13 / 3, abs=1e-12)
 
 
 def test_knn_neighbor_cap_keeps_only_the_most_similar_rater():
@@ -79,7 +79,7 @@ def test_knn_neighbor_cap_keeps_only_the_most_similar_rater():
     # v1 contributes: 3 + (4 - 10/3) = 11/3. With both, the hand-evaluated
     # weighted deviation applies.
     d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 9: 4}, {1: 1, 2: 5, 9: 1})
-    item = d.item_index[9]
+    item = np.searchsorted(d.item_ids, 9)
 
     one = predict_knn(d, c, KnnParams(n_neighbors=1))
     assert knn_score(one, 0, item) == approx(11 / 3, abs=1e-12)
@@ -100,11 +100,11 @@ def test_knn_equal_similarity_tie_breaks_by_ascending_user_id():
 
     d, c = dataset_of(base, positive, negative)
     graph = predict_knn(d, c, KnnParams(n_neighbors=1))
-    assert knn_score(graph, 0, d.item_index[5]) == 5.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 5)) == 5.0
 
     d, c = dataset_of(base, negative, positive)
     graph = predict_knn(d, c, KnnParams(n_neighbors=1))
-    assert knn_score(graph, 0, d.item_index[5]) == 1.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 5)) == 1.0
 
 
 @pytest.mark.parametrize("first", [0, 1, 2])
@@ -126,22 +126,22 @@ def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
     s_best = 8 / (math.sqrt(8) * math.sqrt(10))
     s_tied = 8 / (math.sqrt(8) * math.sqrt(18))
     expected = 3 + (s_best * 1 + s_tied * tied[0][1]) / (s_best + s_tied)
-    assert knn_score(graph, 0, d.item_index[9]) == approx(expected, abs=1e-12)
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 9)) == approx(expected, abs=1e-12)
 
 
 def test_knn_falls_back_to_user_mean_without_valid_raters():
     # v shares no rated item with u, so u's candidates keep u's mean 3.0
     d, c = dataset_of({1: 4, 2: 2}, {3: 5, 4: 1})
     graph = predict_knn(d, c)
-    assert knn_score(graph, 0, d.item_index[3]) == 3.0
-    assert knn_score(graph, 0, d.item_index[4]) == 3.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 3.0
+    assert knn_score(graph, 0, np.searchsorted(d.item_ids, 4)) == 3.0
 
 
 def test_knn_min_overlap_excludes_thin_similarities():
     # u and v co-rate only item 1; with min_overlap=1 v's deviation moves the
     # prediction off u's mean, with min_overlap=2 it cannot
     d, c = dataset_of({1: 5, 2: 1, 3: 3}, {1: 4, 4: 5})
-    item = d.item_index[4]
+    item = np.searchsorted(d.item_ids, 4)
     loose = predict_knn(d, c, KnnParams(min_overlap=1))
     assert knn_score(loose, 0, item) != 3.0
     strict = predict_knn(d, c, KnnParams(min_overlap=2))
@@ -169,10 +169,10 @@ def test_knn_is_invariant_under_user_relabeling():
     g2 = predict_knn(d2, candidate_sets(d2))
 
     for raw_old, raw_new in new_ids.items():
-        u1 = d1.user_index[raw_old]
-        u2 = d2.user_index[raw_new]
-        assert np.array_equal(g1.items[u1], g2.items[u2])
-        assert np.allclose(g1.scores[u1], g2.scores[u2], atol=1e-9)
+        items1, scores1 = candidate_scores(g1, np.searchsorted(d1.user_ids, raw_old))
+        items2, scores2 = candidate_scores(g2, np.searchsorted(d2.user_ids, raw_new))
+        assert np.array_equal(items1, items2)
+        assert np.allclose(scores1, scores2, atol=1e-9)
 
 
 def _popular_items_lines(tie_heavy: bool) -> list[str]:
@@ -220,7 +220,8 @@ def test_knn_matches_loop_reference(seed, n_neighbors, min_overlap):
     graph = predict_knn(d, c, KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap))
     expected = knn_rescan(d, c, n_neighbors, min_overlap)
     for u in range(d.n_users):
-        for item, score in zip(graph.items[u].tolist(), graph.scores[u].tolist()):
+        items, scores = candidate_scores(graph, u)
+        for item, score in zip(items.tolist(), scores.tolist()):
             assert score == approx(expected[(u, item)], abs=1e-9), (u, item)
 
 
@@ -229,12 +230,10 @@ def test_predictions_cover_candidates_within_range(synthetic_dataset, predict):
     c = candidate_sets(synthetic_dataset)
     graph = predict(synthetic_dataset, c)
     assert graph.n_users == synthetic_dataset.n_users
-    for u in range(graph.n_users):
-        assert np.array_equal(graph.items[u], c[u])
-        assert graph.scores[u].shape == c[u].shape
-        assert np.all(graph.scores[u] >= 1.0)
-        assert np.all(graph.scores[u] <= 5.0)
-        assert np.all(np.isfinite(graph.scores[u]))
+    assert [items.tolist() for items in graph.items] == [np.flatnonzero(row).tolist() for row in c]
+    assert np.array_equal(np.isnan(graph.matrix), ~c)
+    assert np.all(graph.matrix[c] >= 1.0)
+    assert np.all(graph.matrix[c] <= 5.0)
 
 
 # ---------------------------------------------------------------- nmf ----
@@ -258,8 +257,7 @@ def test_nmf_is_deterministic_for_a_seed(synthetic_dataset):
     params = NmfParams(n_factors=5, n_epochs=15, init_seed=3)
     a = predict_nmf(synthetic_dataset, c, params)
     b = predict_nmf(synthetic_dataset, c, params)
-    for u in range(a.n_users):
-        assert np.array_equal(a.scores[u], b.scores[u])
+    assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
 def test_nmf_loss_is_non_increasing_every_epoch(synthetic_dataset):
@@ -353,7 +351,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
                 lines.append(f"{u + 1} {i + 1} {values[u, i]} 0\n")
     d = parse_ratings(lines)
     c = candidate_sets(d)
-    assert c[3].tolist() == [3]
+    assert np.flatnonzero(c[3]).tolist() == [3]
 
     params = NmfParams(n_factors=2, n_epochs=300, init_seed=6)
     graph = predict_nmf(d, c, params)
@@ -378,8 +376,8 @@ def test_nmf_hidden_entry_matches_reference_implementation():
 def test_lookup_rejects_rated_and_out_of_range_items():
     d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
     graph = predict_knn(d, c)
-    assert graph.lookup(0, [d.item_index[3]]).shape == (1,)
-    for item in (d.item_index[1], -1, d.n_items):
+    assert graph.lookup(0, [np.searchsorted(d.item_ids, 3)]).shape == (1,)
+    for item in (np.searchsorted(d.item_ids, 1), -1, d.n_items):
         with pytest.raises(InvalidInputError):
             graph.lookup(0, np.array([item]))
 
@@ -392,7 +390,7 @@ def test_errors_name_raw_user_ids():
     graph = predict_knn(d, candidate_sets(d))
     assert graph.user_ids.tolist() == [101, 205]
     with pytest.raises(InvalidInputError, match="user 205"):
-        graph.lookup(1, np.array([d.item_index[1]]))
+        graph.lookup(1, np.array([np.searchsorted(d.item_ids, 1)]))
     with pytest.raises(CandidateShortfallError, match="user 205"):
         top_k(graph, 2)
     with pytest.raises(CandidateShortfallError, match="user 205"):
@@ -426,8 +424,8 @@ def test_score_cache_rejects_stale_candidates(tmp_path, synthetic_dataset):
     save_score_cache(graph, synthetic_dataset, path)
 
     # the cache was written before user 0 rated one more item
-    stale = CandidateSets(c.mask.copy())
-    stale.mask[0, stale[0][0]] = False
+    stale = c.copy()
+    stale[0, np.flatnonzero(stale[0])[0]] = False
     raw_user = synthetic_dataset.user_ids[0]
     with pytest.raises(InvalidInputError, match=f"user {raw_user} do not match"):
         load_score_cache(path, synthetic_dataset, stale)

@@ -18,13 +18,19 @@ from fairrec import (
     top_k,
 )
 
-from _oracles import SCORE_CHOICES, enumerate_small_instances, greedy_move_list, greedy_rescan
+from _oracles import (
+    SCORE_CHOICES,
+    enumerate_small_instances,
+    graph_from_pairs,
+    greedy_move_list,
+    greedy_rescan,
+)
 from conftest import synthetic_triples, triples_to_lines
 
 
 def graph_of(*pairs_per_user, n_items=None):
     m = n_items or (max(i for pairs in pairs_per_user for i, _ in pairs) + 1)
-    return ScoreGraph.from_pairs(list(pairs_per_user), m)
+    return graph_from_pairs(list(pairs_per_user), m)
 
 
 # -------------------------------------------------------------- top_k ----
@@ -52,8 +58,8 @@ def test_top_k_rejects_oversized_k():
 
 def test_top_k_invariant_under_pair_order():
     pairs = [(3, 4.0), (0, 2.5), (7, 4.0), (2, 5.0)]
-    a = top_k(ScoreGraph.from_pairs([pairs], 8), 3)
-    b = top_k(ScoreGraph.from_pairs([list(reversed(pairs))], 8), 3)
+    a = top_k(graph_from_pairs([pairs], 8), 3)
+    b = top_k(graph_from_pairs([list(reversed(pairs))], 8), 3)
     assert a.lists.tolist() == b.lists.tolist() == [[2, 3, 7]]
 
 
@@ -61,7 +67,7 @@ def test_top_k_invariant_under_pair_order():
 
 def _six_item_graph(n_users=1):
     pairs = [(i, 6.0 - i) for i in range(6)]  # scores 6..1 -> items 0..5
-    return ScoreGraph.from_pairs([list(pairs) for _ in range(n_users)], 6)
+    return graph_from_pairs([list(pairs) for _ in range(n_users)], 6)
 
 
 def test_random_with_ell_equal_k_is_top_k():
@@ -144,7 +150,7 @@ def test_random_overlap_matches_hypergeometric_mean():
         [(i, float(s)) for i, s in enumerate(rng.permutation(n_items) / 10 + 1.0)]
         for _ in range(n_users)
     ]
-    graph = ScoreGraph.from_pairs(pairs, n_items)
+    graph = graph_from_pairs(pairs, n_items)
     top = top_k(graph, k)
     total = 0.0
     draws = 0
@@ -205,7 +211,7 @@ def _random_graph(seed, n_users=12, n_items=30, rated_fraction=0.4):
         size = int(n_items * (1 - rated_fraction))
         items = rng.choice(n_items, size=size, replace=False)
         pairs.append([(int(i), float(rng.uniform(1, 5))) for i in items])
-    return ScoreGraph.from_pairs(pairs, n_items)
+    return graph_from_pairs(pairs, n_items)
 
 
 def test_greedy_structural_invariants():
@@ -232,7 +238,7 @@ def test_greedy_structural_invariants():
         for u in range(graph.n_users):
             row = recs.lists[u]
             assert len(set(row.tolist())) == k
-            assert set(row.tolist()) <= set(graph.items[u].tolist())
+            assert set(row.tolist()) <= set(np.flatnonzero(~np.isnan(graph.matrix[u])).tolist())
             scores = graph.lookup(u, row)
             assert list(scores) == sorted(scores, reverse=True)
             for item in set(row.tolist()) - set(base.lists[u].tolist()):
@@ -277,6 +283,12 @@ def test_greedy_is_deterministic():
     b = greedy_rerank(graph, base, GreedyParams(theta=7))
     assert np.array_equal(a.recommendations.lists, b.recommendations.lists)
     assert a.achieved_increase == b.achieved_increase
+
+
+def test_score_graph_without_users_is_rejected_before_any_rerank():
+    # greedy_rerank cannot walk a graph with no users, so construction rejects it
+    with pytest.raises(InvalidInputError, match="at least one user"):
+        ScoreGraph(np.empty((0, 4)), np.arange(0))
 
 
 def test_greedy_rejects_mismatched_base():

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -120,6 +120,24 @@ def test_build_config_overrides_beat_file(tmp_path):
     cfg = build_config(path, k=2)
     assert cfg.k == 2
     assert cfg.predictor == "nmf"
+
+
+def test_build_config_reads_string_keywords_as_config_values(synthetic_file, tmp_path):
+    typed = build_config(data=synthetic_file, post="greedy", k=3, theta=(1, 4), threshold=3.0,
+                         per_user=True, out=tmp_path / "typed")
+    texts = build_config(data=str(synthetic_file), post="greedy", k="3", theta="1,4",
+                         threshold="3.0", per_user="true", out=str(tmp_path / "texts"))
+    assert texts == replace(typed, out=tmp_path / "texts")
+    for cfg in (typed, texts):
+        run_sweep(cfg, quiet=True)
+    files = sorted(p.name for p in typed.out.iterdir())
+    assert files == sorted(p.name for p in texts.out.iterdir())
+    assert all((typed.out / f).read_bytes() == (texts.out / f).read_bytes() for f in files)
+
+
+def test_build_config_rejects_a_bad_string_keyword():
+    with pytest.raises(InvalidInputError, match="config key 'k' expects an integer, got 'x'"):
+        build_config(k="x")
 
 
 def _other_value(field) -> str:
@@ -381,6 +399,15 @@ def test_emit_plot_data_row_counts(synthetic_file, tmp_path):
 
     again = emit_plot_data(reports, tmp_path / "again")
     assert again[0].read_bytes() == paths[0].read_bytes()
+
+
+def test_emit_plot_data_rejects_reports_of_two_sweeps(synthetic_file, tmp_path):
+    # one file per metric is named for one predictor and one post-processor
+    reports = run_sweep(small_cfg(synthetic_file, tmp_path / "run", post="random"), quiet=True)
+    for other in (replace(reports[1], predictor="nmf"), replace(reports[1], post="greedy")):
+        with pytest.raises(InvalidInputError, match="one predictor, one post-processor"):
+            emit_plot_data(reports + [other], tmp_path / "mixed")
+    assert not (tmp_path / "mixed").exists()
 
 
 # ----------------------------------------------------------------- cli ----
