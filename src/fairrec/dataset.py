@@ -39,13 +39,19 @@ class RatingsDataset:
     through observed ratings.
     """
 
-    n_users: int
-    n_items: int
     users: np.ndarray  # dense user id per rating
     items: np.ndarray  # dense item id per rating
     ratings: np.ndarray  # stars in [1, 5], float64
     user_ids: np.ndarray  # dense -> raw
     item_ids: np.ndarray  # dense -> raw
+
+    @property
+    def n_users(self) -> int:
+        return self.user_ids.size
+
+    @property
+    def n_items(self) -> int:
+        return self.item_ids.size
 
     @property
     def n_ratings(self) -> int:
@@ -141,8 +147,6 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     item_ids = np.unique(raw_i)
 
     return RatingsDataset(
-        n_users=user_ids.size,
-        n_items=item_ids.size,
         users=np.searchsorted(user_ids, raw_u),
         items=np.searchsorted(item_ids, raw_i),
         ratings=np.asarray(values),

@@ -30,7 +30,7 @@ PREDICTORS = ("knn", "nmf")
 POSTS = ("none", "random", "greedy")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     data: Path = Path("u.data")
     predictor: str = "knn"
@@ -49,7 +49,15 @@ class SweepConfig:
     nmf_factors: int = 15
     nmf_epochs: int = 50
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not _has_type_of(value, field.default):
+                kind = _KINDS[type(field.default)]
+                raise InvalidInputError(f"config key {field.name!r} expects {kind}, got {value!r}")
         if self.predictor not in PREDICTORS:
             raise InvalidInputError(f"unknown predictor {self.predictor!r}")
         if self.post not in POSTS:
@@ -73,6 +81,17 @@ class SweepConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a tuple of integers",
+          str: "a string", type(Path()): "a path"}  # a field's default type, as messages name it
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether value may stand in a field with this default: a bool is not an int."""
+    if isinstance(default, tuple):
+        return type(value) is tuple and all(type(v) is int for v in value)
+    return type(value) in ((int, float) if type(default) is float else (type(default),))
 
 
 def parse_number(text: str, kind: type = int):
@@ -81,7 +100,6 @@ def parse_number(text: str, kind: type = int):
     int and float alone also read digit separators and non-ASCII digits, so
     '1_0', '٣' and '３.5' would silently stand for 10, 3 and 3.5.
     """
-    text = str(text)
     if not text.isascii() or "_" in text:
         raise ValueError(f"invalid {kind.__name__} value: {text!r}")
     return kind(text)
@@ -89,30 +107,22 @@ def parse_number(text: str, kind: type = int):
 
 def parse_grid(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(parse_number(part) for part in str(text).split(",") if part.strip())
+        return tuple(parse_number(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise InvalidInputError(f"grid must be comma-separated integers, got {text!r}") from None
-    return values
 
 
 def _coerce(key: str, value: str):
-    """Convert a config file value, or a string keyword, to the type of the field's default."""
+    """Convert a config file value, a flag or a string keyword to the type of the field's default."""
     kind = type(_DEFAULTS[key])
-    if kind is bool:
-        lowered = str(value).strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise InvalidInputError(f"config key {key!r} expects a boolean, got {value!r}")
     if kind is tuple:
         return parse_grid(value)
     try:
+        if kind is bool:
+            return _BOOLEANS[value.strip().lower()]
         return parse_number(value, kind) if kind in (int, float) else kind(value)
-    except ValueError:
-        if kind is int:
-            raise InvalidInputError(f"config key {key!r} expects an integer, got {value!r}") from None
-        raise InvalidInputError(f"{key} expects a number, got {value!r}") from None
+    except (KeyError, ValueError):
+        raise InvalidInputError(f"config key {key!r} expects {_KINDS[kind]}, got {value!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -144,8 +154,8 @@ def read_config_file(path: str | Path) -> dict:
 def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfig:
     """Defaults, then config file values, then explicit overrides.
 
-    A string override is read as a config file value is: out="results" gives
-    a Path and k="3" an int.
+    A string override is read as a config file value is (out="results" gives a
+    Path, k="3" an int); any other override must have its field's type.
     """
     settings = read_config_file(file_path) if file_path is not None else {}
     given = {k: v for k, v in overrides.items() if v is not None}
@@ -153,9 +163,7 @@ def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfi
     if unknown:
         raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
     settings.update({k: _coerce(k, v) if isinstance(v, str) else v for k, v in given.items()})
-    cfg = SweepConfig(**settings)
-    cfg.validate()
-    return cfg
+    return SweepConfig(**settings)
 
 
 def _predictor(cfg: SweepConfig):
@@ -177,12 +185,11 @@ def _obtain_scores(cfg: SweepConfig, dataset, candidates):
     return graph
 
 
-def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:
+def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """Execute the configured sweep and write all output files.
 
     Returns the reports in output order: baseline first, then grid order.
     """
-    cfg.validate()
     cfg.out.mkdir(parents=True, exist_ok=True)
     dataset = load_ratings(cfg.data)
     candidates = candidate_sets(dataset, min_size=cfg.k)
@@ -219,9 +226,6 @@ def run_sweep(cfg: SweepConfig, quiet: bool = False) -> list[DisparityReport]:
         for report in reports:
             name = f"per_user__{report.post}__{report.param}.csv"
             write_per_user_csv(report, cfg.out / name, dataset)
-    if not quiet:
-        for report in reports:
-            print(report.summary())
     return reports
 
 

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria that evaluate
 behaviour on MovieLens 100K skip with instructions when the dataset is not
-available; everything else is self-contained.
+available; everything else is self-contained. Criteria 3-5 also run, with
+the same thresholds, on synthetic ratings of MovieLens 100K's shape.
 """
 
 import time
@@ -22,6 +23,7 @@ from fairrec import (
     greedy_rerank,
     load_ratings,
     overlap_similarity,
+    parse_ratings,
     predict_knn,
     random_rerank,
     run_sweep,
@@ -55,7 +57,7 @@ def test_criterion_1_baseline_identity(tmp_path):
             data=data, predictor=predictor, post="none", k=5,
             out=tmp_path / predictor,
         )
-        report = run_sweep(cfg, quiet=True)[0]
+        report = run_sweep(cfg)[0]
         assert report.score_disparity == 0.0
         assert report.recommendation_disparity == 0.0
     elapsed = time.monotonic() - start
@@ -136,7 +138,7 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
         data=data, predictor="knn", post="greedy", k=5,
         out=tmp_path / "sweep",
     )
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
 
@@ -153,6 +155,62 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
         f"agg {baseline.aggregate_diversity:.3f}->{endpoint.aggregate_diversity:.3f}, "
         f"D_S={endpoint.score_disparity:.3f}, D_R={endpoint.recommendation_disparity:.3f}, "
         f"{elapsed:.0f}s",
+    )
+
+
+@pytest.fixture(scope="module")
+def synthetic_knn():
+    """KNN scores of ML-100K-shaped synthetic ratings, for criteria 3-5 without MovieLens."""
+    dataset = parse_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
+    return predict_knn(dataset, candidate_sets(dataset, min_size=5))
+
+
+def test_criterion_3_random_expectation_synthetic(synthetic_knn):
+    top = top_k(synthetic_knn, 5)
+    sims = [
+        overlap_similarity(random_rerank(synthetic_knn, RandomParams(ell=50, seed=seed), 5), top)
+        for seed in range(20)
+    ]
+    mean = float(np.concatenate(sims).mean())
+    assert mean == approx(0.10, abs=0.02)
+    _announce(3, "mean overlap equals k/l", f"synthetic, mean={mean:.4f} over 20 seeds")
+
+
+def test_criterion_4_greedy_structure_synthetic(synthetic_knn):
+    graph = synthetic_knn
+    top5 = top_k(graph, 5)
+    base_pool = np.unique(top5.lists).size
+    feasible = greedy_rerank(graph, top5, GreedyParams(theta=graph.n_items)).achieved_increase
+    reports = []
+    for theta in (10, 100, 200, 500, 1000):
+        result = greedy_rerank(graph, top5, GreedyParams(theta=theta))
+        assert result.achieved_increase == min(theta, feasible)
+        assert np.unique(result.recommendations.lists).size == base_pool + result.achieved_increase
+        reports.append(disparity_report(graph, result.recommendations, top5,
+                                        predictor="knn", post="greedy", param=theta))
+    for metric in ("aggregate_diversity", "score_disparity", "recommendation_disparity"):
+        values = [getattr(r, metric) for r in reports]
+        assert values == sorted(values), metric
+    _announce(4, "greedy increases are exact and disparities monotone",
+              f"synthetic, feasible={feasible}")
+
+
+def test_criterion_5_diversity_disparity_trend_synthetic(synthetic_knn):
+    graph = synthetic_knn
+    top = top_k(graph, 5)
+    baseline = disparity_report(graph, top, top, predictor="knn", post="none", param=0)
+    result = greedy_rerank(graph, top, GreedyParams(theta=1000))
+    endpoint = disparity_report(graph, result.recommendations, top,
+                                predictor="knn", post="greedy", param=1000)
+    assert baseline.aggregate_diversity <= 0.05
+    assert endpoint.aggregate_diversity >= 0.40
+    assert endpoint.recommendation_disparity >= 0.08
+    assert endpoint.score_disparity >= 0.01
+    _announce(
+        5,
+        "diversity/disparity trend reproduced",
+        f"synthetic, agg {baseline.aggregate_diversity:.3f}->{endpoint.aggregate_diversity:.3f}, "
+        f"D_S={endpoint.score_disparity:.3f}, D_R={endpoint.recommendation_disparity:.3f}",
     )
 
 
@@ -205,7 +263,7 @@ def test_criterion_7_determinism(tmp_path):
             data=data, predictor="knn", post="random", k=5, seed=17,
             ell=(10, 50), out=out, svg=True,
         )
-        run_sweep(cfg, quiet=True)
+        run_sweep(cfg)
         blobs.append(
             {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
         )

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,9 +106,17 @@ def test_parse_then_map_back_round_trip(synthetic_dataset):
     assert d.n_items == len({i for _, i, _ in triples})
 
 
+def test_user_and_item_counts_are_the_id_array_sizes(synthetic_dataset):
+    d = synthetic_dataset
+    assert not {"n_users", "n_items"} & {f.name for f in fields(d)}  # nothing to disagree with
+    assert (d.n_users, d.n_items) == (d.user_ids.size, d.item_ids.size)
+
+
 def test_fingerprint_changes_with_any_rating_or_raw_id():
     lines = ["1 10 4 0\n", "2 10 3 0\n", "2 20 5 0\n"]
     digest = parse_ratings(lines).fingerprint()
+    # the score cache's file name is keyed on this digest, so it must not drift
+    assert digest == "d332e6c4a83f3886db1d69c4d6a77e1e4381003e3d9b2c3578a36a8b9a7a6729"
     assert parse_ratings(list(lines)).fingerprint() == digest
     for changed in (["1 10 5 0\n"] + lines[1:], ["7 10 4 0\n"] + lines[1:],
                     lines[:2] + ["2 21 5 0\n"], lines[:2]):

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -69,15 +69,15 @@ def test_read_config_rejects_bad_boolean(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("cache = maybe", "config key 'cache' expects a boolean, got 'maybe'"),
     ("k = 2.5", "config key 'k' expects an integer, got '2.5'"),
-    ("threshold = high", "threshold expects a number, got 'high'"),
+    ("threshold = high", "config key 'threshold' expects a number, got 'high'"),
     ("theta = 10,x", "grid must be comma-separated integers, got '10,x'"),
     # int() and float() alone read these as 10, 3, (10, 20), (10,), 3.5 and 35
     ("k = 1_0", "config key 'k' expects an integer, got '1_0'"),
     ("seed = \u0663", "config key 'seed' expects an integer, got '\u0663'"),
     ("ell = 1_0,2_0", "grid must be comma-separated integers, got '1_0,2_0'"),
     ("theta = \uff11\uff10", "grid must be comma-separated integers, got '\uff11\uff10'"),
-    ("threshold = \uff13.5", "threshold expects a number, got '\uff13.5'"),
-    ("threshold = 3_5", "threshold expects a number, got '3_5'"),
+    ("threshold = \uff13.5", "config key 'threshold' expects a number, got '\uff13.5'"),
+    ("threshold = 3_5", "config key 'threshold' expects a number, got '3_5'"),
 ])
 def test_read_config_type_errors_name_the_bad_value(tmp_path, line, message):
     path = tmp_path / "sweep.cfg"
@@ -90,11 +90,14 @@ def test_read_config_type_errors_name_the_bad_value(tmp_path, line, message):
 @pytest.mark.parametrize("flag, value", [
     ("--k", "1_0"), ("--seed", "\u0663"), ("--threshold", "\uff13.5"), ("--threshold", "3_5"),
 ])
-def test_cli_number_flags_reject_separators_and_non_ascii_digits(flag, value, capsys):
-    with pytest.raises(SystemExit):
-        _build_parser().parse_args(["run", flag, value])
-    kind = "float" if flag == "--threshold" else "int"
-    assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+def test_cli_number_flags_reject_separators_and_non_ascii_digits(flag, value, tmp_path, capsys):
+    # a flag value is read exactly as the same config file value is
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError) as info:
+        read_config_file(path)
+    assert main(["run", flag, value, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"fairrec: error: {info.value}\n"
 
 
 @pytest.mark.parametrize("flag", ["--ell", "--theta"])
@@ -129,7 +132,7 @@ def test_build_config_reads_string_keywords_as_config_values(synthetic_file, tmp
                          threshold="3.0", per_user="true", out=str(tmp_path / "texts"))
     assert texts == replace(typed, out=tmp_path / "texts")
     for cfg in (typed, texts):
-        run_sweep(cfg, quiet=True)
+        run_sweep(cfg)
     files = sorted(p.name for p in typed.out.iterdir())
     assert files == sorted(p.name for p in texts.out.iterdir())
     assert all((typed.out / f).read_bytes() == (texts.out / f).read_bytes() for f in files)
@@ -170,7 +173,7 @@ def test_each_setting_has_one_name(field, tmp_path, monkeypatch):
     assert from_file != field.default
 
     captured = []
-    monkeypatch.setattr("fairrec.cli.run_sweep", captured.append)
+    monkeypatch.setattr("fairrec.cli.run_sweep", lambda cfg: captured.append(cfg) or [])
     assert main(["run", "--config", str(path)]) == 0
     assert captured == [SweepConfig(**{field.name: from_file})]
     if field.name in vars(_build_parser().parse_args(["run"])):
@@ -212,10 +215,42 @@ def test_config_validation_errors():
     SweepConfig(post="greedy", ell=(0,)).validate()
 
 
+WRONG_TYPES = [
+    ("k", True, "config key 'k' expects an integer, got True"),
+    ("k", 2.7, "config key 'k' expects an integer, got 2.7"),
+    ("seed", 1.0, "config key 'seed' expects an integer, got 1.0"),
+    ("ell", (10, "x"), "config key 'ell' expects a tuple of integers, got (10, 'x')"),
+    ("ell", [10, 50], "config key 'ell' expects a tuple of integers, got [10, 50]"),
+    ("out", "r", "config key 'out' expects a path, got 'r'"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", WRONG_TYPES,
+                         ids=[f"{field}={value!r}" for field, value, _ in WRONG_TYPES])
+def test_config_rejects_a_value_of_the_wrong_type(field, value, message):
+    with pytest.raises(InvalidInputError) as info:
+        SweepConfig(**{field: value})
+    assert str(info.value) == message
+    if isinstance(value, str):  # build_config reads a string keyword as config file text
+        assert build_config(**{field: value}) == SweepConfig(**{field: Path(value)})
+    else:
+        with pytest.raises(InvalidInputError) as info:
+            build_config(**{field: value})
+        assert str(info.value) == message
+
+
+def test_config_takes_an_integer_threshold_and_cannot_change():
+    cfg = build_config(threshold=4)
+    assert cfg == SweepConfig(threshold=4)
+    with pytest.raises(FrozenInstanceError):
+        cfg.k = 3
+
+
 # --------------------------------------------------------------- sweep ----
 
-def test_baseline_run_has_zero_disparity(synthetic_file, tmp_path):
-    reports = run_sweep(small_cfg(synthetic_file, tmp_path / "out"), quiet=True)
+def test_baseline_run_has_zero_disparity(synthetic_file, tmp_path, capsys):
+    reports = run_sweep(small_cfg(synthetic_file, tmp_path / "out"))
+    assert capsys.readouterr().out == ""  # only the CLI prints the summaries
     assert len(reports) == 1
     baseline = reports[0]
     assert baseline.post == "none"
@@ -229,7 +264,7 @@ def test_baseline_run_has_zero_disparity(synthetic_file, tmp_path):
 
 def test_random_with_ell_equal_k_matches_baseline(synthetic_file, tmp_path):
     cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell=(3,))
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     baseline, point = reports
     assert point.aggregate_diversity == baseline.aggregate_diversity
     assert point.score_disparity == 0.0
@@ -238,7 +273,7 @@ def test_random_with_ell_equal_k_matches_baseline(synthetic_file, tmp_path):
 
 def test_random_grid_emits_one_report_per_point(synthetic_file, tmp_path):
     cfg = small_cfg(synthetic_file, tmp_path / "out", post="random")
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     assert [r.param for r in reports] == [0, 4, 8]
     assert all(r.post == "random" for r in reports[1:])
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
@@ -247,7 +282,7 @@ def test_random_grid_emits_one_report_per_point(synthetic_file, tmp_path):
 
 def test_greedy_grid_reports_achieved_increase(synthetic_file, tmp_path):
     cfg = small_cfg(synthetic_file, tmp_path / "out", post="greedy", theta=(1, 4, 1000))
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     assert reports[0].achieved is None
     greedy = reports[1:]
     assert [r.param for r in greedy] == [1, 4, 1000]
@@ -265,7 +300,7 @@ def test_greedy_sweep_regression_lock(synthetic_file, tmp_path):
     cfg = small_cfg(
         synthetic_file, tmp_path / "out", post="greedy", theta=(1, 4, 50), seed=9
     )
-    run_sweep(cfg, quiet=True)
+    run_sweep(cfg)
     assert (tmp_path / "out" / "results.csv").read_text() == (
         "predictor,post,param,k,agg_div,d_s,d_r\n"
         "knn,none,0,3,0.262500,0.000000,0.000000\n"
@@ -279,7 +314,7 @@ def test_random_sweep_regression_lock(synthetic_file, tmp_path):
     # exact outputs frozen from the per-user-loop implementation of Random;
     # ell=60 exceeds some users' candidate counts, so their draw is truncated
     cfg = small_cfg(synthetic_file, tmp_path / "out", post="random", ell=(3, 8, 60), seed=9)
-    run_sweep(cfg, quiet=True)
+    run_sweep(cfg)
     assert (tmp_path / "out" / "results.csv").read_text() == (
         "predictor,post,param,k,agg_div,d_s,d_r\n"
         "knn,none,0,3,0.262500,0.000000,0.000000\n"
@@ -294,12 +329,12 @@ def test_nmf_sweep_with_cache(synthetic_file, tmp_path):
     cfg = small_cfg(
         synthetic_file, out, predictor="nmf", post="random", ell=(4,), cache=True
     )
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     assert len(list(out.glob("scores_nmf_*.npy"))) == 1
     assert reports[0].predictor == "nmf"
     assert reports[0].score_disparity == 0.0
     first = (out / "results.csv").read_bytes()
-    run_sweep(cfg, quiet=True)
+    run_sweep(cfg)
     assert (out / "results.csv").read_bytes() == first
 
 
@@ -314,7 +349,7 @@ def test_sweep_when_no_user_has_neighbors(tmp_path):
         data=data, predictor="knn", post="random", k=2, ell=(3,),
         seed=0, out=tmp_path / "out",
     )
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
     assert len(reports) == 2
     assert reports[0].score_disparity == 0.0
     assert reports[0].recommendation_disparity == 0.0
@@ -325,7 +360,7 @@ def test_sweep_is_deterministic_byte_for_byte(synthetic_file, tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         cfg = small_cfg(synthetic_file, out, post="random", svg=True, per_user=True)
-        run_sweep(cfg, quiet=True)
+        run_sweep(cfg)
         files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         outputs.append({str(p): (out / p).read_bytes() for p in files})
     assert outputs[0].keys() == outputs[1].keys()
@@ -336,18 +371,18 @@ def test_sweep_is_deterministic_byte_for_byte(synthetic_file, tmp_path):
 def test_sweep_cache_round_trip_is_stable(synthetic_file, tmp_path):
     out = tmp_path / "out"
     cfg = small_cfg(synthetic_file, out, post="greedy", cache=True)
-    run_sweep(cfg, quiet=True)
+    run_sweep(cfg)
     assert len(list(out.glob("scores_knn_*.npy"))) == 1
     first = (out / "results.csv").read_bytes()
 
-    run_sweep(cfg, quiet=True)  # warm: loads the cache instead of refitting
+    run_sweep(cfg)  # warm: loads the cache instead of refitting
     assert (out / "results.csv").read_bytes() == first
 
 
 def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path, monkeypatch):
     def outputs(out, **kw):
         cfg = small_cfg(synthetic_file, out, predictor="nmf", post="greedy", per_user=True, **kw)
-        run_sweep(cfg, quiet=True)
+        run_sweep(cfg)
         return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.startswith("scores_")}
 
     fresh = outputs(tmp_path / "fresh", cache=True)
@@ -367,7 +402,7 @@ def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path
 def test_per_user_files_written(synthetic_file, tmp_path):
     out = tmp_path / "out"
     cfg = small_cfg(synthetic_file, out, post="random", ell=(4,), per_user=True)
-    run_sweep(cfg, quiet=True)
+    run_sweep(cfg)
     baseline = out / "per_user__none__0.csv"
     point = out / "per_user__random__4.csv"
     assert baseline.read_text().splitlines()[0] == "user,satisfaction,overlap"
@@ -376,7 +411,7 @@ def test_per_user_files_written(synthetic_file, tmp_path):
 
 def test_emit_plot_data_row_counts(synthetic_file, tmp_path):
     cfg = small_cfg(synthetic_file, tmp_path / "runa", post="random")
-    reports = run_sweep(cfg, quiet=True)
+    reports = run_sweep(cfg)
 
     single = emit_plot_data(reports[:1], tmp_path / "one")
     rows = [
@@ -403,7 +438,7 @@ def test_emit_plot_data_row_counts(synthetic_file, tmp_path):
 
 def test_emit_plot_data_rejects_reports_of_two_sweeps(synthetic_file, tmp_path):
     # one file per metric is named for one predictor and one post-processor
-    reports = run_sweep(small_cfg(synthetic_file, tmp_path / "run", post="random"), quiet=True)
+    reports = run_sweep(small_cfg(synthetic_file, tmp_path / "run", post="random"))
     for other in (replace(reports[1], predictor="nmf"), replace(reports[1], post="greedy")):
         with pytest.raises(InvalidInputError, match="one predictor, one post-processor"):
             emit_plot_data(reports + [other], tmp_path / "mixed")
@@ -421,6 +456,7 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file)]) == 0
     assert (out / "results.csv").exists()
     stdout = capsys.readouterr().out
+    assert len(stdout.splitlines()) == 3  # one summary line per report
     assert "agg_div=" in stdout
     assert "D_S=" in stdout
 
