@@ -34,7 +34,6 @@ from .reranking import (
     GreedyParams,
     GreedyRerankResult,
     RandomParams,
-    RecommendationSet,
     greedy_rerank,
     random_rerank,
     top_k,
@@ -58,7 +57,6 @@ __all__ = [
     "RatingParseError",
     "RatingRangeError",
     "RatingsDataset",
-    "RecommendationSet",
     "ScoreGraph",
     "SweepConfig",
     "aggregate_diversity",

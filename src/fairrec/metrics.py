@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .dataset import RatingsDataset
 from .errors import InvalidInputError
 from .predictors import ScoreGraph
-from .reranking import RecommendationSet
 
 
 def gini(values) -> float:
@@ -41,14 +40,15 @@ def gini(values) -> float:
     return max(0.0, float(ranks @ np.sort(x)) / (n * total))
 
 
-def satisfaction(
-    graph: ScoreGraph, recs: RecommendationSet, top: RecommendationSet
-) -> np.ndarray:
-    """Per-user ratio of served score mass to top-k score mass, in (0, 1]."""
+def satisfaction(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per-user ratio of served score mass to top-k score mass, in (0, 1].
+
+    ``recs`` and ``top`` are (n_users, k) arrays of dense item ids.
+    """
     _check_aligned(recs, top, graph.n_users)
     users = np.arange(graph.n_users)[:, None]
-    achieved = graph.lookup(users, recs.lists).sum(axis=1)
-    best = graph.lookup(users, top.lists).sum(axis=1)
+    achieved = graph.lookup(users, recs).sum(axis=1)
+    best = graph.lookup(users, top).sum(axis=1)
     nonpositive = np.flatnonzero(best <= 0.0)
     if nonpositive.size:
         raise InvalidInputError(
@@ -58,18 +58,18 @@ def satisfaction(
     return achieved / best
 
 
-def overlap_similarity(recs: RecommendationSet, top: RecommendationSet) -> np.ndarray:
+def overlap_similarity(recs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Per-user |served intersect top-k| / k, a multiple of 1/k in [0, 1]."""
-    _check_aligned(recs, top, recs.n_users)
-    common = (recs.lists[:, :, None] == top.lists[:, None, :]).any(axis=2).sum(axis=1)
-    return common / recs.k
+    _check_aligned(recs, top, len(recs))
+    common = (recs[:, :, None] == top[:, None, :]).any(axis=2).sum(axis=1)
+    return common / recs.shape[1]
 
 
-def _check_aligned(recs: RecommendationSet, top: RecommendationSet, n_users: int) -> None:
-    if recs.k != top.k:
-        raise InvalidInputError(f"list sizes differ: {recs.k} vs {top.k}")
-    if recs.n_users != n_users or top.n_users != n_users:
-        raise InvalidInputError("user sets differ between recommendation sets")
+def _check_aligned(recs: np.ndarray, top: np.ndarray, n_users: int) -> None:
+    if recs.ndim != 2 or recs.shape != top.shape or recs.shape[0] != n_users or recs.shape[1] < 1:
+        raise InvalidInputError(
+            f"lists must both be ({n_users}, k) arrays with k >= 1, got {recs.shape} and {top.shape}"
+        )
 
 
 def score_disparity(satisfaction_vector) -> float:
@@ -82,11 +82,14 @@ def recommendation_disparity(overlap_vector) -> float:
     return gini(overlap_vector)
 
 
-def aggregate_diversity(recs: RecommendationSet, n_items: int) -> float:
+def aggregate_diversity(recs: np.ndarray, n_items: int) -> float:
     """Fraction of the catalog recommended to at least one user."""
     if n_items < 1:
         raise InvalidInputError("n_items must be >= 1")
-    return np.unique(recs.lists).size / n_items
+    items = np.unique(recs)
+    if items.size and (items[0] < 0 or items[-1] >= n_items):
+        raise InvalidInputError(f"item ids must lie in [0, {n_items})")
+    return items.size / n_items
 
 
 @dataclass
@@ -125,22 +128,22 @@ class DisparityReport:
 
 def disparity_report(
     graph: ScoreGraph,
-    recs: RecommendationSet,
-    top: RecommendationSet,
+    recs: np.ndarray,
+    top: np.ndarray,
     *,
     predictor: str,
     post: str,
     param: int,
     achieved: int | None = None,
 ) -> DisparityReport:
-    """Measure one recommendation set against its top-k reference."""
+    """Measure one (n_users, k) list array against its top-k reference."""
     a = satisfaction(graph, recs, top)
     sim = overlap_similarity(recs, top)
     return DisparityReport(
         predictor=predictor,
         post=post,
         param=param,
-        k=recs.k,
+        k=recs.shape[1],
         aggregate_diversity=aggregate_diversity(recs, graph.n_items),
         score_disparity=score_disparity(a),
         recommendation_disparity=recommendation_disparity(sim),
@@ -153,27 +156,19 @@ def disparity_report(
 RESULTS_HEADER = "predictor,post,param,k,agg_div,d_s,d_r"
 
 
-def _write_lines(destination: str | Path | IO[str], lines: Iterable[str]) -> None:
-    """Write text lines to a path (ASCII, newlines untranslated) or an open stream."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(lines)
-    else:
-        destination.writelines(lines)
+def write_results_csv(reports: Iterable[DisparityReport], destination: str | Path) -> None:
+    """``RESULTS_HEADER``, then one row per report (ASCII, newlines untranslated)."""
+    with open(destination, "w", encoding="ascii", newline="") as handle:
+        handle.writelines([RESULTS_HEADER + "\n"] + [r.csv_row() + "\n" for r in reports])
 
 
-def write_results_csv(reports: Iterable[DisparityReport], destination: str | Path | IO[str]) -> None:
-    _write_lines(destination, [RESULTS_HEADER + "\n"] + [r.csv_row() + "\n" for r in reports])
-
-
-def write_per_user_csv(
-    report: DisparityReport, destination: str | Path | IO[str], dataset: RatingsDataset
-) -> None:
+def write_per_user_csv(report: DisparityReport, destination: str | Path, dataset: RatingsDataset) -> None:
     """Per-user breakdown as ``user,satisfaction,overlap``, users by raw id."""
     lines = ["user,satisfaction,overlap\n"]
     for u, raw in enumerate(dataset.user_ids):
         lines.append(f"{raw},{report.satisfaction[u]:.6f},{report.overlap[u]:.6f}\n")
-    _write_lines(destination, lines)
+    with open(destination, "w", encoding="ascii", newline="") as handle:
+        handle.writelines(lines)
 
 
 def as_percent(fraction: float) -> str:

@@ -1,7 +1,9 @@
 """Top-k list construction and the two diversity post-processors.
 
-Lists are always ordered by descending score with ties broken by ascending
-item id. That order is computed once per score graph (``ScoreGraph.ranked``,
+A list set is one ``(n_users, k)`` int64 array of dense item ids, row u
+holding user u's k distinct candidates; k is always its second dimension.
+Each row is ordered by descending score with ties broken by ascending item
+id. That order is computed once per score graph (``ScoreGraph.ranked``,
 one stable row-wise sort of the score matrix) and shared by every grid
 point: top-k is its first k columns, and Random gathers its draws from it.
 Random draws k items uniformly from each user's top-l list using a per-user
@@ -55,24 +57,14 @@ class GreedyParams:
 
 
 @dataclass
-class RecommendationSet:
-    """Exactly k distinct candidate items per user, highest score first."""
-
-    k: int
-    lists: np.ndarray  # (n_users, k) dense item ids
-
-    @property
-    def n_users(self) -> int:
-        return self.lists.shape[0]
-
-
-@dataclass
 class GreedyRerankResult:
-    recommendations: RecommendationSet
+    recommendations: np.ndarray  # (n_users, k) dense item ids
     achieved_increase: int
 
 
 def _require_candidates(graph: ScoreGraph, k: int) -> None:
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
     if np.any(graph.n_candidates < k):
         u = np.argmax(graph.n_candidates < k)  # the first such user
         raise CandidateShortfallError(
@@ -80,16 +72,16 @@ def _require_candidates(graph: ScoreGraph, k: int) -> None:
         )
 
 
-def top_k(graph: ScoreGraph, k: int) -> RecommendationSet:
-    """The k highest-scored candidates per user."""
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
+    """The k highest-scored candidates per user, as an (n_users, k) array in list order."""
     _require_candidates(graph, k)
-    return RecommendationSet(k=k, lists=graph.ranked[:, :k].copy())
+    return graph.ranked[:, :k].copy()
 
 
-def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> RecommendationSet:
+def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> np.ndarray:
     """Sample k items uniformly without replacement from each user's top-l.
+
+    Returns an (n_users, k) array, each row in list order.
 
     l is truncated to the candidate count for users with fewer than l
     candidates. The draw for user u comes from the (seed, u) substream, so
@@ -102,14 +94,15 @@ def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> Recommenda
     for u, limit in enumerate(np.minimum(params.ell, graph.n_candidates).tolist()):
         ranks[u] = np.random.default_rng([params.seed, u]).choice(limit, size=k, replace=False)
     ranks.sort(axis=1)
-    lists = np.take_along_axis(graph.ranked, ranks, axis=1)
-    return RecommendationSet(k=k, lists=lists)
+    return np.take_along_axis(graph.ranked, ranks, axis=1)
 
 
-def greedy_rerank(
-    graph: ScoreGraph, base: RecommendationSet, params: GreedyParams
-) -> GreedyRerankResult:
+def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> GreedyRerankResult:
     """Raise the number of distinct recommended items by up to theta.
+
+    ``base`` is an (n_users, k) array of lists; the result's
+    ``recommendations`` is a new array of the same shape, each row in list
+    order.
 
     Moves are (user, item) pairs with the item outside the current pool and
     a score of at least the threshold, tried in order of descending score
@@ -128,12 +121,12 @@ def greedy_rerank(
     the heap pops exactly the live moves of the fully sorted move list, in
     its order, and skips none that could apply.
     """
-    if base.n_users != graph.n_users:
+    if base.ndim != 2 or len(base) != graph.n_users:
         raise InvalidInputError("base recommendations do not match the score graph")
-    k = base.k
-    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base.lists).tolist()
-    counts = np.bincount(base.lists.ravel(), minlength=graph.n_items)
-    current = base.lists.tolist()
+    k = base.shape[1]
+    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base).tolist()
+    counts = np.bincount(base.ravel(), minlength=graph.n_items)
+    current = base.tolist()
     counts_list = counts.tolist()
 
     matrix, ranked_users, threshold = graph.matrix, graph.ranked_users, params.threshold
@@ -179,4 +172,4 @@ def greedy_rerank(
 
     items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
     lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
-    return GreedyRerankResult(RecommendationSet(k=k, lists=lists), achieved_increase=achieved)
+    return GreedyRerankResult(lists, achieved_increase=achieved)

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria that evaluate
 behaviour on MovieLens 100K skip with instructions when the dataset is not
 available; everything else is self-contained. Criteria 3-5 also run, with
-the same thresholds, on synthetic ratings of MovieLens 100K's shape.
+the same thresholds, on synthetic ratings of MovieLens 100K's shape:
+criteria 3 and 4 with both predictors, criterion 5 with KNN as the paper's
+experiment states it.
 """
 
 import time
@@ -15,7 +17,6 @@ from pytest import approx
 from fairrec import (
     GreedyParams,
     RandomParams,
-    RecommendationSet,
     SweepConfig,
     candidate_sets,
     disparity_report,
@@ -25,6 +26,7 @@ from fairrec import (
     overlap_similarity,
     parse_ratings,
     predict_knn,
+    predict_nmf,
     random_rerank,
     run_sweep,
     satisfaction,
@@ -108,7 +110,7 @@ def test_criterion_3_random_expectation(ml_knn):
 def test_criterion_4_greedy_structure(ml_knn):
     _, _, graph = ml_knn
     top5 = top_k(graph, 5)
-    base_pool = np.unique(top5.lists).size
+    base_pool = np.unique(top5).size
     feasible = greedy_rerank(
         graph, top5, GreedyParams(theta=graph.n_items)
     ).achieved_increase
@@ -117,7 +119,7 @@ def test_criterion_4_greedy_structure(ml_knn):
     for theta in (10, 100, 200, 500, 1000):
         result = greedy_rerank(graph, top5, GreedyParams(theta=theta))
         assert result.achieved_increase == min(theta, feasible)
-        assert np.unique(result.recommendations.lists).size == base_pool + result.achieved_increase
+        assert np.unique(result.recommendations).size == base_pool + result.achieved_increase
         report = disparity_report(
             graph, result.recommendations, top5,
             predictor="knn", post="greedy", param=theta,
@@ -159,40 +161,67 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def synthetic_knn():
-    """KNN scores of ML-100K-shaped synthetic ratings, for criteria 3-5 without MovieLens."""
+def synthetic_ratings():
+    """ML-100K-shaped synthetic ratings and their candidates, for criteria 3-5 without MovieLens."""
     dataset = parse_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
-    return predict_knn(dataset, candidate_sets(dataset, min_size=5))
+    return dataset, candidate_sets(dataset, min_size=5)
 
 
-def test_criterion_3_random_expectation_synthetic(synthetic_knn):
-    top = top_k(synthetic_knn, 5)
+@pytest.fixture(scope="module")
+def synthetic_knn(synthetic_ratings):
+    return predict_knn(*synthetic_ratings)
+
+
+@pytest.fixture(scope="module")
+def synthetic_nmf(synthetic_ratings):
+    return predict_nmf(*synthetic_ratings)
+
+
+@pytest.fixture(params=["knn", "nmf"])
+def synthetic_graph(request):
+    """(predictor, scores) of the synthetic ratings, once per predictor."""
+    return request.param, request.getfixturevalue(f"synthetic_{request.param}")
+
+
+def test_criterion_3_random_expectation_synthetic(synthetic_graph):
+    predictor, graph = synthetic_graph
+    top = top_k(graph, 5)
     sims = [
-        overlap_similarity(random_rerank(synthetic_knn, RandomParams(ell=50, seed=seed), 5), top)
+        overlap_similarity(random_rerank(graph, RandomParams(ell=50, seed=seed), 5), top)
         for seed in range(20)
     ]
     mean = float(np.concatenate(sims).mean())
     assert mean == approx(0.10, abs=0.02)
-    _announce(3, "mean overlap equals k/l", f"synthetic, mean={mean:.4f} over 20 seeds")
+    _announce(3, "mean overlap equals k/l", f"synthetic {predictor}, mean={mean:.4f} over 20 seeds")
 
 
-def test_criterion_4_greedy_structure_synthetic(synthetic_knn):
-    graph = synthetic_knn
+def test_random_overlap_depends_only_on_drawn_ranks(synthetic_knn, synthetic_nmf):
+    # overlap counts drawn rank positions below k, whatever the scores behind them
+    params = RandomParams(ell=50, seed=3)
+    knn, nmf = (
+        overlap_similarity(random_rerank(graph, params, 5), top_k(graph, 5))
+        for graph in (synthetic_knn, synthetic_nmf)
+    )
+    assert np.array_equal(knn, nmf)
+
+
+def test_criterion_4_greedy_structure_synthetic(synthetic_graph):
+    predictor, graph = synthetic_graph
     top5 = top_k(graph, 5)
-    base_pool = np.unique(top5.lists).size
+    base_pool = np.unique(top5).size
     feasible = greedy_rerank(graph, top5, GreedyParams(theta=graph.n_items)).achieved_increase
     reports = []
     for theta in (10, 100, 200, 500, 1000):
         result = greedy_rerank(graph, top5, GreedyParams(theta=theta))
         assert result.achieved_increase == min(theta, feasible)
-        assert np.unique(result.recommendations.lists).size == base_pool + result.achieved_increase
+        assert np.unique(result.recommendations).size == base_pool + result.achieved_increase
         reports.append(disparity_report(graph, result.recommendations, top5,
-                                        predictor="knn", post="greedy", param=theta))
+                                        predictor=predictor, post="greedy", param=theta))
     for metric in ("aggregate_diversity", "score_disparity", "recommendation_disparity"):
         values = [getattr(r, metric) for r in reports]
         assert values == sorted(values), metric
     _announce(4, "greedy increases are exact and disparities monotone",
-              f"synthetic, feasible={feasible}")
+              f"synthetic {predictor}, feasible={feasible}")
 
 
 def test_criterion_5_diversity_disparity_trend_synthetic(synthetic_knn):
@@ -221,8 +250,8 @@ def test_criterion_6_small_instance_oracle():
         for threshold in (3.5, 4.5):
             for theta in (1, 2, graph.n_items):
                 result = greedy_rerank(graph, base, GreedyParams(theta=theta, threshold=threshold))
-                lists, achieved = greedy_rescan(graph, base.lists, k, theta, threshold)
-                assert result.recommendations.lists.tolist() == lists
+                lists, achieved = greedy_rescan(graph, base, k, theta, threshold)
+                assert result.recommendations.tolist() == lists
                 assert result.achieved_increase == achieved
                 checked += 1
     assert checked >= 500
@@ -230,18 +259,18 @@ def test_criterion_6_small_instance_oracle():
     # hand-worked satisfaction and overlap values
     graph = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0), (3, 1.0)]], 4)
     top2 = top_k(graph, 2)
-    served = RecommendationSet(k=2, lists=np.array([[1, 2]]))
+    served = np.array([[1, 2]])
     assert satisfaction(graph, served, top2)[0] == approx(7 / 9, abs=1e-12)
     assert overlap_similarity(served, top2)[0] == approx(0.5, abs=1e-12)
     top1 = top_k(graph, 1)
-    served1 = RecommendationSet(k=1, lists=np.array([[3]]))
+    served1 = np.array([[3]])
     assert satisfaction(graph, served1, top1)[0] == approx(0.2, abs=1e-12)
 
     # hand-worked greedy replacement
     wg = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 1.0)], [(0, 5.0), (1, 2.0)]], 3)
     base = top_k(wg, 1)
     moved = greedy_rerank(wg, base, GreedyParams(theta=1, threshold=3.5))
-    assert moved.recommendations.lists.tolist() == [[1], [0]]
+    assert moved.recommendations.tolist() == [[1], [0]]
     assert moved.achieved_increase == 1
     blocked = greedy_rerank(wg, base, GreedyParams(theta=1, threshold=4.5))
     assert blocked.achieved_increase == 0

@@ -11,7 +11,6 @@ from fairrec import (
     NmfParams,
     RandomParams,
     RatingsDataset,
-    RecommendationSet,
     ScoreGraph,
     save_score_cache,
 )
@@ -32,12 +31,13 @@ def test_every_exported_name_resolves():
 
 # names no pipeline path, CLI flag or benchmark hook read, removed from the API
 REMOVED = {
-    fairrec: {"CandidateSets", "write_ratings"},
+    fairrec: {"CandidateSets", "write_ratings", "RecommendationSet"},
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
+    fairrec.reranking: {"RecommendationSet"},
+    fairrec.metrics: {"RecommendationSet", "_write_lines"},
     ScoreGraph: {"from_pairs", "scores", "provenance"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
-    RecommendationSet: {"provenance"},
     RandomParams: {"tag"},
     GreedyParams: {"tag"},
 }

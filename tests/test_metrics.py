@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from pytest import approx
 from fairrec import (
     DisparityReport,
     InvalidInputError,
-    RecommendationSet,
     aggregate_diversity,
     disparity_report,
     gini,
@@ -105,8 +103,8 @@ def _single_user_graph():
 def test_satisfaction_hand_values():
     graph = _single_user_graph()
     top = top_k(graph, 2)
-    assert top.lists.tolist() == [[0, 1]]
-    served = RecommendationSet(k=2, lists=np.array([[1, 2]]))
+    assert top.tolist() == [[0, 1]]
+    served = np.array([[1, 2]])
     # (4 + 3) / (5 + 4)
     assert satisfaction(graph, served, top)[0] == approx(7 / 9, abs=1e-12)
 
@@ -114,7 +112,7 @@ def test_satisfaction_hand_values():
 def test_satisfaction_k1_hand_value():
     graph = _single_user_graph()
     top = top_k(graph, 1)
-    served = RecommendationSet(k=1, lists=np.array([[3]]))
+    served = np.array([[3]])
     assert satisfaction(graph, served, top)[0] == approx(0.2, abs=1e-12)
 
 
@@ -130,15 +128,34 @@ def test_satisfaction_rejects_mismatched_inputs():
     graph = _single_user_graph()
     top = top_k(graph, 2)
     with pytest.raises(InvalidInputError):
-        satisfaction(graph, RecommendationSet(k=1, lists=np.array([[0]])), top)
+        satisfaction(graph, np.array([[0]]), top)
     with pytest.raises(InvalidInputError):
-        satisfaction(graph, RecommendationSet(k=2, lists=np.array([[0, 1], [0, 1]])), top)
+        satisfaction(graph, np.array([[0, 1], [0, 1]]), top)
+
+
+@pytest.mark.parametrize(
+    "recs, top",
+    [
+        (np.array([[0, 1]]), np.array([[0, 1, 2]])),  # widths differ
+        (np.array([0, 1]), np.array([0, 1])),  # not 2-D
+        (np.empty((1, 0), dtype=np.int64), np.empty((1, 0), dtype=np.int64)),  # k = 0
+    ],
+    ids=["width", "rank", "empty"],
+)
+def test_misshapen_lists_are_rejected(recs, top):
+    graph = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0)]], 3)
+    with pytest.raises(InvalidInputError):
+        satisfaction(graph, recs, top)
+    with pytest.raises(InvalidInputError):
+        overlap_similarity(recs, top)
+    with pytest.raises(InvalidInputError):
+        disparity_report(graph, recs, top, predictor="knn", post="none", param=0)
 
 
 def test_satisfaction_rejects_nonpositive_top_mass():
     # a foreign graph with zero scores bypasses the clamping contract
     graph = graph_from_pairs([[(0, 0.0), (1, 0.0)]], 2)
-    lists = RecommendationSet(k=1, lists=np.array([[0]]))
+    lists = np.array([[0]])
     with pytest.raises(InvalidInputError):
         satisfaction(graph, lists, lists)
 
@@ -183,10 +200,10 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
     top = top_k(graph, k)
     served = random_rerank(graph, RandomParams(ell=30, seed=k), k)
     sat = [
-        float(graph.lookup(u, served.lists[u]).sum()) / float(graph.lookup(u, top.lists[u]).sum())
+        float(graph.lookup(u, served[u]).sum()) / float(graph.lookup(u, top[u]).sum())
         for u in range(graph.n_users)
     ]
-    common = [len(set(served.lists[u].tolist()) & set(top.lists[u].tolist())) for u in range(20)]
+    common = [len(set(served[u].tolist()) & set(top[u].tolist())) for u in range(20)]
     assert satisfaction(graph, served, top).tolist() == sat
     assert overlap_similarity(served, top).tolist() == [c / k for c in common]
 
@@ -194,30 +211,30 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
 # ------------------------------------------------------------ overlap ----
 
 def test_overlap_identical_and_disjoint():
-    top = RecommendationSet(k=2, lists=np.array([[0, 1]]))
+    top = np.array([[0, 1]])
     assert overlap_similarity(top, top)[0] == 1.0
-    other = RecommendationSet(k=2, lists=np.array([[2, 3]]))
+    other = np.array([[2, 3]])
     assert overlap_similarity(other, top)[0] == 0.0
 
 
 def test_overlap_two_of_five():
-    top = RecommendationSet(k=5, lists=np.array([[0, 1, 2, 3, 4]]))
-    served = RecommendationSet(k=5, lists=np.array([[3, 4, 5, 6, 7]]))
+    top = np.array([[0, 1, 2, 3, 4]])
+    served = np.array([[3, 4, 5, 6, 7]])
     assert overlap_similarity(served, top)[0] == approx(0.4, abs=1e-12)
 
 
 def test_overlap_is_set_based():
-    top = RecommendationSet(k=3, lists=np.array([[0, 1, 2]]))
-    served = RecommendationSet(k=3, lists=np.array([[2, 0, 1]]))
+    top = np.array([[0, 1, 2]])
+    served = np.array([[2, 0, 1]])
     assert overlap_similarity(served, top)[0] == 1.0
 
 
 def test_overlap_one_iff_same_set():
-    top = RecommendationSet(k=2, lists=np.array([[0, 1], [0, 1]]))
-    served = RecommendationSet(k=2, lists=np.array([[1, 0], [1, 2]]))
+    top = np.array([[0, 1], [0, 1]])
+    served = np.array([[1, 0], [1, 2]])
     sims = overlap_similarity(served, top)
-    assert (sims[0] == 1.0) == (set(served.lists[0]) == set(top.lists[0]))
-    assert (sims[1] == 1.0) == (set(served.lists[1]) == set(top.lists[1]))
+    assert (sims[0] == 1.0) == (set(served[0]) == set(top[0]))
+    assert (sims[1] == 1.0) == (set(served[1]) == set(top[1]))
 
 
 def test_recommendation_disparity_two_point():
@@ -228,21 +245,24 @@ def test_recommendation_disparity_two_point():
 # ------------------------------------------------- aggregate diversity ----
 
 def test_aggregate_diversity_shared_and_full():
-    shared = RecommendationSet(k=2, lists=np.array([[0, 1], [0, 1], [1, 0]]))
+    shared = np.array([[0, 1], [0, 1], [1, 0]])
     assert aggregate_diversity(shared, 10) == approx(0.2, abs=1e-12)
-    full = RecommendationSet(k=2, lists=np.array([[0, 1], [2, 3]]))
+    full = np.array([[0, 1], [2, 3]])
     assert aggregate_diversity(full, 4) == 1.0
 
 
 def test_aggregate_diversity_monotone_under_pool_growth():
-    base = RecommendationSet(k=2, lists=np.array([[0, 1], [0, 1]]))
-    grown = RecommendationSet(k=2, lists=np.array([[0, 2], [0, 1]]))
+    base = np.array([[0, 1], [0, 1]])
+    grown = np.array([[0, 2], [0, 1]])
     assert aggregate_diversity(grown, 5) >= aggregate_diversity(base, 5)
 
 
 def test_aggregate_diversity_rejects_bad_catalog():
     with pytest.raises(InvalidInputError):
-        aggregate_diversity(RecommendationSet(k=1, lists=np.array([[0]])), 0)
+        aggregate_diversity(np.array([[0]]), 0)
+    for lists in (np.array([[0], [5]]), np.array([[0], [1]]), np.array([[-1]])):
+        with pytest.raises(InvalidInputError):
+            aggregate_diversity(lists, 1)
 
 
 # ------------------------------------------------------------- report ----
@@ -261,13 +281,12 @@ def test_disparity_report_fields_and_csv_row():
     assert report.csv_row() == "knn,none,0,2,0.666667,0.000000,0.000000"
 
 
-def test_write_results_csv_header():
+def test_write_results_csv_header(tmp_path):
     graph = graph_from_pairs([[(0, 5.0), (1, 4.0)]], 2)
     top = top_k(graph, 1)
     report = disparity_report(graph, top, top, predictor="nmf", post="none", param=0)
-    buf = io.StringIO()
-    write_results_csv([report], buf)
-    lines = buf.getvalue().splitlines()
+    write_results_csv([report], tmp_path / "results.csv")
+    lines = (tmp_path / "results.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == RESULTS_HEADER
     assert lines[1].startswith("nmf,none,0,1,")
 

@@ -12,7 +12,6 @@ from fairrec import (
     KnnParams,
     NmfParams,
     RandomParams,
-    RecommendationSet,
     ScoreGraph,
     candidate_sets,
     fit_nmf,
@@ -397,7 +396,7 @@ def test_errors_name_raw_user_ids():
         random_rerank(graph, RandomParams(ell=3), 2)
 
     zero = ScoreGraph(np.zeros((2, 4)), d.user_ids)
-    lists = RecommendationSet(k=1, lists=np.array([[0], [0]]))
+    lists = np.array([[0], [0]])
     with pytest.raises(InvalidInputError, match="user 101"):
         satisfaction(zero, lists, lists)
 

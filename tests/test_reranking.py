@@ -37,17 +37,17 @@ def graph_of(*pairs_per_user, n_items=None):
 
 def test_top_k_orders_by_score():
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 1.0)])
-    assert top_k(graph, 2).lists.tolist() == [[0, 1]]
+    assert top_k(graph, 2).tolist() == [[0, 1]]
 
 
 def test_top_k_breaks_ties_by_item_id():
     graph = graph_of([(1, 4.0), (0, 4.0)])
-    assert top_k(graph, 1).lists.tolist() == [[0]]
+    assert top_k(graph, 1).tolist() == [[0]]
 
 
 def test_top_k_full_candidate_set_in_score_order():
     graph = graph_of([(0, 2.0), (1, 5.0), (2, 3.0)])
-    assert top_k(graph, 3).lists.tolist() == [[1, 2, 0]]
+    assert top_k(graph, 3).tolist() == [[1, 2, 0]]
 
 
 def test_top_k_rejects_oversized_k():
@@ -60,7 +60,7 @@ def test_top_k_invariant_under_pair_order():
     pairs = [(3, 4.0), (0, 2.5), (7, 4.0), (2, 5.0)]
     a = top_k(graph_from_pairs([pairs], 8), 3)
     b = top_k(graph_from_pairs([list(reversed(pairs))], 8), 3)
-    assert a.lists.tolist() == b.lists.tolist() == [[2, 3, 7]]
+    assert a.tolist() == b.tolist() == [[2, 3, 7]]
 
 
 # ------------------------------------------------------------- random ----
@@ -75,18 +75,18 @@ def test_random_with_ell_equal_k_is_top_k():
     top = top_k(graph, 3)
     for seed in range(5):
         recs = random_rerank(graph, RandomParams(ell=3, seed=seed), 3)
-        assert recs.lists.tolist() == top.lists.tolist()
+        assert recs.tolist() == top.tolist()
 
 
 def test_random_sample_is_subset_of_top_ell_and_ordered():
     graph = _six_item_graph()
-    top4 = set(top_k(graph, 4).lists[0].tolist())
+    top4 = set(top_k(graph, 4)[0].tolist())
     for seed in range(10):
         recs = random_rerank(graph, RandomParams(ell=4, seed=seed), 2)
-        row = recs.lists[0].tolist()
+        row = recs[0].tolist()
         assert set(row) <= top4
         assert len(set(row)) == 2
-        scores = graph.lookup(0, recs.lists[0])
+        scores = graph.lookup(0, recs[0])
         assert list(scores) == sorted(scores, reverse=True)
 
 
@@ -94,9 +94,9 @@ def test_random_is_deterministic_per_seed_and_varies_across_seeds():
     graph = _six_item_graph()
     a = random_rerank(graph, RandomParams(ell=6, seed=11), 2)
     b = random_rerank(graph, RandomParams(ell=6, seed=11), 2)
-    assert np.array_equal(a.lists, b.lists)
+    assert np.array_equal(a, b)
     draws = {
-        tuple(random_rerank(graph, RandomParams(ell=6, seed=s), 2).lists[0].tolist())
+        tuple(random_rerank(graph, RandomParams(ell=6, seed=s), 2)[0].tolist())
         for s in range(10)
     }
     assert len(draws) > 1
@@ -107,7 +107,7 @@ def test_random_users_get_independent_substreams():
     differing = 0
     for seed in range(10):
         recs = random_rerank(graph, RandomParams(ell=6, seed=seed), 2)
-        if recs.lists[0].tolist() != recs.lists[1].tolist():
+        if recs[0].tolist() != recs[1].tolist():
             differing += 1
     assert differing > 0
 
@@ -115,7 +115,7 @@ def test_random_users_get_independent_substreams():
 def test_random_truncates_ell_to_candidate_count():
     graph = _six_item_graph()
     recs = random_rerank(graph, RandomParams(ell=500, seed=3), 4)
-    assert len(set(recs.lists[0].tolist())) == 4
+    assert len(set(recs[0].tolist())) == 4
 
 
 def test_random_rejects_ell_below_k():
@@ -129,6 +129,10 @@ def test_random_params_validation():
         RandomParams(ell=0)
     with pytest.raises(InvalidInputError):
         RandomParams(ell=5, seed=-1)
+    graph = _six_item_graph()
+    for k in (0, -1):  # checked like top_k's k, not drawn as empty or negative lists
+        with pytest.raises(InvalidInputError, match="k must be >= 1"):
+            random_rerank(graph, RandomParams(ell=3), k)
 
 
 def test_random_uniform_over_top_two():
@@ -136,7 +140,7 @@ def test_random_uniform_over_top_two():
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 1.0)])
     counts = {0: 0, 1: 0}
     for seed in range(10000):
-        item = random_rerank(graph, RandomParams(ell=2, seed=seed), 1).lists[0, 0]
+        item = random_rerank(graph, RandomParams(ell=2, seed=seed), 1)[0, 0]
         counts[int(item)] += 1
     assert counts[0] + counts[1] == 10000
     assert abs(counts[0] - 5000) <= 150
@@ -157,7 +161,7 @@ def test_random_overlap_matches_hypergeometric_mean():
     for seed in range(200):
         recs = random_rerank(graph, RandomParams(ell=ell, seed=seed), k)
         for u in range(n_users):
-            total += np.intersect1d(recs.lists[u], top.lists[u]).size
+            total += np.intersect1d(recs[u], top[u]).size
             draws += 1
     assert total / draws == approx(k * k / ell, abs=0.05)
 
@@ -176,22 +180,29 @@ def _worked_example():
 def test_greedy_theta_zero_is_a_no_op():
     graph, base = _worked_example()
     result = greedy_rerank(graph, base, GreedyParams(theta=0))
-    assert np.array_equal(result.recommendations.lists, base.lists)
+    assert np.array_equal(result.recommendations, base)
     assert result.achieved_increase == 0
+
+
+def test_greedy_rejects_a_base_not_shaped_one_row_per_user():
+    graph, base = _worked_example()
+    for bad in (base[:1], base.ravel()):
+        with pytest.raises(InvalidInputError, match="do not match the score graph"):
+            greedy_rerank(graph, bad, GreedyParams(theta=1))
 
 
 def test_greedy_worked_example_single_replacement():
     graph, base = _worked_example()
-    assert base.lists.tolist() == [[0], [0]]
+    assert base.tolist() == [[0], [0]]
     result = greedy_rerank(graph, base, GreedyParams(theta=1, threshold=3.5))
-    assert result.recommendations.lists.tolist() == [[1], [0]]
+    assert result.recommendations.tolist() == [[1], [0]]
     assert result.achieved_increase == 1
 
 
 def test_greedy_high_threshold_makes_no_move():
     graph, base = _worked_example()
     result = greedy_rerank(graph, base, GreedyParams(theta=1, threshold=4.5))
-    assert np.array_equal(result.recommendations.lists, base.lists)
+    assert np.array_equal(result.recommendations, base)
     assert result.achieved_increase == 0
 
 
@@ -218,7 +229,7 @@ def test_greedy_structural_invariants():
     graph = _random_graph(3)
     k = 3
     base = top_k(graph, k)
-    base_pool = set(base.lists.ravel().tolist())
+    base_pool = set(base.ravel().tolist())
     feasible = greedy_rerank(graph, base, GreedyParams(theta=graph.n_items)).achieved_increase
 
     previous_agg = None
@@ -227,21 +238,21 @@ def test_greedy_structural_invariants():
         recs = result.recommendations
         assert result.achieved_increase == min(theta, feasible)
 
-        pool = set(recs.lists.ravel().tolist())
+        pool = set(recs.ravel().tolist())
         assert base_pool <= pool
         assert len(pool) == len(base_pool) + result.achieved_increase
 
-        counts = np.bincount(recs.lists.ravel(), minlength=graph.n_items)
+        counts = np.bincount(recs.ravel(), minlength=graph.n_items)
         for item in pool - base_pool:
             assert counts[item] == 1
 
         for u in range(graph.n_users):
-            row = recs.lists[u]
+            row = recs[u]
             assert len(set(row.tolist())) == k
             assert set(row.tolist()) <= set(np.flatnonzero(~np.isnan(graph.matrix[u])).tolist())
             scores = graph.lookup(u, row)
             assert list(scores) == sorted(scores, reverse=True)
-            for item in set(row.tolist()) - set(base.lists[u].tolist()):
+            for item in set(row.tolist()) - set(base[u].tolist()):
                 assert graph.lookup(u, np.array([item]))[0] >= 3.5
 
         agg = aggregate_diversity(recs, graph.n_items)
@@ -258,9 +269,9 @@ def test_greedy_matches_rescan_oracle_on_enumerated_instances():
             for theta in (1, 2, graph.n_items):
                 result = greedy_rerank(graph, base, GreedyParams(theta=theta, threshold=threshold))
                 expected_lists, expected_achieved = greedy_rescan(
-                    graph, base.lists, k, theta, threshold
+                    graph, base, k, theta, threshold
                 )
-                assert result.recommendations.lists.tolist() == expected_lists
+                assert result.recommendations.tolist() == expected_lists
                 assert result.achieved_increase == expected_achieved
                 checked += 1
     assert checked >= 500
@@ -271,8 +282,8 @@ def test_greedy_matches_rescan_oracle_at_medium_scale():
     base = top_k(graph, 3)
     for theta in (5, 40):
         result = greedy_rerank(graph, base, GreedyParams(theta=theta, threshold=3.0))
-        lists, achieved = greedy_rescan(graph, base.lists, 3, theta, 3.0)
-        assert result.recommendations.lists.tolist() == lists
+        lists, achieved = greedy_rescan(graph, base, 3, theta, 3.0)
+        assert result.recommendations.tolist() == lists
         assert result.achieved_increase == achieved
 
 
@@ -281,7 +292,7 @@ def test_greedy_is_deterministic():
     base = top_k(graph, 2)
     a = greedy_rerank(graph, base, GreedyParams(theta=7))
     b = greedy_rerank(graph, base, GreedyParams(theta=7))
-    assert np.array_equal(a.recommendations.lists, b.recommendations.lists)
+    assert np.array_equal(a.recommendations, b.recommendations)
     assert a.achieved_increase == b.achieved_increase
 
 
@@ -315,8 +326,8 @@ def test_greedy_matches_move_list_walk_on_tie_heavy_graphs(tie_heavy_graphs, pre
     base = top_k(graph, 5)
     for theta in (1, 10, 100, graph.n_items):
         result = greedy_rerank(graph, base, GreedyParams(theta=theta, threshold=threshold))
-        lists, achieved = greedy_move_list(graph, base.lists, 5, theta, threshold)
-        assert np.array_equal(result.recommendations.lists, lists), theta
+        lists, achieved = greedy_move_list(graph, base, 5, theta, threshold)
+        assert np.array_equal(result.recommendations, lists), theta
         assert result.achieved_increase == achieved, theta
 
 
@@ -327,7 +338,7 @@ def test_greedy_calls_sharing_one_graph_equal_calls_on_fresh_graphs(tie_heavy_gr
         params = GreedyParams(theta=theta, threshold=threshold)
         shared = greedy_rerank(graph, base, params)
         fresh = greedy_rerank(ScoreGraph(graph.matrix.copy(), graph.user_ids), base, params)
-        assert np.array_equal(shared.recommendations.lists, fresh.recommendations.lists)
+        assert np.array_equal(shared.recommendations, fresh.recommendations)
         assert shared.achieved_increase == fresh.achieved_increase
 
 
