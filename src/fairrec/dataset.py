@@ -7,6 +7,10 @@ the mapping does not depend on line order); downstream code works with
 dense ids only, and reports translate back through ``user_ids`` and
 ``item_ids``. A user's candidates are the items they have not rated, held
 for all users as one (n_users, n_items) bool mask.
+
+A file of plain lines (four unsigned integers each, nothing else) is parsed
+in one vectorised pass; any other file, and any other source, goes through
+a line loop that gives identical arrays and names the line of an error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .errors import (
 RATING_MIN = 1.0
 RATING_MAX = 5.0
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
+_PLAIN_BYTES = b"0123456789 \t\n"
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1
 
 
 @dataclass
@@ -90,7 +96,62 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     Accepts a path, an open text stream, or any iterable of lines. Raises
     RatingParseError for malformed lines, RatingRangeError for ratings
     outside 1-5, and DuplicateRatingError for repeated (user, item) pairs.
+
+    A file is first read whole and parsed in one vectorised pass
+    (``_parse_plain``). Any file that pass does not accept, and every other
+    source, goes through the line loop, the only code that names a faulty
+    line; both give identical arrays.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as handle:
+            dataset = _parse_plain(handle.read())
+        if dataset is not None:
+            return dataset
+    return _parse_lines(source)
+
+
+def _parse_plain(data: bytes) -> RatingsDataset | None:
+    """Parse a file of plain ratings lines at once, or return None.
+
+    Accepts only data made of digits, spaces, tabs and newlines that ends in
+    a newline, has exactly four digit runs on every line and no run longer
+    than 18 digits (so each fits in int64), with every rating in 1-5 and no
+    repeated (user, item) pair. Anything else, blank lines included, is
+    left to the line loop.
+    """
+    if not data.endswith(b"\n") or data.translate(None, _PLAIN_BYTES):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(chars == ord("\n"))
+    # digits sort above the three separators; edges alternate run start, run end
+    edges = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False))
+    starts, ends = edges[0::2], edges[1::2]
+    if (
+        starts.size != 4 * newlines.size
+        or np.any(starts[3::4] > newlines)  # line j's 4th run starts before its newline
+        or np.any(starts[4::4] < newlines[:-1])  # line j+1's 1st run starts after it
+        or np.max(ends - starts) > _MAX_DIGITS
+    ):
+        return None
+    fields = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4)
+    stars = fields[:, 2]
+    if stars.min() < RATING_MIN or stars.max() > RATING_MAX:
+        return None
+    user_ids, users = np.unique(fields[:, 0], return_inverse=True)
+    item_ids, items = np.unique(fields[:, 1], return_inverse=True)
+    pairs = np.sort(users * item_ids.size + items)
+    if np.any(pairs[1:] == pairs[:-1]):
+        return None
+    return RatingsDataset(
+        users=users,
+        items=items,
+        ratings=stars.astype(np.float64),
+        user_ids=user_ids,
+        item_ids=item_ids,
+    )
+
+
+def _parse_lines(source: str | Path | IO[str] | Iterable[str]) -> RatingsDataset:
     raw_users: list[int] = []
     raw_items: list[int] = []
     values: list[float] = []

@@ -70,6 +70,11 @@ def _check_aligned(recs: np.ndarray, top: np.ndarray, n_users: int) -> None:
         raise InvalidInputError(
             f"lists must both be ({n_users}, k) arrays with k >= 1, got {recs.shape} and {top.shape}"
         )
+    for lists in (recs, top):
+        ordered = np.sort(lists, axis=1)
+        repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        if repeats.any():
+            raise InvalidInputError(f"list row {np.argmax(repeats)} repeats an item")
 
 
 def score_disparity(satisfaction_vector) -> float:

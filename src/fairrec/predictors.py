@@ -72,7 +72,9 @@ class ScoreGraph:
     per candidate and NaN per rated item, so 8 * n_users * n_items bytes,
     the size of the prediction matrix both predictors build anyway. ranked,
     computed once on first use, lists each user's items by descending score,
-    ties by ascending id, NaN last. ranked_users is its column-wise mirror:
+    ties by ascending id, NaN last. Only Random reads it (top_k selects its
+    first k columns without building it), so a Greedy sweep never pays its
+    8 * n_users * n_items bytes. ranked_users is its column-wise mirror:
     each item's users by descending score, ties by ascending user id, NaN
     last, shape (n_items, n_users). Only Greedy reads it, so it is built on
     Greedy's first call and costs 8 * n_items * n_users bytes. items yields

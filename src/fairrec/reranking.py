@@ -3,9 +3,10 @@
 A list set is one ``(n_users, k)`` int64 array of dense item ids, row u
 holding user u's k distinct candidates; k is always its second dimension.
 Each row is ordered by descending score with ties broken by ascending item
-id. That order is computed once per score graph (``ScoreGraph.ranked``,
-one stable row-wise sort of the score matrix) and shared by every grid
-point: top-k is its first k columns, and Random gathers its draws from it.
+id. Top-k selects each row only to depth k and puts those k items in that
+order; it equals the first k columns of ``ScoreGraph.ranked``, the full
+order (one stable row-wise sort of the score matrix), which only Random
+reads, computed on its first call and shared by every l.
 Random draws k items uniformly from each user's top-l list using a per-user
 substream of the global seed, so results do not depend on evaluation order;
 sorting the drawn rank positions puts them back in list order. Greedy
@@ -73,9 +74,28 @@ def _require_candidates(graph: ScoreGraph, k: int) -> None:
 
 
 def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
-    """The k highest-scored candidates per user, as an (n_users, k) array in list order."""
+    """The k highest-scored candidates per user, as an (n_users, k) array in list order.
+
+    Selects only to depth k: each row is partitioned to its k-th highest
+    score, and the items scored above it plus the lowest-id items tied at
+    it are put in list order by a stable sort of those k columns. The
+    result equals the first k columns of ``graph.ranked``, which is not
+    built.
+    """
     _require_candidates(graph, k)
-    return graph.ranked[:, :k].copy()
+    matrix = graph.matrix
+    negated = -matrix  # NaN, the rated items, partitions last
+    negated.partition(k - 1, axis=1)
+    kth = -negated[:, k - 1 : k]
+    del negated  # a matrix-sized copy: free it before the masks
+    chosen = matrix > kth
+    tied = matrix == kth
+    spare = k - chosen.sum(axis=1)  # >= 1: the k-th score itself is tied
+    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= spare[:, None]  # lowest-id ties
+    chosen |= tied
+    items = np.nonzero(chosen)[1].reshape(graph.n_users, k)  # ascending id per row
+    order = np.argsort(-np.take_along_axis(matrix, items, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(items, order, axis=1)
 
 
 def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> np.ndarray:

@@ -139,8 +139,9 @@ def test_satisfaction_rejects_mismatched_inputs():
         (np.array([[0, 1]]), np.array([[0, 1, 2]])),  # widths differ
         (np.array([0, 1]), np.array([0, 1])),  # not 2-D
         (np.empty((1, 0), dtype=np.int64), np.empty((1, 0), dtype=np.int64)),  # k = 0
+        (np.array([[0, 0]]), np.array([[0, 1]])),  # a row repeats an item
     ],
-    ids=["width", "rank", "empty"],
+    ids=["width", "rank", "empty", "repeat"],
 )
 def test_misshapen_lists_are_rejected(recs, top):
     graph = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0)]], 3)

@@ -63,6 +63,49 @@ def test_top_k_invariant_under_pair_order():
     assert a.tolist() == b.tolist() == [[2, 3, 7]]
 
 
+def stable_sort_top_k(graph, k):
+    """The reference: the first k columns of a full stable row-wise sort."""
+    return np.argsort(-graph.matrix, axis=1, kind="stable")[:, :k]
+
+
+def _tie_heavy_matrix(seed, n_users=60, n_items=40, rated_fraction=0.3):
+    rng = np.random.default_rng(seed)
+    matrix = np.round(rng.uniform(1, 5, (n_users, n_items)) * 2) / 2  # halves: many ties
+    matrix[: n_users // 4] = 5.0  # rows scored 5.0 throughout
+    matrix[rng.random(matrix.shape) < rated_fraction] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_top_k_equals_a_stable_full_sort_on_tie_heavy_graphs(seed, k):
+    graph = ScoreGraph(_tie_heavy_matrix(seed), np.arange(60))
+    expected = stable_sort_top_k(graph, k)
+    got = top_k(graph, k)
+    assert got.dtype == expected.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_top_k_takes_every_candidate_of_users_with_exactly_k(k):
+    rng = np.random.default_rng(k)
+    matrix = np.full((8, 10), np.nan)
+    for u in range(8):
+        keep = rng.choice(10, size=k, replace=False)
+        matrix[u, keep] = 5.0 if u % 2 else rng.choice([1.0, 3.5, 5.0], size=k)
+    graph = ScoreGraph(matrix, np.arange(8))
+    top = top_k(graph, k)
+    assert np.array_equal(top, stable_sort_top_k(graph, k))
+    candidates = np.nonzero(~np.isnan(matrix))[1].reshape(8, k)  # ascending per row
+    assert np.array_equal(np.sort(top, axis=1), candidates)
+
+
+def test_top_k_equals_a_stable_full_sort_on_predicted_graphs(tie_heavy_graphs):
+    for graph in tie_heavy_graphs.values():
+        for k in (1, 5, 20):
+            assert np.array_equal(top_k(graph, k), stable_sort_top_k(graph, k))
+
+
 # ------------------------------------------------------------- random ----
 
 def _six_item_graph(n_users=1):
@@ -352,6 +395,15 @@ def test_ranked_users_orders_each_item_by_score_then_user_nan_last():
         missing = np.isnan(column)
         expected = np.lexsort((np.arange(40), np.where(missing, 0.0, -column), missing))
         assert graph.ranked_users[item].tolist() == expected.tolist()
+
+
+def test_top_k_and_greedy_leave_the_full_row_order_unbuilt():
+    graph = _random_graph(4)
+    top = top_k(graph, 2)
+    greedy_rerank(graph, top, GreedyParams(theta=3))
+    assert "ranked" not in graph.__dict__
+    random_rerank(graph, RandomParams(ell=5, seed=1), 2)
+    assert "ranked" in graph.__dict__
 
 
 def test_only_greedy_builds_the_per_item_user_order():
