@@ -16,9 +16,10 @@ a line loop that gives identical arrays and names the line of an error.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -79,17 +80,6 @@ class RatingsDataset:
         return r, mask
 
 
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as handle:
-            yield from handle
-    else:  # files are decoded as ASCII; other lines are checked here
-        for line_no, line in enumerate(source, start=1):
-            if not line.isascii():  # int() reads non-ASCII digits such as '١'
-                raise RatingParseError(f"line {line_no}: not ASCII text")
-            yield line
-
-
 def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDataset:
     """Parse ``user item rating timestamp`` lines into a RatingsDataset.
 
@@ -100,13 +90,16 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     A file is first read whole and parsed in one vectorised pass
     (``_parse_plain``). Any file that pass does not accept, and every other
     source, goes through the line loop, the only code that names a faulty
-    line; both give identical arrays.
+    line; both give identical arrays. The loop reads such a file from the
+    bytes already read, decoded as ``open(path, encoding="ascii")`` would.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            dataset = _parse_plain(handle.read())
+            data = handle.read()
+        dataset = _parse_plain(data)
         if dataset is not None:
             return dataset
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     return _parse_lines(source)
 
 
@@ -151,14 +144,16 @@ def _parse_plain(data: bytes) -> RatingsDataset | None:
     )
 
 
-def _parse_lines(source: str | Path | IO[str] | Iterable[str]) -> RatingsDataset:
+def _parse_lines(source: IO[str] | Iterable[str]) -> RatingsDataset:
     raw_users: list[int] = []
     raw_items: list[int] = []
     values: list[float] = []
     seen: set[tuple[int, int]] = set()
 
     try:
-        for line_no, line in enumerate(_iter_lines(source), start=1):
+        for line_no, line in enumerate(source, start=1):
+            if not line.isascii():  # int() reads non-ASCII digits such as '١'
+                raise RatingParseError(f"line {line_no}: not ASCII text")
             if not line.strip():
                 continue
             fields = line.split()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingsDataset
+from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, candidate_sets
 from .errors import FactorizationError, InvalidInputError
 
 
@@ -127,18 +127,15 @@ class ScoreGraph:
         return found
 
     @classmethod
-    def from_matrix(cls, scores: np.ndarray, candidates: np.ndarray,
-                    user_ids: np.ndarray) -> "ScoreGraph":
-        """Wrap a full prediction matrix, clamped to [1, 5] and non-candidates NaN, in place."""
+    def from_matrix(cls, scores: np.ndarray, dataset: RatingsDataset) -> "ScoreGraph":
+        """Wrap a full prediction matrix in place: clamped to [1, 5], NaN at each rated cell."""
         np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
-        np.copyto(scores, np.nan, where=~candidates)
-        return cls(scores, user_ids)
+        scores[dataset.users, dataset.items] = np.nan
+        return cls(scores, dataset.user_ids)
 
 
-def predict_knn(
-    dataset: RatingsDataset, candidates: np.ndarray, params: KnnParams = KnnParams()
-) -> ScoreGraph:
-    """Score each user's candidates with user-based KNN.
+def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> ScoreGraph:
+    """Score each user's candidates (unrated items) with user-based KNN.
 
     For a target (u, i) the n_neighbors raters of i most similar to u
     (mean-centered cosine; ties broken by ascending user id; pairs with
@@ -193,7 +190,7 @@ def predict_knn(
         safe = np.where(denom > 0, denom, 1.0)
         predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
 
-    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids)
+    return ScoreGraph.from_matrix(predictions, dataset)
 
 
 def fit_nmf(
@@ -206,9 +203,7 @@ def fit_nmf(
     the loss is non-increasing across epochs. Raises FactorizationError if
     the factors stop being finite.
     """
-    rated_values, observed = dataset.dense_matrix()
-    mask = observed.astype(np.float64)
-    target = rated_values * mask
+    target, observed = dataset.dense_matrix()  # target is 0 wherever observed is False
 
     rng = np.random.default_rng(params.init_seed)
     scale = np.sqrt(dataset.ratings.mean() / params.n_factors)
@@ -216,12 +211,12 @@ def fit_nmf(
     q = rng.uniform(size=(dataset.n_items, params.n_factors)) * scale
 
     eps = 1e-12
-    fitted = mask * (p @ q.T)  # from the current p and q: the loss, then the next p update
+    fitted = observed * (p @ q.T)  # from the current p and q: the loss, then the next p update
     losses = [float(((target - fitted) ** 2).sum())]
     for _ in range(params.n_epochs):
         p *= (target @ q) / (fitted @ q + eps)
-        q *= (target.T @ p) / ((mask * (p @ q.T)).T @ p + eps)
-        fitted = mask * (p @ q.T)
+        q *= (target.T @ p) / ((observed * (p @ q.T)).T @ p + eps)
+        fitted = observed * (p @ q.T)
         loss = float(((target - fitted) ** 2).sum())
         if not np.isfinite(loss):
             raise FactorizationError("factorization diverged to non-finite values")
@@ -236,30 +231,30 @@ def _check_finite(factors: np.ndarray) -> None:
         raise FactorizationError("factorization produced non-finite factors")
 
 
-def predict_nmf(
-    dataset: RatingsDataset, candidates: np.ndarray, params: NmfParams = NmfParams()
-) -> ScoreGraph:
-    """Score each user's candidates with the trained factor model."""
+def predict_nmf(dataset: RatingsDataset, params: NmfParams = NmfParams()) -> ScoreGraph:
+    """Score each user's candidates (unrated items) with the trained factor model."""
     p, q, _ = fit_nmf(dataset, params)
-    return ScoreGraph.from_matrix(p @ q.T, candidates, dataset.user_ids)
+    return ScoreGraph.from_matrix(p @ q.T, dataset)
 
 
-def save_score_cache(graph: ScoreGraph, dataset: RatingsDataset, path: str | Path) -> None:
-    """Write graph.matrix as one exact float64 ``.npy``; a rename makes the write all-or-nothing."""
+def save_score_cache(graph: ScoreGraph, *, path: str | Path) -> None:
+    """Write graph.matrix as one exact float64 ``.npy``; a rename makes the write all-or-nothing.
+
+    path is keyword-only: the traced benchmark reads it from the call's keywords.
+    """
     partial = Path(path).with_suffix(".partial.npy")
     np.save(partial, graph.matrix, allow_pickle=False)
     os.replace(partial, path)
 
 
-def load_score_cache(
-    path: str | Path, dataset: RatingsDataset, candidates: np.ndarray
-) -> ScoreGraph:
-    """Read a save_score_cache file and check it against the dataset and current candidates."""
+def load_score_cache(path: str | Path, dataset: RatingsDataset) -> ScoreGraph:
+    """Read a save_score_cache file and check its NaN cells against the dataset's rated ones."""
     try:
         with open(path, "rb") as handle:
             matrix = np.lib.format.read_array(handle, allow_pickle=False)
     except ValueError as exc:  # not .npy, truncated, empty, or an object array
         raise InvalidInputError(f"{path}: not a score cache file ({exc})") from None
+    candidates = candidate_sets(dataset)
     shape = candidates.shape
     if matrix.dtype != np.float64 or matrix.shape != shape:
         raise InvalidInputError(f"{path}: holds {matrix.dtype} {matrix.shape}, not float64 {shape}")

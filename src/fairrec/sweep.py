@@ -172,16 +172,16 @@ def _predictor(cfg: SweepConfig):
     return predict_nmf, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed)
 
 
-def _obtain_scores(cfg: SweepConfig, dataset, candidates):
+def _obtain_scores(cfg: SweepConfig, dataset):
     predict, params = _predictor(cfg)
     if not cfg.cache:
-        return predict(dataset, candidates, params)
+        return predict(dataset, params)
     key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
     cache_path = cfg.out / f"scores_{cfg.predictor}_{key}.npy"
     if cache_path.exists():
-        return load_score_cache(cache_path, dataset, candidates)
-    graph = predict(dataset, candidates, params)
-    save_score_cache(graph, dataset, cache_path)
+        return load_score_cache(cache_path, dataset)
+    graph = predict(dataset, params)
+    save_score_cache(graph, path=cache_path)
     return graph
 
 
@@ -192,8 +192,8 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """
     cfg.out.mkdir(parents=True, exist_ok=True)
     dataset = load_ratings(cfg.data)
-    candidates = candidate_sets(dataset, min_size=cfg.k)
-    graph = _obtain_scores(cfg, dataset, candidates)
+    candidate_sets(dataset, min_size=cfg.k)  # a user short of k candidates fails before the fit
+    graph = _obtain_scores(cfg, dataset)
     top = top_k(graph, cfg.k)
 
     reports = [

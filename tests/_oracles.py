@@ -208,7 +208,7 @@ def knn_rescan(dataset, candidates, n_neighbors: int, min_overlap: int):
     return predictions
 
 
-def knn_full_sort(dataset, candidates, params):
+def knn_full_sort(dataset, params):
     """Reference user-KNN matrix: one full stable argsort of the raters per item.
 
     The vectorized formulation predict_knn used before neighbour selection
@@ -252,7 +252,7 @@ def knn_full_sort(dataset, candidates, params):
         safe = np.where(denom > 0, denom, 1.0)
         predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
 
-    return ScoreGraph.from_matrix(predictions, candidates, dataset.user_ids).matrix
+    return ScoreGraph.from_matrix(predictions, dataset).matrix
 
 
 SCORE_CHOICES = (1.0, 2.0, 3.5, 4.0, 5.0)

@@ -44,11 +44,11 @@ def _announce(number: int, name: str, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def ml_knn():
-    """MovieLens dataset, candidates, and KNN scores shared by criteria 3-4."""
+    """MovieLens KNN scores shared by criteria 3-4."""
     path = require_ml100k()
     dataset = load_ratings(path)
-    cands = candidate_sets(dataset, min_size=5)
-    return dataset, cands, predict_knn(dataset, cands)
+    candidate_sets(dataset, min_size=5)  # every user can fill a list of 5
+    return predict_knn(dataset)
 
 
 def test_criterion_1_baseline_identity(tmp_path):
@@ -93,7 +93,7 @@ def test_criterion_2_gini_oracle():
 
 
 def test_criterion_3_random_expectation(ml_knn):
-    _, _, graph = ml_knn
+    graph = ml_knn
     top = top_k(graph, 5)
     total = 0.0
     count = 0
@@ -108,7 +108,7 @@ def test_criterion_3_random_expectation(ml_knn):
 
 
 def test_criterion_4_greedy_structure(ml_knn):
-    _, _, graph = ml_knn
+    graph = ml_knn
     top5 = top_k(graph, 5)
     base_pool = np.unique(top5).size
     feasible = greedy_rerank(
@@ -162,19 +162,20 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
 
 @pytest.fixture(scope="module")
 def synthetic_ratings():
-    """ML-100K-shaped synthetic ratings and their candidates, for criteria 3-5 without MovieLens."""
+    """ML-100K-shaped synthetic ratings, for criteria 3-5 without MovieLens."""
     dataset = parse_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
-    return dataset, candidate_sets(dataset, min_size=5)
+    candidate_sets(dataset, min_size=5)  # every user can fill a list of 5
+    return dataset
 
 
 @pytest.fixture(scope="module")
 def synthetic_knn(synthetic_ratings):
-    return predict_knn(*synthetic_ratings)
+    return predict_knn(synthetic_ratings)
 
 
 @pytest.fixture(scope="module")
 def synthetic_nmf(synthetic_ratings):
-    return predict_nmf(*synthetic_ratings)
+    return predict_nmf(synthetic_ratings)
 
 
 @pytest.fixture(params=["knn", "nmf"])

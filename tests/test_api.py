@@ -53,5 +53,5 @@ def test_names_the_benchmark_hooks_read_remain():
     assert {"n_ratings"} <= _names(RatingsDataset)
     assert {"items"} <= _names(ScoreGraph)
     assert {"achieved_increase"} <= _names(GreedyRerankResult)
-    assert list(inspect.signature(save_score_cache).parameters) == ["graph", "dataset", "path"]
+    assert list(inspect.signature(save_score_cache).parameters) == ["graph", "path"]
     assert {"tag"} <= _names(KnnParams) & _names(NmfParams)  # they key the score cache

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,7 @@ def dataset_of(*user_ratings):
     for u, ratings in enumerate(user_ratings, start=1):
         for item, stars in ratings.items():
             lines.append(f"{u} {item} {stars} 0\n")
-    d = parse_ratings(lines)
-    return d, candidate_sets(d)
+    return parse_ratings(lines)
 
 
 def knn_score(graph, user, item):
@@ -49,15 +49,15 @@ def knn_score(graph, user, item):
 def test_knn_equal_mean_neighbor_copies_deviation():
     # both users average 3.0 and agree where they overlap, so the single
     # neighbor's deviation transfers whole: 3 + (5 - 3) = 5, 3 + (1 - 3) = 1
-    d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
-    graph = predict_knn(d, c)
+    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
+    graph = predict_knn(d)
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 5.0
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 4)) == 1.0
 
 
 def test_knn_zero_deviations_return_the_mean():
-    d, c = dataset_of({1: 5, 2: 3}, {1: 5, 2: 3, 3: 4})
-    graph = predict_knn(d, c)
+    d = dataset_of({1: 5, 2: 3}, {1: 5, 2: 3, 3: 4})
+    graph = predict_knn(d)
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 4.0
 
 
@@ -68,8 +68,8 @@ def test_knn_three_user_hand_instance():
     # sim(u,w) = -8 / (sqrt(8) * sqrt(96)/3) = -sqrt(3)/2
     # deviations of c: +4/3 (v) and -4/3 (w), so the weighted sum factors:
     # 3 + (4/3) * (sim_v + |sim_w|) / (sim_v + |sim_w|) = 13/3
-    d, c = dataset_of({1: 5, 2: 1}, {1: 4, 2: 2, 3: 5}, {1: 1, 2: 5, 3: 1})
-    graph = predict_knn(d, c)
+    d = dataset_of({1: 5, 2: 1}, {1: 4, 2: 2, 3: 5}, {1: 1, 2: 5, 3: 1})
+    graph = predict_knn(d)
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == approx(13 / 3, abs=1e-12)
 
 
@@ -77,16 +77,16 @@ def test_knn_neighbor_cap_keeps_only_the_most_similar_rater():
     # v1 is positively similar to u, v2 negatively; with n_neighbors=1 only
     # v1 contributes: 3 + (4 - 10/3) = 11/3. With both, the hand-evaluated
     # weighted deviation applies.
-    d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 9: 4}, {1: 1, 2: 5, 9: 1})
+    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 9: 4}, {1: 1, 2: 5, 9: 1})
     item = np.searchsorted(d.item_ids, 9)
 
-    one = predict_knn(d, c, KnnParams(n_neighbors=1))
+    one = predict_knn(d, KnnParams(n_neighbors=1))
     assert knn_score(one, 0, item) == approx(11 / 3, abs=1e-12)
 
     s1 = 6 / math.sqrt(39)  # sim(u, v1)
     s2 = math.sqrt(3) / 2  # |sim(u, v2)|
     expected = 3 + (s1 * (2 / 3) + s2 * (4 / 3)) / (s1 + s2)
-    both = predict_knn(d, c, KnnParams(n_neighbors=2))
+    both = predict_knn(d, KnnParams(n_neighbors=2))
     assert knn_score(both, 0, item) == approx(expected, abs=1e-9)
 
 
@@ -97,12 +97,12 @@ def test_knn_equal_similarity_tie_breaks_by_ascending_user_id():
     positive = {1: 5, 2: 1, 5: 5, 6: 1}  # deviation +2 for item 5
     negative = {1: 5, 2: 1, 5: 1, 6: 5}  # deviation -2 for item 5
 
-    d, c = dataset_of(base, positive, negative)
-    graph = predict_knn(d, c, KnnParams(n_neighbors=1))
+    d = dataset_of(base, positive, negative)
+    graph = predict_knn(d, KnnParams(n_neighbors=1))
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 5)) == 5.0
 
-    d, c = dataset_of(base, negative, positive)
-    graph = predict_knn(d, c, KnnParams(n_neighbors=1))
+    d = dataset_of(base, negative, positive)
+    graph = predict_knn(d, KnnParams(n_neighbors=1))
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 5)) == 1.0
 
 
@@ -119,8 +119,8 @@ def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
     ]
     tied = tied[first:] + tied[:first]
     best = {1: 5, 2: 1, 9: 4, 10: 2}  # similarity 8 / (sqrt(8) * sqrt(10)), deviation +1
-    d, c = dataset_of({1: 5, 2: 1}, *(r for r, _ in tied), best)
-    graph = predict_knn(d, c, KnnParams(n_neighbors=2))
+    d = dataset_of({1: 5, 2: 1}, *(r for r, _ in tied), best)
+    graph = predict_knn(d, KnnParams(n_neighbors=2))
 
     s_best = 8 / (math.sqrt(8) * math.sqrt(10))
     s_tied = 8 / (math.sqrt(8) * math.sqrt(18))
@@ -130,8 +130,8 @@ def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
 
 def test_knn_falls_back_to_user_mean_without_valid_raters():
     # v shares no rated item with u, so u's candidates keep u's mean 3.0
-    d, c = dataset_of({1: 4, 2: 2}, {3: 5, 4: 1})
-    graph = predict_knn(d, c)
+    d = dataset_of({1: 4, 2: 2}, {3: 5, 4: 1})
+    graph = predict_knn(d)
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 3.0
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 4)) == 3.0
 
@@ -139,11 +139,11 @@ def test_knn_falls_back_to_user_mean_without_valid_raters():
 def test_knn_min_overlap_excludes_thin_similarities():
     # u and v co-rate only item 1; with min_overlap=1 v's deviation moves the
     # prediction off u's mean, with min_overlap=2 it cannot
-    d, c = dataset_of({1: 5, 2: 1, 3: 3}, {1: 4, 4: 5})
+    d = dataset_of({1: 5, 2: 1, 3: 3}, {1: 4, 4: 5})
     item = np.searchsorted(d.item_ids, 4)
-    loose = predict_knn(d, c, KnnParams(min_overlap=1))
+    loose = predict_knn(d, KnnParams(min_overlap=1))
     assert knn_score(loose, 0, item) != 3.0
-    strict = predict_knn(d, c, KnnParams(min_overlap=2))
+    strict = predict_knn(d, KnnParams(min_overlap=2))
     assert knn_score(strict, 0, item) == 3.0
 
 
@@ -159,13 +159,13 @@ def test_knn_is_invariant_under_user_relabeling():
     # permute predictions without changing them
     triples = synthetic_triples(n_users=20, n_items=25, seed=5, min_per_user=6, max_per_user=14)
     d1 = parse_ratings(triples_to_lines(triples))
-    g1 = predict_knn(d1, candidate_sets(d1))
+    g1 = predict_knn(d1)
 
     rng = np.random.default_rng(0)
     new_ids = {u + 1: int(p) + 101 for u, p in enumerate(rng.permutation(d1.n_users))}
     relabeled = [(new_ids[u], i, r) for u, i, r in triples]
     d2 = parse_ratings(triples_to_lines(relabeled))
-    g2 = predict_knn(d2, candidate_sets(d2))
+    g2 = predict_knn(d2)
 
     for raw_old, raw_new in new_ids.items():
         items1, scores1 = candidate_scores(g1, np.searchsorted(d1.user_ids, raw_old))
@@ -197,11 +197,10 @@ def test_knn_matches_full_sort_bit_for_bit(tie_heavy, n_neighbors, min_overlap):
     from _oracles import knn_full_sort
 
     d = parse_ratings(_popular_items_lines(tie_heavy))
-    c = candidate_sets(d)
     params = KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap)
     assert (np.bincount(d.items) > n_neighbors).sum() >= 15  # the partial-selection path
-    graph = predict_knn(d, c, params)
-    assert np.array_equal(graph.matrix, knn_full_sort(d, c, params), equal_nan=True)
+    graph = predict_knn(d, params)
+    assert np.array_equal(graph.matrix, knn_full_sort(d, params), equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +215,7 @@ def test_knn_matches_loop_reference(seed, n_neighbors, min_overlap):
     )
     d = parse_ratings(triples_to_lines(triples))
     c = candidate_sets(d)
-    graph = predict_knn(d, c, KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap))
+    graph = predict_knn(d, KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap))
     expected = knn_rescan(d, c, n_neighbors, min_overlap)
     for u in range(d.n_users):
         items, scores = candidate_scores(graph, u)
@@ -227,7 +226,7 @@ def test_knn_matches_loop_reference(seed, n_neighbors, min_overlap):
 @pytest.mark.parametrize("predict", [predict_knn, predict_nmf])
 def test_predictions_cover_candidates_within_range(synthetic_dataset, predict):
     c = candidate_sets(synthetic_dataset)
-    graph = predict(synthetic_dataset, c)
+    graph = predict(synthetic_dataset)
     assert graph.n_users == synthetic_dataset.n_users
     assert [items.tolist() for items in graph.items] == [np.flatnonzero(row).tolist() for row in c]
     assert np.array_equal(np.isnan(graph.matrix), ~c)
@@ -243,7 +242,7 @@ def _rank_one_dataset():
 
 
 def test_nmf_reconstructs_a_rank_one_matrix():
-    d, _ = _rank_one_dataset()
+    d = _rank_one_dataset()
     p, q, losses = fit_nmf(d, NmfParams(n_factors=2, n_epochs=2000, init_seed=1))
     dense, observed = d.dense_matrix()
     errors = np.abs((p @ q.T) - dense)[observed]
@@ -252,10 +251,9 @@ def test_nmf_reconstructs_a_rank_one_matrix():
 
 
 def test_nmf_is_deterministic_for_a_seed(synthetic_dataset):
-    c = candidate_sets(synthetic_dataset)
     params = NmfParams(n_factors=5, n_epochs=15, init_seed=3)
-    a = predict_nmf(synthetic_dataset, c, params)
-    b = predict_nmf(synthetic_dataset, c, params)
+    a = predict_nmf(synthetic_dataset, params)
+    b = predict_nmf(synthetic_dataset, params)
     assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
@@ -267,7 +265,7 @@ def test_nmf_loss_is_non_increasing_every_epoch(synthetic_dataset):
 
 
 def test_nmf_factors_stay_nonnegative_after_every_epoch():
-    d, _ = _rank_one_dataset()
+    d = _rank_one_dataset()
     for epochs in range(1, 9):
         p, q, _ = fit_nmf(d, NmfParams(n_factors=3, n_epochs=epochs, init_seed=4))
         assert np.all(p >= 0)
@@ -294,6 +292,19 @@ def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
     assert np.array_equal(got_p, p)
     assert np.array_equal(got_q, q)
     assert got_losses == losses
+
+
+def test_fit_nmf_peak_memory_stays_below_four_matrices():
+    # the dense ratings and the loop's matrix-sized temporaries fit in four
+    # matrices; a float64 copy of the mask and a copy of the ratings do not
+    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=300, n_items=400)))
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d.n_users * d.n_items * 8
 
 
 def test_nmf_params_validation():
@@ -353,7 +364,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
     assert np.flatnonzero(c[3]).tolist() == [3]
 
     params = NmfParams(n_factors=2, n_epochs=300, init_seed=6)
-    graph = predict_nmf(d, c, params)
+    graph = predict_nmf(d, params)
     predicted = graph.lookup(3, np.array([3]))[0]
     assert 1.0 <= predicted <= 5.0
 
@@ -373,8 +384,8 @@ def test_nmf_hidden_entry_matches_reference_implementation():
 # -------------------------------------------------------------- graph ----
 
 def test_lookup_rejects_rated_and_out_of_range_items():
-    d, c = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
-    graph = predict_knn(d, c)
+    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
+    graph = predict_knn(d)
     assert graph.lookup(0, [np.searchsorted(d.item_ids, 3)]).shape == (1,)
     for item in (np.searchsorted(d.item_ids, 1), -1, d.n_items):
         with pytest.raises(InvalidInputError):
@@ -386,7 +397,7 @@ def test_errors_name_raw_user_ids():
     lines = ["101 1 5 0\n", "101 2 3 0\n"]
     lines += [f"205 {i} {1 + i % 5} 0\n" for i in range(1, 5)]
     d = parse_ratings(lines)
-    graph = predict_knn(d, candidate_sets(d))
+    graph = predict_knn(d)
     assert graph.user_ids.tolist() == [101, 205]
     with pytest.raises(InvalidInputError, match="user 205"):
         graph.lookup(1, np.array([np.searchsorted(d.item_ids, 1)]))
@@ -404,38 +415,37 @@ def test_errors_name_raw_user_ids():
 # -------------------------------------------------------------- cache ----
 
 def test_score_cache_round_trip(tmp_path, synthetic_dataset):
-    c = candidate_sets(synthetic_dataset)
-    graph = predict_knn(synthetic_dataset, c)
+    graph = predict_knn(synthetic_dataset)
     path = tmp_path / "scores.npy"
-    save_score_cache(graph, synthetic_dataset, path)
+    save_score_cache(graph, path=path)
 
     assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]  # no partial file left
-    loaded = load_score_cache(path, synthetic_dataset, c)
+    loaded = load_score_cache(path, synthetic_dataset)
     assert loaded.matrix.dtype == np.float64
     assert np.array_equal(loaded.matrix, graph.matrix, equal_nan=True)
     assert np.array_equal(loaded.user_ids, synthetic_dataset.user_ids)
 
 
-def test_score_cache_rejects_stale_candidates(tmp_path, synthetic_dataset):
-    c = candidate_sets(synthetic_dataset)
-    graph = predict_knn(synthetic_dataset, c)
+def test_score_cache_rejects_stale_candidates(tmp_path):
+    triples = synthetic_triples()
+    before = parse_ratings(triples_to_lines(triples))
     path = tmp_path / "scores.npy"
-    save_score_cache(graph, synthetic_dataset, path)
+    save_score_cache(predict_knn(before), path=path)
 
-    # the cache was written before user 0 rated one more item
-    stale = c.copy()
-    stale[0, np.flatnonzero(stale[0])[0]] = False
-    raw_user = synthetic_dataset.user_ids[0]
+    # the cache was written before user 0 rated one more, existing item
+    unrated = np.setdiff1d(np.arange(before.n_items), before.items[before.users == 0])
+    raw_user, raw_item = before.user_ids[0], before.item_ids[unrated[0]]
+    after = parse_ratings(triples_to_lines(triples + [(raw_user, raw_item, 4)]))
+    assert (after.n_users, after.n_items) == (before.n_users, before.n_items)
     with pytest.raises(InvalidInputError, match=f"user {raw_user} do not match"):
-        load_score_cache(path, synthetic_dataset, stale)
+        load_score_cache(path, after)
 
 
 def test_score_cache_rejects_foreign_header(tmp_path, synthetic_dataset):
-    c = candidate_sets(synthetic_dataset)
     path = tmp_path / "bogus.npy"
     path.write_text("user,item,score\n1,2,3.000000\n")
     with pytest.raises(InvalidInputError, match="not a score cache file"):
-        load_score_cache(path, synthetic_dataset, c)
+        load_score_cache(path, synthetic_dataset)
 
 
 def _npy(array):
@@ -476,9 +486,8 @@ def _scored(matrix, value):
 )
 def test_score_cache_rejects_malformed_files(tmp_path, contents, message):
     d = parse_ratings([f"{101 + u} {i} {1 + (u + i) % 5} 0\n" for u in range(5) for i in range(u, u + 3)])
-    c = candidate_sets(d)
-    graph = ScoreGraph.from_matrix(np.full((d.n_users, d.n_items), 3.0), c, d.user_ids)
+    graph = ScoreGraph.from_matrix(np.full((d.n_users, d.n_items), 3.0), d)
     path = tmp_path / "scores.npy"
     path.write_bytes(contents(graph.matrix))
     with pytest.raises(InvalidInputError, match=message):
-        load_score_cache(path, d, c)
+        load_score_cache(path, d)

@@ -9,7 +9,6 @@ from fairrec import (
     RandomParams,
     ScoreGraph,
     aggregate_diversity,
-    candidate_sets,
     greedy_rerank,
     parse_ratings,
     predict_knn,
@@ -358,8 +357,7 @@ def tie_heavy_graphs():
     # clamping ties 28% (KNN) and 82% (NMF) of the top-5 scores at 5.0
     triples = synthetic_triples(n_users=250, n_items=300, seed=1, min_per_user=10, max_per_user=60)
     d = parse_ratings(triples_to_lines(triples))
-    c = candidate_sets(d)
-    return {"knn": predict_knn(d, c), "nmf": predict_nmf(d, c)}
+    return {"knn": predict_knn(d), "nmf": predict_nmf(d)}
 
 
 @pytest.mark.parametrize("threshold", [3.5, 5.0])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fairrec import InvalidInputError, build_config, emit_plot_data, run_sweep
+from fairrec import InvalidInputError, build_config, emit_plot_data, run_sweep, save_score_cache
 from fairrec.cli import _build_parser, main
 from fairrec.metrics import RESULTS_HEADER
 from fairrec.sweep import SweepConfig, read_config_file
@@ -377,6 +377,21 @@ def test_sweep_cache_round_trip_is_stable(synthetic_file, tmp_path):
 
     run_sweep(cfg)  # warm: loads the cache instead of refitting
     assert (out / "results.csv").read_bytes() == first
+
+
+def test_sweep_passes_the_cache_path_by_keyword(synthetic_file, tmp_path, monkeypatch):
+    # the traced benchmark reads the written file's path from the call's keywords
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        save_score_cache(*args, **kwargs)
+
+    monkeypatch.setattr("fairrec.sweep.save_score_cache", record)
+    run_sweep(small_cfg(synthetic_file, tmp_path / "out", cache=True))
+    [(args, kwargs)] = calls
+    assert len(args) == 1 and set(kwargs) == {"path"}
+    assert kwargs["path"].is_file()
 
 
 def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path, monkeypatch):
