@@ -8,9 +8,9 @@ dense ids only, and reports translate back through ``user_ids`` and
 ``item_ids``. A user's candidates are the items they have not rated, held
 for all users as one (n_users, n_items) bool mask.
 
-A file of plain lines (four unsigned integers each, nothing else) is parsed
-in one vectorised pass; any other file, and any other source, goes through
-a line loop that gives identical arrays and names the line of an error.
+A file of plain lines (four unsigned integers each, nothing else) is split
+in one vectorised pass, any other source by a line loop that names a faulty
+line; one checker then checks the ratings and pairs of both and maps the ids.
 """
 
 from __future__ import annotations
@@ -87,30 +87,29 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     RatingParseError for malformed lines, RatingRangeError for ratings
     outside 1-5, and DuplicateRatingError for repeated (user, item) pairs.
 
-    A file is first read whole and parsed in one vectorised pass
-    (``_parse_plain``). Any file that pass does not accept, and every other
-    source, goes through the line loop, the only code that names a faulty
-    line; both give identical arrays. The loop reads such a file from the
-    bytes already read, decoded as ``open(path, encoding="ascii")`` would.
+    A file is first read whole and split in one vectorised pass
+    (``_parse_plain``); any other file, read from the same bytes as
+    ``open(path, encoding="ascii")`` would, and every other source go through
+    the line loop. One checker then takes either's fields, so every format
+    fault is found before any bad rating or repeated pair.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             data = handle.read()
-        dataset = _parse_plain(data)
-        if dataset is not None:
-            return dataset
+        fields = _parse_plain(data)
+        if fields is not None:  # a plain file has no blank lines: row r is line r + 1
+            return _checked(fields[:, 0], fields[:, 1], fields[:, 2], range(1, len(fields) + 1))
         source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
-    return _parse_lines(source)
+    return _checked(*_parse_lines(source))
 
 
-def _parse_plain(data: bytes) -> RatingsDataset | None:
-    """Parse a file of plain ratings lines at once, or return None.
+def _parse_plain(data: bytes) -> np.ndarray | None:
+    """The (n, 4) int64 fields of a file of plain ratings lines, or None.
 
     Accepts only data made of digits, spaces, tabs and newlines that ends in
     a newline, has exactly four digit runs on every line and no run longer
-    than 18 digits (so each fits in int64), with every rating in 1-5 and no
-    repeated (user, item) pair. Anything else, blank lines included, is
-    left to the line loop.
+    than 18 digits (so each fits in int64). Anything else, blank lines
+    included, is left to the line loop.
     """
     if not data.endswith(b"\n") or data.translate(None, _PLAIN_BYTES):
         return None
@@ -126,30 +125,12 @@ def _parse_plain(data: bytes) -> RatingsDataset | None:
         or np.max(ends - starts) > _MAX_DIGITS
     ):
         return None
-    fields = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4)
-    stars = fields[:, 2]
-    if stars.min() < RATING_MIN or stars.max() > RATING_MAX:
-        return None
-    user_ids, users = np.unique(fields[:, 0], return_inverse=True)
-    item_ids, items = np.unique(fields[:, 1], return_inverse=True)
-    pairs = np.sort(users * item_ids.size + items)
-    if np.any(pairs[1:] == pairs[:-1]):
-        return None
-    return RatingsDataset(
-        users=users,
-        items=items,
-        ratings=stars.astype(np.float64),
-        user_ids=user_ids,
-        item_ids=item_ids,
-    )
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4)
 
 
-def _parse_lines(source: IO[str] | Iterable[str]) -> RatingsDataset:
-    raw_users: list[int] = []
-    raw_items: list[int] = []
-    values: list[float] = []
-    seen: set[tuple[int, int]] = set()
-
+def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:
+    """Raw users, items, ratings (ints of any size) and line numbers, as four tuples."""
+    rows: list[tuple[int, int, int, int]] = []
     try:
         for line_no, line in enumerate(source, start=1):
             if not line.isascii():  # int() reads non-ASCII digits such as '١'
@@ -179,33 +160,37 @@ def _parse_lines(source: IO[str] | Iterable[str]) -> RatingsDataset:
                 raise RatingParseError(
                     f"line {line_no}: rating must be an integer, got {fields[2]!r}"
                 ) from None
-            if not RATING_MIN <= rating <= RATING_MAX:
-                raise RatingRangeError(
-                    f"line {line_no}: rating {rating} outside [1, 5]"
-                )
-            if (user, item) in seen:
-                raise DuplicateRatingError(
-                    f"line {line_no}: duplicate rating for user {user}, item {item}"
-                )
-            seen.add((user, item))
-            raw_users.append(user)
-            raw_items.append(item)
-            values.append(float(rating))
+            rows.append((user, item, rating, line_no))
     except UnicodeDecodeError as exc:
         raise RatingParseError(f"ratings source is not ASCII text: {exc}") from None
+    return list(zip(*rows)) or [()] * 4
 
-    if not values:
+
+def _checked(raw_users, raw_items, stars, line_nos) -> RatingsDataset:
+    """Name the first row with a rating outside 1-5 or an earlier row's pair, else map the ids."""
+    if len(stars) == 0:
         raise RatingParseError("no ratings found in source")
-
-    raw_u = np.asarray(raw_users, dtype=np.int64)
-    raw_i = np.asarray(raw_items, dtype=np.int64)
-    user_ids = np.unique(raw_u)
-    item_ids = np.unique(raw_i)
-
+    values = np.asarray(stars)  # float64 or object dtype if a rating overflows int64
+    user_ids, users = np.unique(np.asarray(raw_users, dtype=np.int64), return_inverse=True)
+    item_ids, items = np.unique(np.asarray(raw_items, dtype=np.int64), return_inverse=True)
+    keys = users * item_ids.size + items
+    faulty = (values < RATING_MIN) | (values > RATING_MAX)
+    pairs = np.sort(keys)
+    if faulty.any() or np.any(pairs[1:] == pairs[:-1]):
+        order = np.argsort(keys, kind="stable")  # a repeat sorts after its pair's first row
+        later = order[1:]
+        faulty[later[keys[later] == keys[order[:-1]]]] = True
+        row = np.argmax(faulty)
+        if not RATING_MIN <= values[row] <= RATING_MAX:
+            raise RatingRangeError(f"line {line_nos[row]}: rating {stars[row]} outside [1, 5]")
+        raise DuplicateRatingError(
+            f"line {line_nos[row]}: duplicate rating for user {raw_users[row]}, "
+            f"item {raw_items[row]}"
+        )
     return RatingsDataset(
-        users=np.searchsorted(user_ids, raw_u),
-        items=np.searchsorted(item_ids, raw_i),
-        ratings=np.asarray(values),
+        users=users,
+        items=items,
+        ratings=values.astype(np.float64),
         user_ids=user_ids,
         item_ids=item_ids,
     )

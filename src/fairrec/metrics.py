@@ -30,6 +30,8 @@ def gini(values) -> float:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("gini requires a non-empty 1-d vector")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("gini requires finite entries")
     if np.any(x < 0):
         raise InvalidInputError("gini requires non-negative entries")
     total = float(x.sum())

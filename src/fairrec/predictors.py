@@ -120,6 +120,8 @@ class ScoreGraph:
         item_ids = np.asarray(item_ids, dtype=np.int64)
         if np.any((item_ids < 0) | (item_ids >= self.n_items)):  # numpy wraps negative ids
             raise InvalidInputError(f"item id outside [0, {self.n_items})")
+        if np.min(user) < 0 or np.max(user) >= self.n_users:
+            raise InvalidInputError(f"user id outside [0, {self.n_users})")
         found = self.matrix[user, item_ids]
         if np.isnan(found).any():
             bad_user = np.broadcast_to(user, found.shape)[np.isnan(found)][0]

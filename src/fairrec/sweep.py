@@ -120,6 +120,8 @@ def _coerce(key: str, value: str):
     try:
         if kind is bool:
             return _BOOLEANS[value.strip().lower()]
+        if issubclass(kind, Path) and not value.strip():  # Path("") is the working directory
+            raise ValueError
         return parse_number(value, kind) if kind in (int, float) else kind(value)
     except (KeyError, ValueError):
         raise InvalidInputError(f"config key {key!r} expects {_KINDS[kind]}, got {value!r}") from None

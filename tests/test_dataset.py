@@ -125,6 +125,40 @@ def test_duplicate_pair_rejected_even_with_same_rating():
         parse(["1 10 4 0\n", "1 10 4 99\n"])
 
 
+@pytest.mark.parametrize("last, error, message", [
+    ("1 10 5 0\n", DuplicateRatingError, "line 3: duplicate rating for user 1, item 10"),
+    ("3 10 6 0\n", RatingRangeError, "line 3: rating 6 outside [1, 5]"),
+])
+def test_plain_file_content_faults_need_no_second_parse(last, error, message, tmp_path,
+                                                       monkeypatch):
+    path = tmp_path / "ratings.data"
+    path.write_text("1 10 4 0\n2 20 3 0\n" + last)
+
+    def line_loop(source):
+        raise AssertionError("a plain file went through the line loop")
+
+    monkeypatch.setattr("fairrec.dataset._parse_lines", line_loop)
+    with pytest.raises(error) as info:
+        parse_ratings(path)
+    assert str(info.value) == message
+
+
+def test_a_format_fault_is_reported_before_an_earlier_content_fault(tmp_path):
+    lines = ["1 10 4 0\n", "1 10 5 0\n", "x 1 1 1\n"]  # a duplicate on line 2
+    path = tmp_path / "ratings.data"
+    path.write_text("".join(lines))
+    with open(path, encoding="ascii") as stream:
+        for source in (path, str(path), stream, lines):
+            with pytest.raises(RatingParseError, match="^line 3: non-numeric user or item id$"):
+                parse_ratings(source)
+
+
+def test_rating_beyond_int64_is_named_in_full():
+    with pytest.raises(RatingRangeError) as info:
+        parse(["1 10 99999999999999999999 0\n"])
+    assert str(info.value) == "line 1: rating 99999999999999999999 outside [1, 5]"
+
+
 def test_empty_source_rejected():
     for lines in (["\n", "  \n"], []):
         with pytest.raises(RatingParseError, match="no ratings"):

@@ -52,6 +52,13 @@ def test_gini_rejects_bad_input():
         gini([1.0, -0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gini_rejects_non_finite_entries(bad):
+    # NaN and inf sums used to read as an all-zero, perfectly equal population
+    with pytest.raises(InvalidInputError, match="finite"):
+        gini([bad, 1.0])
+
+
 def test_gini_matches_literal_loops_on_tiny_vectors():
     for x in ([1.0, 0.5], [2, 2, 2], [0, 1, 5], [1, 2, 3, 4, 10]):
         assert gini(x) == approx(gini_pairwise_loops(x), abs=1e-12)

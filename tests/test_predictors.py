@@ -392,6 +392,15 @@ def test_lookup_rejects_rated_and_out_of_range_items():
             graph.lookup(0, np.array([item]))
 
 
+def test_lookup_rejects_out_of_range_users():
+    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
+    graph = predict_knn(d)
+    item = [np.searchsorted(d.item_ids, 3)]
+    for user in (-1, d.n_users, np.array([[0], [-1]])):  # numpy would wrap -1 to the last user
+        with pytest.raises(InvalidInputError, match="user id outside"):
+            graph.lookup(user, item)
+
+
 def test_errors_name_raw_user_ids():
     # raw user ids 101 and 205 map to dense 0 and 1; 205 rated all but one item
     lines = ["101 1 5 0\n", "101 2 3 0\n"]

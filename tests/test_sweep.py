@@ -143,6 +143,22 @@ def test_build_config_rejects_a_bad_string_keyword():
         build_config(k="x")
 
 
+@pytest.mark.parametrize("key", ["data", "out"])
+@pytest.mark.parametrize("value", ["", "  "])
+def test_blank_path_values_are_rejected(key, value, tmp_path, capsys):
+    # Path("") is the working directory, where a blank out would write the results
+    message = f"config key {key!r} expects a path, got {value!r}"
+    with pytest.raises(InvalidInputError) as info:
+        build_config(**{key: value})
+    assert str(info.value) == message
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{key} = '{value}'\n")
+    with pytest.raises(InvalidInputError, match=f"config key {key!r} expects a path"):
+        read_config_file(path)
+    assert main(["run", f"--{key}", value]) == 2
+    assert capsys.readouterr().err == f"fairrec: error: {message}\n"
+
+
 def _other_value(field) -> str:
     """Config file text for a valid value of the field other than its default."""
     default = field.default
