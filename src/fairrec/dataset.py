@@ -88,10 +88,11 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     outside 1-5, and DuplicateRatingError for repeated (user, item) pairs.
 
     A file is first read whole and split in one vectorised pass
-    (``_parse_plain``); any other file, read from the same bytes as
-    ``open(path, encoding="ascii")`` would, and every other source go through
-    the line loop. One checker then takes either's fields, so every format
-    fault is found before any bad rating or repeated pair.
+    (``_parse_plain``); any other file, split into lines as
+    ``open(path, encoding="ascii")`` would split it, and every other source go
+    through the line loop, which names the line of a non-ASCII byte in a file
+    as it does in a list of lines. One checker then takes either's fields, so
+    every format fault is found before any bad rating or repeated pair.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
@@ -99,7 +100,8 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
         fields = _parse_plain(data)
         if fields is not None:  # a plain file has no blank lines: row r is line r + 1
             return _checked(fields[:, 0], fields[:, 1], fields[:, 2], range(1, len(fields) + 1))
-        source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+        # one decode; a non-ASCII byte stays a non-ASCII character, so the loop names its line
+        source = io.StringIO(data.decode("ascii", errors="surrogateescape"), newline=None)
     return _checked(*_parse_lines(source))
 
 

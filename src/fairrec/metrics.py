@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import RatingsDataset
 from .errors import InvalidInputError
 from .predictors import ScoreGraph
+from .reranking import _check_lists, _list_scores
 
 
 def gini(values) -> float:
@@ -45,12 +46,9 @@ def gini(values) -> float:
 def satisfaction(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Per-user ratio of served score mass to top-k score mass, in (0, 1].
 
-    ``recs`` and ``top`` are (n_users, k) arrays of dense item ids.
+    ``recs`` and ``top`` are list sets of one shape for the graph.
     """
-    _check_aligned(recs, top, graph.n_users)
-    users = np.arange(graph.n_users)[:, None]
-    achieved = graph.lookup(users, recs).sum(axis=1)
-    best = graph.lookup(users, top).sum(axis=1)
+    achieved, best = (scores.sum(axis=1) for scores in _list_scores(graph, recs, top))
     nonpositive = np.flatnonzero(best <= 0.0)
     if nonpositive.size:
         raise InvalidInputError(
@@ -62,21 +60,9 @@ def satisfaction(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.nda
 
 def overlap_similarity(recs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Per-user |served intersect top-k| / k, a multiple of 1/k in [0, 1]."""
-    _check_aligned(recs, top, len(recs))
+    _check_lists(recs, top)
     common = (recs[:, :, None] == top[:, None, :]).any(axis=2).sum(axis=1)
     return common / recs.shape[1]
-
-
-def _check_aligned(recs: np.ndarray, top: np.ndarray, n_users: int) -> None:
-    if recs.ndim != 2 or recs.shape != top.shape or recs.shape[0] != n_users or recs.shape[1] < 1:
-        raise InvalidInputError(
-            f"lists must both be ({n_users}, k) arrays with k >= 1, got {recs.shape} and {top.shape}"
-        )
-    for lists in (recs, top):
-        ordered = np.sort(lists, axis=1)
-        repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-        if repeats.any():
-            raise InvalidInputError(f"list row {np.argmax(repeats)} repeats an item")
 
 
 def score_disparity(satisfaction_vector) -> float:
@@ -93,10 +79,8 @@ def aggregate_diversity(recs: np.ndarray, n_items: int) -> float:
     """Fraction of the catalog recommended to at least one user."""
     if n_items < 1:
         raise InvalidInputError("n_items must be >= 1")
-    items = np.unique(recs)
-    if items.size and (items[0] < 0 or items[-1] >= n_items):
-        raise InvalidInputError(f"item ids must lie in [0, {n_items})")
-    return items.size / n_items
+    _check_lists(recs, n_items=n_items)
+    return np.unique(recs).size / n_items
 
 
 @dataclass

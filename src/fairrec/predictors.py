@@ -115,19 +115,6 @@ class ScoreGraph:
     def n_candidates(self) -> np.ndarray:
         return self.n_items - np.isnan(self.matrix).sum(axis=1)
 
-    def lookup(self, user: int | np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-        """Scores of candidate items for one user, or per row for an (n, 1) user array."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        if np.any((item_ids < 0) | (item_ids >= self.n_items)):  # numpy wraps negative ids
-            raise InvalidInputError(f"item id outside [0, {self.n_items})")
-        if np.min(user) < 0 or np.max(user) >= self.n_users:
-            raise InvalidInputError(f"user id outside [0, {self.n_users})")
-        found = self.matrix[user, item_ids]
-        if np.isnan(found).any():
-            bad_user = np.broadcast_to(user, found.shape)[np.isnan(found)][0]
-            raise InvalidInputError(f"item not in candidate set of user {self.user_ids[bad_user]}")
-        return found
-
     @classmethod
     def from_matrix(cls, scores: np.ndarray, dataset: RatingsDataset) -> "ScoreGraph":
         """Wrap a full prediction matrix in place: clamped to [1, 5], NaN at each rated cell."""

@@ -1,19 +1,20 @@
 """Top-k list construction and the two diversity post-processors.
 
-A list set is one ``(n_users, k)`` int64 array of dense item ids, row u
-holding user u's k distinct candidates; k is always its second dimension.
-Each row is ordered by descending score with ties broken by ascending item
-id. Top-k selects each row only to depth k and puts those k items in that
-order; it equals the first k columns of ``ScoreGraph.ranked``, the full
-order (one stable row-wise sort of the score matrix), which only Random
-reads, computed on its first call and shared by every l.
+A list set is one ``(n_users, k)`` integer array of dense item ids, row u
+holding user u's k >= 1 distinct candidates; ``_check_lists`` is its one
+definition and ``_list_scores`` its checked score gather. Each row is
+ordered by descending score with ties broken by ascending item id. Top-k
+selects each row only to depth k and puts those k items in that order; it
+equals the first k columns of ``ScoreGraph.ranked``, the full order (one
+stable row-wise sort of the score matrix), which only Random reads, computed
+on its first call and shared by every l.
 Random draws k items uniformly from each user's top-l list using a per-user
 substream of the global seed, so results do not depend on evaluation order;
 sorting the drawn rank positions puts them back in list order. Greedy
 introduces not-yet-recommended items with a score above a threshold, one at
-a time in globally descending score order, each replacing the victim user's
-lowest-ranked recommendation that at least one other user still receives;
-the recommended-item pool therefore never shrinks and grows by exactly the
+a time in globally descending score order, each replacing the last entry of
+the victim user's list that another user still receives; the
+recommended-item pool therefore never shrinks and grows by exactly the
 achieved increase. Greedy walks its moves as a heap merge of each unpooled
 item's users in descending score order (``ScoreGraph.ranked_users``, one
 stable column-wise sort, built on Greedy's first call and shared by every
@@ -23,6 +24,7 @@ that list's order, leaving out only those whose item is already introduced.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -120,14 +122,14 @@ def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> np.ndarray
 def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> GreedyRerankResult:
     """Raise the number of distinct recommended items by up to theta.
 
-    ``base`` is an (n_users, k) array of lists; the result's
-    ``recommendations`` is a new array of the same shape, each row in list
-    order.
+    ``base`` is a list set for the graph; the result's ``recommendations``
+    is a new int64 array of the same shape, each row in list order.
 
     Moves are (user, item) pairs with the item outside the current pool and
     a score of at least the threshold, tried in order of descending score
-    (ties: lower item id, then lower user id). A move replaces the user's
-    lowest-scored list entry whose pool count is still >= 2; users without
+    (ties: lower item id, then lower user id). Rows are kept as
+    ``(-score, item)`` pairs in list order, and a move replaces the last
+    entry of its user's row that another user still receives; users without
     such an entry are skipped for that item. Stops after theta introductions
     or when no feasible move remains, reporting the achieved increase.
 
@@ -141,12 +143,10 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     the heap pops exactly the live moves of the fully sorted move list, in
     its order, and skips none that could apply.
     """
-    if base.ndim != 2 or len(base) != graph.n_users:
-        raise InvalidInputError("base recommendations do not match the score graph")
-    k = base.shape[1]
-    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base).tolist()
+    [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
-    current = base.tolist()
+    # each row as (-score, item) pairs in list order
+    rows = [sorted(zip(neg, items)) for neg, items in zip((-scores).tolist(), base.tolist())]
     counts_list = counts.tolist()
 
     matrix, ranked_users, threshold = graph.matrix, graph.ranked_users, params.threshold
@@ -162,20 +162,11 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     achieved = 0
     while heap and achieved < params.theta:
         neg_score, item, place = heap[0]
-        user = int(ranked_users[item, place])
-        # victim: lowest score, breaking ties toward the last-ranked (higher id)
-        victim_pos = -1
-        victim_key: tuple[float, int] | None = None
-        row = current[user]
-        row_scores = current_scores[user]
-        for pos in range(k):
-            if counts_list[row[pos]] < 2:
-                continue
-            key = (row_scores[pos], -row[pos])
-            if victim_key is None or key < victim_key:
-                victim_key = key
-                victim_pos = pos
-        if victim_pos < 0:
+        row = rows[int(ranked_users[item, place])]
+        victim = len(row) - 1  # the last entry another user still receives
+        while victim >= 0 and counts_list[row[victim][1]] < 2:
+            victim -= 1
+        if victim < 0:
             place += 1
             score = matrix[ranked_users[item, place], item] if place < graph.n_users else np.nan
             if score >= threshold:
@@ -184,12 +175,52 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
                 heapq.heappop(heap)
             continue
         heapq.heappop(heap)
-        counts_list[row[victim_pos]] -= 1
+        counts_list[row[victim][1]] -= 1
         counts_list[item] = 1
-        row[victim_pos] = item
-        row_scores[victim_pos] = -neg_score
+        del row[victim]
+        bisect.insort(row, (neg_score, item))
         achieved += 1
 
-    items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
-    lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
+    lists = np.array([[item for _, item in row] for row in rows], dtype=np.int64)
     return GreedyRerankResult(lists, achieved_increase=achieved)
+
+
+def _check_lists(*list_sets: np.ndarray, n_users: int | None = None, n_items: int | None = None):
+    """Reject anything that is not a list set; several list sets must share one shape.
+
+    A list set is a 2-D signed-integer ndarray with one row per user
+    (n_users rows, when given), k >= 1 columns, ids in [0, n_items) (only
+    non-negative ids, without a catalog size) and distinct ids in each row.
+    """
+    for lists in list_sets:
+        array = isinstance(lists, np.ndarray)
+        if not array or lists.dtype.kind != "i" or lists.ndim != 2 or lists.shape[1] < 1:
+            got = f"{lists.dtype} of shape {lists.shape}" if array else type(lists).__name__
+            raise InvalidInputError(f"lists must be 2-D integer arrays with k >= 1, got {got}")
+        if n_users is not None and len(lists) != n_users:
+            raise InvalidInputError(
+                f"lists of shape {lists.shape} do not match the score graph's {n_users} users"
+            )
+        if lists.shape != list_sets[0].shape:
+            raise InvalidInputError(f"lists must share one shape, got {list_sets[0].shape} and {lists.shape}")
+        if lists.size and (lists.min() < 0 or (n_items is not None and lists.max() >= n_items)):
+            bound = "" if n_items is None else f" and below {n_items}"
+            raise InvalidInputError(f"item ids must be non-negative{bound}")
+        ordered = np.sort(lists, axis=1)
+        repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        if repeats.any():
+            raise InvalidInputError(f"list row {np.argmax(repeats)} repeats an item")
+
+
+def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:
+    """Each list set's (n_users, k) scores in the graph; every listed item must be a candidate."""
+    _check_lists(*list_sets, n_users=graph.n_users, n_items=graph.n_items)
+    gathered = []
+    for lists in list_sets:
+        scores = np.take_along_axis(graph.matrix, lists, axis=1)
+        rated = np.isnan(scores).any(axis=1)
+        if rated.any():
+            user = graph.user_ids[np.argmax(rated)]
+            raise InvalidInputError(f"item not in candidate set of user {user}")
+        gathered.append(scores)
+    return gathered

@@ -192,35 +192,26 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
 
     Returns the reports in output order: baseline first, then grid order.
     """
-    cfg.out.mkdir(parents=True, exist_ok=True)
     dataset = load_ratings(cfg.data)
     candidate_sets(dataset, min_size=cfg.k)  # a user short of k candidates fails before the fit
+    cfg.out.mkdir(parents=True, exist_ok=True)  # a rejected input leaves no directory behind
     graph = _obtain_scores(cfg, dataset)
     top = top_k(graph, cfg.k)
 
-    reports = [
-        disparity_report(graph, top, top, predictor=cfg.predictor, post="none", param=0)
-    ]
-    if cfg.post == "random":
-        for ell in cfg.ell:
-            recs = random_rerank(graph, RandomParams(ell=ell, seed=cfg.seed), cfg.k)
-            reports.append(
-                disparity_report(graph, recs, top, predictor=cfg.predictor, post="random", param=ell)
+    grid = {"none": (), "random": cfg.ell, "greedy": cfg.theta}[cfg.post]
+    reports = []
+    for post, param in [("none", 0), *((cfg.post, value) for value in grid)]:
+        recs, achieved = top, None
+        if post == "random":
+            recs = random_rerank(graph, RandomParams(ell=param, seed=cfg.seed), cfg.k)
+        elif post == "greedy":
+            result = greedy_rerank(graph, top, GreedyParams(theta=param, threshold=cfg.threshold))
+            recs, achieved = result.recommendations, result.achieved_increase
+        reports.append(
+            disparity_report(
+                graph, recs, top, predictor=cfg.predictor, post=post, param=param, achieved=achieved
             )
-    elif cfg.post == "greedy":
-        for theta in cfg.theta:
-            result = greedy_rerank(graph, top, GreedyParams(theta=theta, threshold=cfg.threshold))
-            reports.append(
-                disparity_report(
-                    graph,
-                    result.recommendations,
-                    top,
-                    predictor=cfg.predictor,
-                    post="greedy",
-                    param=theta,
-                    achieved=result.achieved_increase,
-                )
-            )
+        )
 
     write_results_csv(reports, cfg.out / "results.csv")
     emit_plot_data(reports, cfg.out, svg=cfg.svg)

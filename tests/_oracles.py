@@ -113,7 +113,7 @@ def greedy_move_list(graph: ScoreGraph, base_lists, k: int, theta: int, threshol
     by score desc then item asc, as an array, achieved increase).
     """
     base_lists = np.asarray(base_lists)
-    current_scores = graph.lookup(np.arange(graph.n_users)[:, None], base_lists).tolist()
+    current_scores = np.take_along_axis(graph.matrix, base_lists, axis=1).tolist()
     counts = np.bincount(base_lists.ravel(), minlength=graph.n_items)
 
     move_users, move_items = np.nonzero((graph.matrix >= threshold) & (counts == 0))

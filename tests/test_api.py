@@ -35,8 +35,8 @@ REMOVED = {
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
     fairrec.reranking: {"RecommendationSet"},
-    fairrec.metrics: {"RecommendationSet", "_write_lines"},
-    ScoreGraph: {"from_pairs", "scores", "provenance"},
+    fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned"},
+    ScoreGraph: {"from_pairs", "scores", "provenance", "lookup"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
     RandomParams: {"tag"},
     GreedyParams: {"tag"},

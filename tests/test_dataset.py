@@ -52,19 +52,18 @@ def file_outcomes(text: str):
 def parse(lines):
     """parse_ratings(lines), checked against the same lines read from a file.
 
-    The file must give exactly what the line loop gives on it, and what the
-    list gives: the same arrays, or the same error type and message. Only a
-    file that is not ASCII fails differently, on decoding rather than at a
-    named line.
+    The file must give exactly what the list gives: the same arrays, or the
+    same error type and message. An open stream gives the same, except that
+    one that is not ASCII fails on decoding rather than at a named line.
     """
-    from_path, from_loop = file_outcomes("".join(lines))
-    assert from_path == from_loop
+    from_path, from_stream = file_outcomes("".join(lines))
     from_lines = _outcome(list(lines))
+    assert from_path == from_lines
     if all(line.isascii() for line in lines):
-        assert from_lines == from_path
+        assert from_stream == from_path
     else:
-        assert from_lines[0] is from_path[0] is RatingParseError
-        assert "not ASCII" in from_path[1]
+        assert from_stream[0] is RatingParseError
+        assert "not ASCII" in from_stream[1]
     return parse_ratings(list(lines))
 
 
@@ -199,6 +198,18 @@ def test_non_ascii_file_rejected(tmp_path):
     path = tmp_path / "bad.data"
     path.write_bytes("1 10 4 0\n1 2ダ4 0\n".encode("utf-8"))
     with pytest.raises(RatingParseError, match="ASCII"):
+        parse_ratings(path)
+
+
+def test_non_ascii_byte_past_the_first_read_chunk_names_its_line(tmp_path):
+    # a byte past the first 8 KiB used to be reported by its offset inside that chunk
+    lines = [f"{u} {i} {1 + (u + i) % 5} 0\n" for u in range(1, 40) for i in range(1, 26)]
+    data = bytearray("".join(lines).encode())
+    line = data.count(b"\n", 0, 9000) + 1
+    data[9000] = 0xC3
+    path = tmp_path / "bad.data"
+    path.write_bytes(bytes(data))
+    with pytest.raises(RatingParseError, match=f"^line {line}: not ASCII text$"):
         parse_ratings(path)
 
 

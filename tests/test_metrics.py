@@ -140,17 +140,21 @@ def test_satisfaction_rejects_mismatched_inputs():
         satisfaction(graph, np.array([[0, 1], [0, 1]]), top)
 
 
-@pytest.mark.parametrize(
-    "recs, top",
-    [
-        (np.array([[0, 1]]), np.array([[0, 1, 2]])),  # widths differ
-        (np.array([0, 1]), np.array([0, 1])),  # not 2-D
-        (np.empty((1, 0), dtype=np.int64), np.empty((1, 0), dtype=np.int64)),  # k = 0
-        (np.array([[0, 0]]), np.array([[0, 1]])),  # a row repeats an item
-    ],
-    ids=["width", "rank", "empty", "repeat"],
-)
-def test_misshapen_lists_are_rejected(recs, top):
+MISSHAPEN = {  # (served, top-k) for one user and three items
+    "width": (np.array([[0, 1]]), np.array([[0, 1, 2]])),  # widths differ
+    "rank": (np.array([0, 1]), np.array([0, 1])),  # not 2-D
+    "empty": (np.empty((1, 0), dtype=np.int64), np.empty((1, 0), dtype=np.int64)),  # k = 0
+    "repeat": (np.array([[0, 0]]), np.array([[0, 1]])),  # a row repeats an item
+    "float": (np.array([[0.9, 1.2]]), np.array([[0, 1]])),  # would truncate to items 0 and 1
+    "1-D": (np.array([0, 1]), np.array([[0, 1]])),
+    "3-D": (np.array([[[0, 1]]]), np.array([[0, 1]])),
+    "negative": (np.array([[-1, 0]]), np.array([[0, 1]])),  # numpy would wrap -1 to item 2
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_misshapen_lists_are_rejected(case):
+    recs, top = MISSHAPEN[case]
     graph = graph_from_pairs([[(0, 5.0), (1, 4.0), (2, 3.0)]], 3)
     with pytest.raises(InvalidInputError):
         satisfaction(graph, recs, top)
@@ -158,6 +162,9 @@ def test_misshapen_lists_are_rejected(recs, top):
         overlap_similarity(recs, top)
     with pytest.raises(InvalidInputError):
         disparity_report(graph, recs, top, predictor="knn", post="none", param=0)
+    if case != "width":  # the served lists alone are no list set
+        with pytest.raises(InvalidInputError):
+            aggregate_diversity(recs, graph.n_items)
 
 
 def test_satisfaction_rejects_nonpositive_top_mass():
@@ -208,7 +215,7 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
     top = top_k(graph, k)
     served = random_rerank(graph, RandomParams(ell=30, seed=k), k)
     sat = [
-        float(graph.lookup(u, served[u]).sum()) / float(graph.lookup(u, top[u]).sum())
+        float(graph.matrix[u, served[u]].sum()) / float(graph.matrix[u, top[u]].sum())
         for u in range(graph.n_users)
     ]
     common = [len(set(served[u].tolist()) & set(top[u].tolist())) for u in range(20)]

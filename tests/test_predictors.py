@@ -9,6 +9,7 @@ from pytest import approx
 from fairrec import (
     CandidateShortfallError,
     FactorizationError,
+    GreedyParams,
     InvalidInputError,
     KnnParams,
     NmfParams,
@@ -16,6 +17,7 @@ from fairrec import (
     ScoreGraph,
     candidate_sets,
     fit_nmf,
+    greedy_rerank,
     load_score_cache,
     parse_ratings,
     predict_knn,
@@ -41,7 +43,7 @@ def dataset_of(*user_ratings):
 
 
 def knn_score(graph, user, item):
-    return graph.lookup(user, np.array([item]))[0]
+    return graph.matrix[user, item]
 
 
 # ---------------------------------------------------------------- knn ----
@@ -365,7 +367,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
 
     params = NmfParams(n_factors=2, n_epochs=300, init_seed=6)
     graph = predict_nmf(d, params)
-    predicted = graph.lookup(3, np.array([3]))[0]
+    predicted = graph.matrix[3, 3]
     assert 1.0 <= predicted <= 5.0
 
     dense, observed = d.dense_matrix()
@@ -383,22 +385,40 @@ def test_nmf_hidden_entry_matches_reference_implementation():
 
 # -------------------------------------------------------------- graph ----
 
-def test_lookup_rejects_rated_and_out_of_range_items():
-    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
-    graph = predict_knn(d)
-    assert graph.lookup(0, [np.searchsorted(d.item_ids, 3)]).shape == (1,)
-    for item in (np.searchsorted(d.item_ids, 1), -1, d.n_items):
-        with pytest.raises(InvalidInputError):
-            graph.lookup(0, np.array([item]))
+def _three_user_graph():
+    # raw items 1..4 are dense 0..3; the users' candidates are {2, 3}, {3} and {0, 1, 2}
+    return predict_knn(dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5}, {4: 2}))
 
 
-def test_lookup_rejects_out_of_range_users():
-    d = dataset_of({1: 5, 2: 1}, {1: 5, 2: 1, 3: 5, 4: 1})
-    graph = predict_knn(d)
-    item = [np.searchsorted(d.item_ids, 3)]
-    for user in (-1, d.n_users, np.array([[0], [-1]])):  # numpy would wrap -1 to the last user
-        with pytest.raises(InvalidInputError, match="user id outside"):
-            graph.lookup(user, item)
+def _read_lists(graph, lists):
+    """The two readers that check a list set against a score graph, one call each."""
+    return [
+        lambda: satisfaction(graph, lists, lists),
+        lambda: greedy_rerank(graph, lists, GreedyParams(theta=1)),
+    ]
+
+
+def test_lists_with_rated_or_out_of_range_items_are_rejected():
+    graph = _three_user_graph()
+    valid = np.array([[2], [3], [0]])
+    assert satisfaction(graph, valid, valid).tolist() == [1.0, 1.0, 1.0]
+    # dense item 0 is rated by raw user 1; numpy would wrap -1 to the last item
+    for item, message in ((0, "candidate set of user 1"), (-1, "non-negative and below 4"), (4, "below 4")):
+        lists = valid.copy()
+        lists[0, 0] = item
+        for read in _read_lists(graph, lists):
+            with pytest.raises(InvalidInputError, match=message):
+                read()
+
+
+def test_lists_without_one_row_per_user_are_rejected():
+    graph = _three_user_graph()
+    valid = np.array([[2], [3], [0]])
+    # np.take_along_axis would broadcast a one-row list set to every user
+    for lists in (valid[:1], valid[:2], np.vstack([valid, [[1]]])):
+        for read in _read_lists(graph, lists):
+            with pytest.raises(InvalidInputError, match="do not match the score graph's 3 users"):
+                read()
 
 
 def test_errors_name_raw_user_ids():
@@ -408,8 +428,10 @@ def test_errors_name_raw_user_ids():
     d = parse_ratings(lines)
     graph = predict_knn(d)
     assert graph.user_ids.tolist() == [101, 205]
-    with pytest.raises(InvalidInputError, match="user 205"):
-        graph.lookup(1, np.array([np.searchsorted(d.item_ids, 1)]))
+    lists = np.array([[2], [0]])  # dense item 0 is raw item 1, rated by both users
+    for read in _read_lists(graph, lists):
+        with pytest.raises(InvalidInputError, match="user 205"):
+            read()
     with pytest.raises(CandidateShortfallError, match="user 205"):
         top_k(graph, 2)
     with pytest.raises(CandidateShortfallError, match="user 205"):

@@ -128,7 +128,7 @@ def test_random_sample_is_subset_of_top_ell_and_ordered():
         row = recs[0].tolist()
         assert set(row) <= top4
         assert len(set(row)) == 2
-        scores = graph.lookup(0, recs[0])
+        scores = graph.matrix[0, recs[0]].tolist()
         assert list(scores) == sorted(scores, reverse=True)
 
 
@@ -228,8 +228,14 @@ def test_greedy_theta_zero_is_a_no_op():
 
 def test_greedy_rejects_a_base_not_shaped_one_row_per_user():
     graph, base = _worked_example()
-    for bad in (base[:1], base.ravel()):
-        with pytest.raises(InvalidInputError, match="do not match the score graph"):
+    for bad, message in [
+        (base[:1], "do not match the score graph"),
+        (base.ravel(), "2-D integer arrays"),
+        (np.array([[0, 0], [0, 1]]), "list row 0 repeats an item"),
+        (np.empty((2, 0), dtype=np.int64), "k >= 1"),
+        (base.astype(np.float64), "integer arrays"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
             greedy_rerank(graph, bad, GreedyParams(theta=1))
 
 
@@ -292,10 +298,10 @@ def test_greedy_structural_invariants():
             row = recs[u]
             assert len(set(row.tolist())) == k
             assert set(row.tolist()) <= set(np.flatnonzero(~np.isnan(graph.matrix[u])).tolist())
-            scores = graph.lookup(u, row)
+            scores = graph.matrix[u, row].tolist()
             assert list(scores) == sorted(scores, reverse=True)
             for item in set(row.tolist()) - set(base[u].tolist()):
-                assert graph.lookup(u, np.array([item]))[0] >= 3.5
+                assert graph.matrix[u, item] >= 3.5
 
         agg = aggregate_diversity(recs, graph.n_items)
         if previous_agg is not None:

@@ -510,6 +510,24 @@ def test_cli_reports_missing_data_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["1 10 4 0\n", "2 10 3 0\n", "1 10 5 0\n"], "line 3: duplicate rating for user 1, item 10"),
+        (["1 10 4 0\n", "2 10 6 0\n"], "line 2: rating 6 outside [1, 5]"),
+        (["1 10 4 0\n", "1 20 3 0\n", "2 10 5 0\n"], "user 1 has only 0 unrated items"),
+    ],
+    ids=["repeat", "rating", "shortfall"],
+)
+def test_a_rejected_ratings_file_leaves_no_output_directory(lines, message, tmp_path, capsys):
+    data = tmp_path / "ratings.data"
+    data.write_text("".join(lines), encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(data), "--k", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_invalid_config(synthetic_file, tmp_path, capsys):
     code = main(
         ["run", "--data", str(synthetic_file), "--post", "random", "--ell", "2",
