@@ -154,12 +154,12 @@ def write_results_csv(reports: Iterable[DisparityReport], destination: str | Pat
 
 
 def write_per_user_csv(report: DisparityReport, destination: str | Path, dataset: RatingsDataset) -> None:
-    """Per-user breakdown as ``user,satisfaction,overlap``, users by raw id."""
-    lines = ["user,satisfaction,overlap\n"]
-    for u, raw in enumerate(dataset.user_ids):
-        lines.append(f"{raw},{report.satisfaction[u]:.6f},{report.overlap[u]:.6f}\n")
+    """Per-user breakdown as ``user,satisfaction,overlap``, one row per dataset user by raw id."""
+    if {len(report.satisfaction), len(report.overlap)} != {dataset.n_users}:
+        raise InvalidInputError(f"a report of {len(report.satisfaction)} users for a dataset of {dataset.n_users}")
+    rows = zip(dataset.user_ids.tolist(), report.satisfaction.tolist(), report.overlap.tolist())
     with open(destination, "w", encoding="ascii", newline="") as handle:
-        handle.writelines(lines)
+        handle.writelines(["user,satisfaction,overlap\n"] + [f"{raw},{a:.6f},{sim:.6f}\n" for raw, a, sim in rows])
 
 
 def as_percent(fraction: float) -> str:

@@ -74,14 +74,15 @@ class ScoreGraph:
     computed once on first use, lists each user's items by descending score,
     ties by ascending id, NaN last. Only Random reads it (top_k selects its
     first k columns without building it), so a Greedy sweep never pays its
-    8 * n_users * n_items bytes. ranked_users is its column-wise mirror:
-    each item's users by descending score, ties by ascending user id, NaN
-    last, shape (n_items, n_users). Only Greedy reads it, so it is built on
-    Greedy's first call and costs 8 * n_items * n_users bytes. items yields
-    each user's candidate ids, ascending; no pipeline path reads it, but the
+    8 * n_users * n_items bytes. Greedy reads only matrix and keeps no
+    per-item user order: an item's next user is one argmax over the live
+    users. A user once found with no entry that another user still receives
+    is dead for good, since the counts of listed items never rise (a victim
+    loses one; an introduced item goes from 0 to 1, once). items yields each
+    user's candidate ids, ascending; no pipeline path reads it, but the
     benchmark's scored-pairs count (bench/fairbench/layers.py::_count_pairs)
-    iterates it. user_ids are the raw ids that error messages name. A graph
-    has at least one user. Immutable after construction.
+    iterates it. user_ids are the raw ids that error messages name, one per
+    matrix row. A graph has at least one user. Immutable after construction.
     """
 
     matrix: np.ndarray
@@ -90,6 +91,8 @@ class ScoreGraph:
     def __post_init__(self) -> None:
         if self.matrix.shape[0] == 0:
             raise InvalidInputError("a score graph needs at least one user")
+        if len(self.user_ids) != self.matrix.shape[0]:
+            raise InvalidInputError(f"{len(self.user_ids)} user ids for {self.matrix.shape[0]} score rows")
 
     @property
     def items(self) -> Iterator[np.ndarray]:
@@ -106,10 +109,6 @@ class ScoreGraph:
     @cached_property
     def ranked(self) -> np.ndarray:
         return np.argsort(-self.matrix, axis=1, kind="stable")
-
-    @cached_property
-    def ranked_users(self) -> np.ndarray:
-        return np.argsort(-self.matrix.T, axis=1, kind="stable")
 
     @cached_property
     def n_candidates(self) -> np.ndarray:

@@ -15,11 +15,14 @@ introduces not-yet-recommended items with a score above a threshold, one at
 a time in globally descending score order, each replacing the last entry of
 the victim user's list that another user still receives; the
 recommended-item pool therefore never shrinks and grows by exactly the
-achieved increase. Greedy walks its moves as a heap merge of each unpooled
-item's users in descending score order (``ScoreGraph.ranked_users``, one
-stable column-wise sort, built on Greedy's first call and shared by every
-theta and threshold). It tries the moves of one fully sorted move list in
-that list's order, leaving out only those whose item is already introduced.
+achieved increase. Greedy reads only the score matrix. It walks its moves
+as a heap that holds each unpooled item's best live user, found by one
+argmax over the item's scores (NaN read as 0.0, below any threshold). A
+user with no entry that another user still receives is dead for the rest
+of the call: the counts of listed items never rise (a victim loses one, an
+introduced item goes from 0 to 1 and is never introduced again), so such a
+user never gets one. The walk tries exactly the live moves of one fully
+sorted move list, in that list's order.
 """
 
 from __future__ import annotations
@@ -133,15 +136,19 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     such an entry are skipped for that item. Stops after theta introductions
     or when no feasible move remains, reporting the achieved increase.
 
-    The moves are walked as a merge of per-item user orders
-    (``graph.ranked_users``): a heap holds each unpooled item's best untried
-    user. Popping a move that finds a victim introduces its item, which is
-    never pushed again; a move without a victim makes way for the item's
-    next user while that user's score still reaches the threshold (NaN, last
-    in the order, never does). The pool only grows by introductions, so an
-    item's moves are live until it is introduced and no-ops from then on;
-    the heap pops exactly the live moves of the fully sorted move list, in
-    its order, and skips none that could apply.
+    The moves are walked from ``graph.matrix`` alone: a heap holds
+    ``(-score, item, user)`` for each unpooled item whose best live user
+    still reaches the threshold, starting from one argmax per item over a
+    per-call copy of the matrix with NaN read as 0.0 (argmax takes the
+    lowest user id among ties). Popping a move that finds a victim
+    introduces its item, which is never pushed again. A move without a
+    victim marks its user dead, and the item moves on to the argmax of its
+    scores over the live users, or leaves the heap once that score is below
+    the threshold. A dead user stays dead: the counts of listed items never
+    rise (a victim loses one, an introduced item goes from 0 to 1 once), so
+    a row without an entry that another user receives never gains one. The
+    heap therefore pops exactly the live moves of the fully sorted move
+    list, in its order, and skips none that could apply.
     """
     [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
@@ -149,28 +156,29 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     rows = [sorted(zip(neg, items)) for neg, items in zip((-scores).tolist(), base.tolist())]
     counts_list = counts.tolist()
 
-    matrix, ranked_users, threshold = graph.matrix, graph.ranked_users, params.threshold
-    unpooled = np.flatnonzero(counts == 0)
-    best = matrix[ranked_users[unpooled, 0], unpooled]
-    heap = [
-        (-score, item, 0)  # 0: the item's place in its user order
-        for score, item in zip(best.tolist(), unpooled.tolist())
-        if score >= threshold
-    ]
+    # (item, user) scores with NaN read as 0.0, below any threshold (thresholds lie in
+    # [1, 5], so fmax, which also lifts a score below 0 to 0.0, changes no move)
+    filled = np.fmax(graph.matrix.T, 0.0, order="C")
+    users = filled.argmax(axis=1)  # each item's best user, the lowest id among ties
+    best = filled.max(axis=1)
+    start = np.flatnonzero((counts == 0) & (best >= params.threshold))
+    heap = list(zip((-best[start]).tolist(), start.tolist(), users[start].tolist()))
     heapq.heapify(heap)
+    live = np.ones(graph.n_users, dtype=bool)
 
     achieved = 0
     while heap and achieved < params.theta:
-        neg_score, item, place = heap[0]
-        row = rows[int(ranked_users[item, place])]
+        neg_score, item, user = heap[0]
+        row = rows[user]
         victim = len(row) - 1  # the last entry another user still receives
         while victim >= 0 and counts_list[row[victim][1]] < 2:
             victim -= 1
         if victim < 0:
-            place += 1
-            score = matrix[ranked_users[item, place], item] if place < graph.n_users else np.nan
-            if score >= threshold:
-                heapq.heapreplace(heap, (-float(score), item, place))
+            live[user] = False  # for good: the counts of listed items never rise
+            column = np.where(live, filled[item], 0.0)
+            user = int(column.argmax())
+            if column[user] >= params.threshold:
+                heapq.heapreplace(heap, (-float(column[user]), item, user))
             else:
                 heapq.heappop(heap)
             continue
@@ -185,21 +193,23 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     return GreedyRerankResult(lists, achieved_increase=achieved)
 
 
-def _check_lists(*list_sets: np.ndarray, n_users: int | None = None, n_items: int | None = None):
+def _check_lists(*list_sets: np.ndarray, user_ids: np.ndarray | None = None, n_items: int | None = None):
     """Reject anything that is not a list set; several list sets must share one shape.
 
     A list set is a 2-D signed-integer ndarray with one row per user
-    (n_users rows, when given), k >= 1 columns, ids in [0, n_items) (only
-    non-negative ids, without a catalog size) and distinct ids in each row.
+    (one row per raw id in ``user_ids``, when given), k >= 1 columns, ids
+    in [0, n_items) (only non-negative ids, without a catalog size) and
+    distinct ids in each row. A repeated item names the user's raw id, or
+    the row without ``user_ids``.
     """
     for lists in list_sets:
         array = isinstance(lists, np.ndarray)
         if not array or lists.dtype.kind != "i" or lists.ndim != 2 or lists.shape[1] < 1:
             got = f"{lists.dtype} of shape {lists.shape}" if array else type(lists).__name__
             raise InvalidInputError(f"lists must be 2-D integer arrays with k >= 1, got {got}")
-        if n_users is not None and len(lists) != n_users:
+        if user_ids is not None and len(lists) != len(user_ids):
             raise InvalidInputError(
-                f"lists of shape {lists.shape} do not match the score graph's {n_users} users"
+                f"lists of shape {lists.shape} do not match the score graph's {len(user_ids)} users"
             )
         if lists.shape != list_sets[0].shape:
             raise InvalidInputError(f"lists must share one shape, got {list_sets[0].shape} and {lists.shape}")
@@ -209,12 +219,14 @@ def _check_lists(*list_sets: np.ndarray, n_users: int | None = None, n_items: in
         ordered = np.sort(lists, axis=1)
         repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
         if repeats.any():
-            raise InvalidInputError(f"list row {np.argmax(repeats)} repeats an item")
+            row = np.argmax(repeats)
+            owner = f"row {row}" if user_ids is None else f"for user {user_ids[row]}"
+            raise InvalidInputError(f"list {owner} repeats an item")
 
 
 def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:
     """Each list set's (n_users, k) scores in the graph; every listed item must be a candidate."""
-    _check_lists(*list_sets, n_users=graph.n_users, n_items=graph.n_items)
+    _check_lists(*list_sets, user_ids=graph.user_ids, n_items=graph.n_items)
     gathered = []
     for lists in list_sets:
         scores = np.take_along_axis(graph.matrix, lists, axis=1)

@@ -36,7 +36,7 @@ REMOVED = {
     fairrec.predictors: {"_Rows"},
     fairrec.reranking: {"RecommendationSet"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned"},
-    ScoreGraph: {"from_pairs", "scores", "provenance", "lookup"},
+    ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
     RandomParams: {"tag"},
     GreedyParams: {"tag"},

@@ -12,12 +12,13 @@ from fairrec import (
     disparity_report,
     gini,
     overlap_similarity,
+    parse_ratings,
     recommendation_disparity,
     satisfaction,
     score_disparity,
     top_k,
 )
-from fairrec.metrics import RESULTS_HEADER, as_percent, write_results_csv
+from fairrec.metrics import RESULTS_HEADER, as_percent, write_per_user_csv, write_results_csv
 
 from _oracles import gini_pairwise, gini_pairwise_loops, graph_from_pairs
 
@@ -304,6 +305,23 @@ def test_write_results_csv_header(tmp_path):
     lines = (tmp_path / "results.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == RESULTS_HEADER
     assert lines[1].startswith("nmf,none,0,1,")
+
+
+def test_write_per_user_csv_needs_one_row_per_dataset_user(tmp_path):
+    graph = graph_from_pairs([[(0, 5.0), (1, 4.0)]] * 3, 2)
+    top = top_k(graph, 1)
+    report = disparity_report(graph, top, top, predictor="knn", post="none", param=0)
+    destination = tmp_path / "per_user.csv"
+    two_users = parse_ratings(["7 1 5 0\n", "8 2 4 0\n"])
+    with pytest.raises(InvalidInputError, match="a report of 3 users for a dataset of 2"):
+        write_per_user_csv(report, destination, two_users)
+    assert not destination.exists()
+    write_per_user_csv(report, destination, parse_ratings(["7 1 5 0\n", "8 2 4 0\n", "9 1 3 0\n"]))
+    assert destination.read_text(encoding="ascii").splitlines()[1:] == [
+        "7,1.000000,1.000000",
+        "8,1.000000,1.000000",
+        "9,1.000000,1.000000",
+    ]
 
 
 def test_as_percent_two_decimals():

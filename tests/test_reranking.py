@@ -18,7 +18,6 @@ from fairrec import (
 )
 
 from _oracles import (
-    SCORE_CHOICES,
     enumerate_small_instances,
     graph_from_pairs,
     greedy_move_list,
@@ -228,10 +227,11 @@ def test_greedy_theta_zero_is_a_no_op():
 
 def test_greedy_rejects_a_base_not_shaped_one_row_per_user():
     graph, base = _worked_example()
+    graph = ScoreGraph(graph.matrix, np.array([7, 9]))  # raw ids unlike the rows
     for bad, message in [
         (base[:1], "do not match the score graph"),
         (base.ravel(), "2-D integer arrays"),
-        (np.array([[0, 0], [0, 1]]), "list row 0 repeats an item"),
+        (np.array([[0, 1], [1, 1]]), "list for user 9 repeats an item"),
         (np.empty((2, 0), dtype=np.int64), "k >= 1"),
         (base.astype(np.float64), "integer arrays"),
     ]:
@@ -350,6 +350,18 @@ def test_score_graph_without_users_is_rejected_before_any_rerank():
         ScoreGraph(np.empty((0, 4)), np.arange(0))
 
 
+def test_score_graph_needs_one_user_id_per_row():
+    # error messages index user_ids by row: with one id for three rows, top_k's
+    # shortfall message for the third user raised IndexError
+    matrix = np.full((3, 4), 2.0)
+    matrix[2, 1:] = np.nan
+    for user_ids in (np.array([10]), np.arange(4)):
+        with pytest.raises(InvalidInputError, match="user ids for 3 score rows"):
+            ScoreGraph(matrix, user_ids)
+    with pytest.raises(CandidateShortfallError, match="user 12"):
+        top_k(ScoreGraph(matrix, np.array([10, 11, 12])), 2)
+
+
 def test_greedy_rejects_mismatched_base():
     graph = _random_graph(1, n_users=4)
     other = _random_graph(1, n_users=5)
@@ -366,7 +378,7 @@ def tie_heavy_graphs():
     return {"knn": predict_knn(d), "nmf": predict_nmf(d)}
 
 
-@pytest.mark.parametrize("threshold", [3.5, 5.0])
+@pytest.mark.parametrize("threshold", [1.0, 3.5, 5.0])  # 1.0: the most moves without a victim
 @pytest.mark.parametrize("predictor", ["knn", "nmf"])
 def test_greedy_matches_move_list_walk_on_tie_heavy_graphs(tie_heavy_graphs, predictor, threshold):
     graph = tie_heavy_graphs[predictor]
@@ -389,31 +401,10 @@ def test_greedy_calls_sharing_one_graph_equal_calls_on_fresh_graphs(tie_heavy_gr
         assert shared.achieved_increase == fresh.achieved_increase
 
 
-def test_ranked_users_orders_each_item_by_score_then_user_nan_last():
-    rng = np.random.default_rng(5)
-    matrix = rng.choice(SCORE_CHOICES, size=(40, 25))
-    matrix[rng.random(matrix.shape) < 0.3] = np.nan
-    graph = ScoreGraph(matrix, np.arange(40))
-    for item in range(25):
-        column = matrix[:, item]
-        missing = np.isnan(column)
-        expected = np.lexsort((np.arange(40), np.where(missing, 0.0, -column), missing))
-        assert graph.ranked_users[item].tolist() == expected.tolist()
-
-
 def test_top_k_and_greedy_leave_the_full_row_order_unbuilt():
     graph = _random_graph(4)
     top = top_k(graph, 2)
     greedy_rerank(graph, top, GreedyParams(theta=3))
-    assert "ranked" not in graph.__dict__
+    assert set(graph.__dict__) == {"matrix", "user_ids", "n_candidates"}  # greedy caches no order
     random_rerank(graph, RandomParams(ell=5, seed=1), 2)
     assert "ranked" in graph.__dict__
-
-
-def test_only_greedy_builds_the_per_item_user_order():
-    graph = _random_graph(4)
-    top = top_k(graph, 2)
-    random_rerank(graph, RandomParams(ell=5, seed=1), 2)
-    assert "ranked_users" not in graph.__dict__
-    greedy_rerank(graph, top, GreedyParams(theta=3))
-    assert "ranked_users" in graph.__dict__
