@@ -3,7 +3,9 @@
 Satisfaction compares the score mass a user's served list achieves against
 their best possible top-k list; overlap counts how much of the served list
 is still the true top-k. The Gini coefficient of either vector across users
-summarizes how unevenly the post-processing burden is spread.
+summarizes how unevenly the post-processing burden is spread. Every
+reader of a list set takes the score graph and checks the lists with
+``reranking._list_scores``, so a fault in a row names the user's raw id.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .dataset import RatingsDataset
 from .errors import InvalidInputError
 from .predictors import ScoreGraph
-from .reranking import _check_lists, _list_scores
+from .reranking import _list_scores
 
 
 def gini(values) -> float:
@@ -58,9 +60,12 @@ def satisfaction(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.nda
     return achieved / best
 
 
-def overlap_similarity(recs: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Per-user |served intersect top-k| / k, a multiple of 1/k in [0, 1]."""
-    _check_lists(recs, top)
+def overlap_similarity(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per-user |served intersect top-k| / k, a multiple of 1/k in [0, 1].
+
+    ``recs`` and ``top`` are list sets of one shape for the graph.
+    """
+    _list_scores(graph, recs, top)
     common = (recs[:, :, None] == top[:, None, :]).any(axis=2).sum(axis=1)
     return common / recs.shape[1]
 
@@ -75,12 +80,13 @@ def recommendation_disparity(overlap_vector) -> float:
     return gini(overlap_vector)
 
 
-def aggregate_diversity(recs: np.ndarray, n_items: int) -> float:
-    """Fraction of the catalog recommended to at least one user."""
-    if n_items < 1:
-        raise InvalidInputError("n_items must be >= 1")
-    _check_lists(recs, n_items=n_items)
-    return np.unique(recs).size / n_items
+def aggregate_diversity(graph: ScoreGraph, recs: np.ndarray) -> float:
+    """Fraction of the graph's catalog recommended to at least one user.
+
+    ``recs`` is a list set for the graph.
+    """
+    _list_scores(graph, recs)
+    return np.unique(recs).size / graph.n_items
 
 
 @dataclass
@@ -129,13 +135,13 @@ def disparity_report(
 ) -> DisparityReport:
     """Measure one (n_users, k) list array against its top-k reference."""
     a = satisfaction(graph, recs, top)
-    sim = overlap_similarity(recs, top)
+    sim = overlap_similarity(graph, recs, top)
     return DisparityReport(
         predictor=predictor,
         post=post,
         param=param,
         k=recs.shape[1],
-        aggregate_diversity=aggregate_diversity(recs, graph.n_items),
+        aggregate_diversity=aggregate_diversity(graph, recs),
         score_disparity=score_disparity(a),
         recommendation_disparity=recommendation_disparity(sim),
         satisfaction=a,

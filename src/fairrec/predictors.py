@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, candidate_sets
-from .errors import FactorizationError, InvalidInputError
+from .errors import FactorizationError, InvalidInputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class KnnParams:
     min_overlap: int = 1
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_neighbors < 1:
             raise InvalidInputError("n_neighbors must be >= 1")
         if self.min_overlap < 1:
@@ -52,10 +53,13 @@ class NmfParams:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_factors < 1:
             raise InvalidInputError("n_factors must be >= 1")
         if self.n_epochs < 0:
             raise InvalidInputError("n_epochs must be >= 0")
+        if self.init_seed < 0:
+            raise InvalidInputError("init_seed must be non-negative")
 
     def tag(self) -> str:
         return (
@@ -74,11 +78,7 @@ class ScoreGraph:
     computed once on first use, lists each user's items by descending score,
     ties by ascending id, NaN last. Only Random reads it (top_k selects its
     first k columns without building it), so a Greedy sweep never pays its
-    8 * n_users * n_items bytes. Greedy reads only matrix and keeps no
-    per-item user order: an item's next user is one argmax over the live
-    users. A user once found with no entry that another user still receives
-    is dead for good, since the counts of listed items never rise (a victim
-    loses one; an introduced item goes from 0 to 1, once). items yields each
+    8 * n_users * n_items bytes. Greedy reads only matrix. items yields each
     user's candidate ids, ascending; no pipeline path reads it, but the
     benchmark's scored-pairs count (bench/fairbench/layers.py::_count_pairs)
     iterates it. user_ids are the raw ids that error messages name, one per

@@ -1,8 +1,9 @@
 """Top-k list construction and the two diversity post-processors.
 
 A list set is one ``(n_users, k)`` integer array of dense item ids, row u
-holding user u's k >= 1 distinct candidates; ``_check_lists`` is its one
-definition and ``_list_scores`` its checked score gather. Each row is
+holding user u's k >= 1 distinct candidates. Every reader (greedy's base
+and each metric) takes the score graph and applies one check,
+``_list_scores``, which also gathers the lists' scores. Each row is
 ordered by descending score with ties broken by ascending item id. Top-k
 selects each row only to depth k and puts those k items in that order; it
 equals the first k columns of ``ScoreGraph.ranked``, the full order (one
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RATING_MAX, RATING_MIN
-from .errors import CandidateShortfallError, InvalidInputError
+from .errors import CandidateShortfallError, InvalidInputError, check_field_types
 from .predictors import ScoreGraph
 
 
@@ -44,6 +45,7 @@ class RandomParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.ell < 1:
             raise InvalidInputError("ell must be >= 1")
         if self.seed < 0:
@@ -56,6 +58,7 @@ class GreedyParams:
     threshold: float = 3.5
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.theta < 0:
             raise InvalidInputError("theta must be >= 0")
         if not RATING_MIN <= self.threshold <= RATING_MAX:
@@ -193,46 +196,38 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     return GreedyRerankResult(lists, achieved_increase=achieved)
 
 
-def _check_lists(*list_sets: np.ndarray, user_ids: np.ndarray | None = None, n_items: int | None = None):
-    """Reject anything that is not a list set; several list sets must share one shape.
+def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:
+    """Check list sets for the graph and gather each one's (n_users, k) scores.
 
-    A list set is a 2-D signed-integer ndarray with one row per user
-    (one row per raw id in ``user_ids``, when given), k >= 1 columns, ids
-    in [0, n_items) (only non-negative ids, without a catalog size) and
-    distinct ids in each row. A repeated item names the user's raw id, or
-    the row without ``user_ids``.
+    A list set is a 2-D signed-integer ndarray with one row per graph user,
+    k >= 1 columns, ids in [0, n_items) and, in each row, distinct
+    candidates of the row's user; several list sets must share one shape.
+    A fault in a row's content names the user's raw id.
     """
+    gathered = []
     for lists in list_sets:
         array = isinstance(lists, np.ndarray)
         if not array or lists.dtype.kind != "i" or lists.ndim != 2 or lists.shape[1] < 1:
             got = f"{lists.dtype} of shape {lists.shape}" if array else type(lists).__name__
             raise InvalidInputError(f"lists must be 2-D integer arrays with k >= 1, got {got}")
-        if user_ids is not None and len(lists) != len(user_ids):
+        if len(lists) != graph.n_users:
             raise InvalidInputError(
-                f"lists of shape {lists.shape} do not match the score graph's {len(user_ids)} users"
+                f"lists of shape {lists.shape} do not match the score graph's {graph.n_users} users"
             )
         if lists.shape != list_sets[0].shape:
             raise InvalidInputError(f"lists must share one shape, got {list_sets[0].shape} and {lists.shape}")
-        if lists.size and (lists.min() < 0 or (n_items is not None and lists.max() >= n_items)):
-            bound = "" if n_items is None else f" and below {n_items}"
-            raise InvalidInputError(f"item ids must be non-negative{bound}")
         ordered = np.sort(lists, axis=1)
-        repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-        if repeats.any():
-            row = np.argmax(repeats)
-            owner = f"row {row}" if user_ids is None else f"for user {user_ids[row]}"
-            raise InvalidInputError(f"list {owner} repeats an item")
-
-
-def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:
-    """Each list set's (n_users, k) scores in the graph; every listed item must be a candidate."""
-    _check_lists(*list_sets, user_ids=graph.user_ids, n_items=graph.n_items)
-    gathered = []
-    for lists in list_sets:
+        outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= graph.n_items)
+        _reject_rows(graph, outside, f"item ids must be non-negative and below {graph.n_items}, for user {{}}")
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        _reject_rows(graph, repeats, "list for user {} repeats an item")
         scores = np.take_along_axis(graph.matrix, lists, axis=1)
-        rated = np.isnan(scores).any(axis=1)
-        if rated.any():
-            user = graph.user_ids[np.argmax(rated)]
-            raise InvalidInputError(f"item not in candidate set of user {user}")
+        _reject_rows(graph, np.isnan(scores).any(axis=1), "item not in candidate set of user {}")
         gathered.append(scores)
     return gathered
+
+
+def _reject_rows(graph: ScoreGraph, faulty: np.ndarray, message: str) -> None:
+    """Raise ``message`` naming the raw id of the first user whose row is faulty."""
+    if faulty.any():
+        raise InvalidInputError(message.format(graph.user_ids[np.argmax(faulty)]))

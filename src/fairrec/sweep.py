@@ -130,10 +130,11 @@ def _coerce(key: str, value: str):
 def read_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into SweepConfig field overrides.
 
-    Each key is a SweepConfig field name. Blank lines and ``#`` comments are
-    ignored; grids are comma-separated.
+    Each key is a SweepConfig field name, given at most once. Blank lines and
+    ``#`` comments are ignored; grids are comma-separated.
     """
     overrides: dict = {}
+    first_lines: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -149,6 +150,9 @@ def read_config_file(path: str | Path) -> dict:
         value = value.strip().strip("\"'")
         if key not in _DEFAULTS:
             raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in first_lines:
+            raise InvalidInputError(f"{path}:{line_no}: config key {key!r} repeats line {first_lines[key]}")
+        first_lines[key] = line_no
         overrides[key] = _coerce(key, value)
     return overrides
 

@@ -99,7 +99,7 @@ def test_criterion_3_random_expectation(ml_knn):
     count = 0
     for seed in range(20):
         recs = random_rerank(graph, RandomParams(ell=50, seed=seed), 5)
-        sims = overlap_similarity(recs, top)
+        sims = overlap_similarity(graph, recs, top)
         total += float(sims.sum())
         count += sims.size
     mean = total / count
@@ -188,7 +188,7 @@ def test_criterion_3_random_expectation_synthetic(synthetic_graph):
     predictor, graph = synthetic_graph
     top = top_k(graph, 5)
     sims = [
-        overlap_similarity(random_rerank(graph, RandomParams(ell=50, seed=seed), 5), top)
+        overlap_similarity(graph, random_rerank(graph, RandomParams(ell=50, seed=seed), 5), top)
         for seed in range(20)
     ]
     mean = float(np.concatenate(sims).mean())
@@ -200,7 +200,7 @@ def test_random_overlap_depends_only_on_drawn_ranks(synthetic_knn, synthetic_nmf
     # overlap counts drawn rank positions below k, whatever the scores behind them
     params = RandomParams(ell=50, seed=3)
     knn, nmf = (
-        overlap_similarity(random_rerank(graph, params, 5), top_k(graph, 5))
+        overlap_similarity(graph, random_rerank(graph, params, 5), top_k(graph, 5))
         for graph in (synthetic_knn, synthetic_nmf)
     )
     assert np.array_equal(knn, nmf)
@@ -262,7 +262,7 @@ def test_criterion_6_small_instance_oracle():
     top2 = top_k(graph, 2)
     served = np.array([[1, 2]])
     assert satisfaction(graph, served, top2)[0] == approx(7 / 9, abs=1e-12)
-    assert overlap_similarity(served, top2)[0] == approx(0.5, abs=1e-12)
+    assert overlap_similarity(graph, served, top2)[0] == approx(0.5, abs=1e-12)
     top1 = top_k(graph, 1)
     served1 = np.array([[3]])
     assert satisfaction(graph, served1, top1)[0] == approx(0.2, abs=1e-12)

@@ -7,10 +7,13 @@ from pytest import approx
 
 from fairrec import (
     DisparityReport,
+    GreedyParams,
     InvalidInputError,
+    ScoreGraph,
     aggregate_diversity,
     disparity_report,
     gini,
+    greedy_rerank,
     overlap_similarity,
     parse_ratings,
     recommendation_disparity,
@@ -160,12 +163,37 @@ def test_misshapen_lists_are_rejected(case):
     with pytest.raises(InvalidInputError):
         satisfaction(graph, recs, top)
     with pytest.raises(InvalidInputError):
-        overlap_similarity(recs, top)
+        overlap_similarity(graph, recs, top)
     with pytest.raises(InvalidInputError):
         disparity_report(graph, recs, top, predictor="knn", post="none", param=0)
     if case != "width":  # the served lists alone are no list set
         with pytest.raises(InvalidInputError):
-            aggregate_diversity(recs, graph.n_items)
+            aggregate_diversity(graph, recs)
+
+
+LIST_FAULTS = {  # (lists, message) on a graph of raw users 7 and 9; user 9 rated item 3
+    "out of catalog": ([[0, 1], [1, 4]], "item ids must be non-negative and below 4, for user 9"),
+    "non-candidate": ([[0, 1], [1, 3]], "item not in candidate set of user 9"),
+    "repeated item": ([[0, 1], [1, 1]], "list for user 9 repeats an item"),
+    "row count": ([[0, 1]], "lists of shape (1, 2) do not match the score graph's 2 users"),
+}
+
+
+@pytest.mark.parametrize("case", LIST_FAULTS)
+def test_every_list_reader_raises_one_message_per_fault(case):
+    graph = ScoreGraph(np.array([[5.0, 4.0, 3.0, 2.0], [5.0, 4.0, 3.0, np.nan]]), np.array([7, 9]))
+    lists, message = np.array(LIST_FAULTS[case][0]), LIST_FAULTS[case][1]
+    top = top_k(graph, 2)
+    readers = {
+        "greedy base": lambda: greedy_rerank(graph, lists, GreedyParams(theta=1)),
+        "satisfaction": lambda: satisfaction(graph, lists, top),
+        "overlap": lambda: overlap_similarity(graph, lists, top),
+        "aggregate diversity": lambda: aggregate_diversity(graph, lists),
+    }
+    for reader, read in readers.items():
+        with pytest.raises(InvalidInputError) as raised:
+            read()
+        assert str(raised.value) == message, reader
 
 
 def test_satisfaction_rejects_nonpositive_top_mass():
@@ -221,34 +249,40 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
     ]
     common = [len(set(served[u].tolist()) & set(top[u].tolist())) for u in range(20)]
     assert satisfaction(graph, served, top).tolist() == sat
-    assert overlap_similarity(served, top).tolist() == [c / k for c in common]
+    assert overlap_similarity(graph, served, top).tolist() == [c / k for c in common]
 
 
 # ------------------------------------------------------------ overlap ----
 
+def _open_graph(n_users, n_items):
+    """A graph whose every item is a candidate of every user, all scored 3.0."""
+    return ScoreGraph(np.full((n_users, n_items), 3.0), np.arange(n_users))
+
+
 def test_overlap_identical_and_disjoint():
     top = np.array([[0, 1]])
-    assert overlap_similarity(top, top)[0] == 1.0
+    graph = _open_graph(1, 4)
+    assert overlap_similarity(graph, top, top)[0] == 1.0
     other = np.array([[2, 3]])
-    assert overlap_similarity(other, top)[0] == 0.0
+    assert overlap_similarity(graph, other, top)[0] == 0.0
 
 
 def test_overlap_two_of_five():
     top = np.array([[0, 1, 2, 3, 4]])
     served = np.array([[3, 4, 5, 6, 7]])
-    assert overlap_similarity(served, top)[0] == approx(0.4, abs=1e-12)
+    assert overlap_similarity(_open_graph(1, 8), served, top)[0] == approx(0.4, abs=1e-12)
 
 
 def test_overlap_is_set_based():
     top = np.array([[0, 1, 2]])
     served = np.array([[2, 0, 1]])
-    assert overlap_similarity(served, top)[0] == 1.0
+    assert overlap_similarity(_open_graph(1, 3), served, top)[0] == 1.0
 
 
 def test_overlap_one_iff_same_set():
     top = np.array([[0, 1], [0, 1]])
     served = np.array([[1, 0], [1, 2]])
-    sims = overlap_similarity(served, top)
+    sims = overlap_similarity(_open_graph(2, 3), served, top)
     assert (sims[0] == 1.0) == (set(served[0]) == set(top[0]))
     assert (sims[1] == 1.0) == (set(served[1]) == set(top[1]))
 
@@ -262,23 +296,24 @@ def test_recommendation_disparity_two_point():
 
 def test_aggregate_diversity_shared_and_full():
     shared = np.array([[0, 1], [0, 1], [1, 0]])
-    assert aggregate_diversity(shared, 10) == approx(0.2, abs=1e-12)
+    assert aggregate_diversity(_open_graph(3, 10), shared) == approx(0.2, abs=1e-12)
     full = np.array([[0, 1], [2, 3]])
-    assert aggregate_diversity(full, 4) == 1.0
+    assert aggregate_diversity(_open_graph(2, 4), full) == 1.0
 
 
 def test_aggregate_diversity_monotone_under_pool_growth():
     base = np.array([[0, 1], [0, 1]])
     grown = np.array([[0, 2], [0, 1]])
-    assert aggregate_diversity(grown, 5) >= aggregate_diversity(base, 5)
+    graph = _open_graph(2, 5)
+    assert aggregate_diversity(graph, grown) >= aggregate_diversity(graph, base)
 
 
 def test_aggregate_diversity_rejects_bad_catalog():
     with pytest.raises(InvalidInputError):
-        aggregate_diversity(np.array([[0]]), 0)
+        aggregate_diversity(_open_graph(1, 0), np.array([[0]]))
     for lists in (np.array([[0], [5]]), np.array([[0], [1]]), np.array([[-1]])):
         with pytest.raises(InvalidInputError):
-            aggregate_diversity(lists, 1)
+            aggregate_diversity(_open_graph(len(lists), 1), lists)
 
 
 # ------------------------------------------------------------- report ----

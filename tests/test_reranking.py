@@ -303,7 +303,7 @@ def test_greedy_structural_invariants():
             for item in set(row.tolist()) - set(base[u].tolist()):
                 assert graph.matrix[u, item] >= 3.5
 
-        agg = aggregate_diversity(recs, graph.n_items)
+        agg = aggregate_diversity(graph, recs)
         if previous_agg is not None:
             assert agg >= previous_agg
         previous_agg = agg

@@ -59,6 +59,14 @@ def test_read_config_rejects_unknown_key(tmp_path):
         read_config_file(path)
 
 
+def test_read_config_rejects_a_repeated_key_naming_both_lines(tmp_path):
+    # taking either value would silently drop the other
+    path = tmp_path / "sweep.cfg"
+    path.write_text("k = 5\n# a comment\nseed = 1\nk = 10\n")
+    with pytest.raises(InvalidInputError, match=r"sweep.cfg:4: config key 'k' repeats line 1$"):
+        read_config_file(path)
+
+
 def test_read_config_rejects_bad_boolean(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("cache = maybe\n")
