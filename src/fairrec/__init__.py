@@ -36,6 +36,7 @@ from .reranking import (
     RandomParams,
     greedy_rerank,
     random_rerank,
+    rank_order,
     top_k,
 )
 from .sweep import SweepConfig, build_config, emit_plot_data, run_sweep
@@ -74,6 +75,7 @@ __all__ = [
     "predict_knn",
     "predict_nmf",
     "random_rerank",
+    "rank_order",
     "recommendation_disparity",
     "run_sweep",
     "satisfaction",

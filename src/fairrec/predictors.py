@@ -74,15 +74,14 @@ class ScoreGraph:
 
     matrix is one dense (n_users, n_items) float64 array: a score in [1, 5]
     per candidate and NaN per rated item, so 8 * n_users * n_items bytes,
-    the size of the prediction matrix both predictors build anyway. ranked,
-    computed once on first use, lists each user's items by descending score,
-    ties by ascending id, NaN last. Only Random reads it (top_k selects its
-    first k columns without building it), so a Greedy sweep never pays its
-    8 * n_users * n_items bytes. Greedy reads only matrix. items yields each
-    user's candidate ids, ascending; no pipeline path reads it, but the
-    benchmark's scored-pairs count (bench/fairbench/layers.py::_count_pairs)
-    iterates it. user_ids are the raw ids that error messages name, one per
-    matrix row. A graph has at least one user. Immutable after construction.
+    the size of the prediction matrix both predictors build anyway. It is
+    the graph's only score-sized array: n_candidates, cached on first use,
+    holds one count per user, and no order of the items is cached (see
+    reranking.rank_order). items yields each user's candidate ids,
+    ascending; no pipeline path reads it, but the benchmark's scored-pairs
+    count (bench/fairbench/layers.py::_count_pairs) iterates it. user_ids
+    are the raw ids that error messages name, one per matrix row. A graph
+    has at least one user. Immutable after construction.
     """
 
     matrix: np.ndarray
@@ -105,10 +104,6 @@ class ScoreGraph:
     @property
     def n_items(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def ranked(self) -> np.ndarray:
-        return np.argsort(-self.matrix, axis=1, kind="stable")
 
     @cached_property
     def n_candidates(self) -> np.ndarray:
@@ -186,10 +181,12 @@ def fit_nmf(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Train nonnegative factors P (users) and Q (items) by multiplicative updates.
 
-    Only observed entries enter the squared-error objective. Returns the
-    factors and the loss history (initial loss plus one value per epoch);
-    the loss is non-increasing across epochs. Raises FactorizationError if
-    the factors stop being finite.
+    Only observed entries enter the squared-error objective, and the loss is
+    summed over them alone. Returns the factors and the loss history
+    (initial loss plus one value per epoch); the loss is non-increasing
+    across epochs. Raises FactorizationError if the factors stop being
+    finite. Besides the dense ratings and their mask, the fit holds one
+    matrix-sized buffer, observed * (P Q^T), rebuilt in place for each use.
     """
     target, observed = dataset.dense_matrix()  # target is 0 wherever observed is False
 
@@ -199,13 +196,21 @@ def fit_nmf(
     q = rng.uniform(size=(dataset.n_items, params.n_factors)) * scale
 
     eps = 1e-12
-    fitted = observed * (p @ q.T)  # from the current p and q: the loss, then the next p update
-    losses = [float(((target - fitted) ** 2).sum())]
+    fitted = np.empty(target.shape)
+    rated = (dataset.users, dataset.items)
+
+    def refit() -> None:
+        np.matmul(p, q.T, out=fitted)
+        np.multiply(fitted, observed, out=fitted)
+
+    refit()
+    losses = [float(((dataset.ratings - fitted[rated]) ** 2).sum())]  # observed cells alone
     for _ in range(params.n_epochs):
         p *= (target @ q) / (fitted @ q + eps)
-        q *= (target.T @ p) / ((observed * (p @ q.T)).T @ p + eps)
-        fitted = observed * (p @ q.T)
-        loss = float(((target - fitted) ** 2).sum())
+        refit()
+        q *= (target.T @ p) / (fitted.T @ p + eps)
+        refit()
+        loss = float(((dataset.ratings - fitted[rated]) ** 2).sum())
         if not np.isfinite(loss):
             raise FactorizationError("factorization diverged to non-finite values")
         losses.append(loss)

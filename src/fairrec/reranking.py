@@ -4,11 +4,12 @@ A list set is one ``(n_users, k)`` integer array of dense item ids, row u
 holding user u's k >= 1 distinct candidates. Every reader (greedy's base
 and each metric) takes the score graph and applies one check,
 ``_list_scores``, which also gathers the lists' scores. Each row is
-ordered by descending score with ties broken by ascending item id. Top-k
-selects each row only to depth k and puts those k items in that order; it
-equals the first k columns of ``ScoreGraph.ranked``, the full order (one
-stable row-wise sort of the score matrix), which only Random reads, computed
-on its first call and shared by every l.
+ordered by descending score with ties broken by ascending item id.
+``rank_order(graph, d)`` puts each row's first d items in that order
+(non-candidates last), selecting only to depth d in blocks of rows of a
+fixed cell count, so it builds no score-sized temporary; ``top_k`` is
+``rank_order`` to depth k once every user has k candidates. A sweep
+computes one order to depth max(l) and passes it to every Random call.
 Random draws k items uniformly from each user's top-l list using a per-user
 substream of the global seed, so results do not depend on evaluation order;
 sorting the drawn rank positions puts them back in list order. Greedy
@@ -81,48 +82,78 @@ def _require_candidates(graph: ScoreGraph, k: int) -> None:
         )
 
 
+# cells of the score matrix that rank_order selects from at a time: each block
+# of rows is copied and masked on its own, so its working set stays a few MiB
+_BLOCK_CELLS = 1 << 18
+
+
+def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
+    """Each user's first ``depth`` items, as an (n_users, depth) int64 array.
+
+    Items come by descending score, ties by ascending id, and the items
+    that are not the user's candidates (NaN) last, by ascending id: the
+    first ``depth`` columns of a stable row-wise sort of ``-graph.matrix``.
+    Selects only to depth, one block of rows at a time: each row of a block
+    copy (NaN read as -inf) is partitioned to its depth-th key, and the
+    items above that key plus the lowest-id items tied at it are put in
+    order by a stable sort of those ``depth`` columns.
+    """
+    if not 1 <= depth <= graph.n_items:
+        raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
+    order = np.empty((graph.n_users, depth), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // graph.n_items)
+    for start in range(0, graph.n_users, step):
+        block = np.fmax(graph.matrix[start : start + step], -np.inf)  # NaN below every score
+        negated = -block
+        negated.partition(depth - 1, axis=1)
+        kth = -negated[:, depth - 1 : depth]
+        del negated
+        chosen = block > kth
+        tied = block == kth
+        spare = depth - chosen.sum(axis=1)  # >= 1: the depth-th key itself is tied
+        tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= spare[:, None]  # lowest-id ties
+        chosen |= tied
+        items = np.nonzero(chosen)[1].reshape(len(block), depth)  # ascending id per row
+        by_key = np.argsort(-np.take_along_axis(block, items, axis=1), axis=1, kind="stable")
+        order[start : start + step] = np.take_along_axis(items, by_key, axis=1)
+    return order
+
+
 def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
     """The k highest-scored candidates per user, as an (n_users, k) array in list order.
 
-    Selects only to depth k: each row is partitioned to its k-th highest
-    score, and the items scored above it plus the lowest-id items tied at
-    it are put in list order by a stable sort of those k columns. The
-    result equals the first k columns of ``graph.ranked``, which is not
-    built.
+    Raises CandidateShortfallError, naming the user, if a user has fewer than k
+    candidates; the result is then ``rank_order(graph, k)``.
     """
     _require_candidates(graph, k)
-    matrix = graph.matrix
-    negated = -matrix  # NaN, the rated items, partitions last
-    negated.partition(k - 1, axis=1)
-    kth = -negated[:, k - 1 : k]
-    del negated  # a matrix-sized copy: free it before the masks
-    chosen = matrix > kth
-    tied = matrix == kth
-    spare = k - chosen.sum(axis=1)  # >= 1: the k-th score itself is tied
-    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= spare[:, None]  # lowest-id ties
-    chosen |= tied
-    items = np.nonzero(chosen)[1].reshape(graph.n_users, k)  # ascending id per row
-    order = np.argsort(-np.take_along_axis(matrix, items, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(items, order, axis=1)
+    return rank_order(graph, k)
 
 
-def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> np.ndarray:
+def random_rerank(graph: ScoreGraph, ranked: np.ndarray, params: RandomParams, k: int) -> np.ndarray:
     """Sample k items uniformly without replacement from each user's top-l.
 
-    Returns an (n_users, k) array, each row in list order.
+    ``ranked`` is ``rank_order(graph, d)`` for some d >= min(l, n_items);
+    one order to depth max(l) serves a whole l grid. Returns an
+    (n_users, k) array, each row in list order.
 
     l is truncated to the candidate count for users with fewer than l
-    candidates. The draw for user u comes from the (seed, u) substream, so
-    it is reproducible and independent of other users.
+    candidates, so an l of at least n_items means every candidate. The draw
+    for user u comes from the (seed, u) substream, so it is reproducible
+    and independent of other users.
     """
     if params.ell < k:
         raise InvalidInputError(f"ell={params.ell} must be >= k={k}")
     _require_candidates(graph, k)
+    depth = min(params.ell, graph.n_items)  # in Python: an l beyond int64 means every candidate
+    array = isinstance(ranked, np.ndarray)
+    if not (array and ranked.ndim == 2 and len(ranked) == graph.n_users and ranked.shape[1] >= depth):
+        got = ranked.shape if array else type(ranked).__name__
+        raise InvalidInputError(f"ranked must be ({graph.n_users}, d) with d >= {depth}, got {got}")
     ranks = np.empty((graph.n_users, k), dtype=np.int64)
-    for u, limit in enumerate(np.minimum(params.ell, graph.n_candidates).tolist()):
+    for u, limit in enumerate(np.minimum(graph.n_candidates, depth).tolist()):
         ranks[u] = np.random.default_rng([params.seed, u]).choice(limit, size=k, replace=False)
     ranks.sort(axis=1)
-    return np.take_along_axis(graph.ranked, ranks, axis=1)
+    return np.take_along_axis(ranked, ranks, axis=1)
 
 
 def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> GreedyRerankResult:

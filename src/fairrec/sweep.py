@@ -10,6 +10,7 @@ Grid points share one immutable ScoreGraph and are evaluated in grid order.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .predictors import (
     predict_nmf,
     save_score_cache,
 )
-from .reranking import GreedyParams, RandomParams, greedy_rerank, random_rerank, top_k
+from .reranking import GreedyParams, RandomParams, greedy_rerank, random_rerank, rank_order, top_k
 
 PREDICTORS = ("knn", "nmf")
 POSTS = ("none", "random", "greedy")
@@ -127,11 +128,16 @@ def _coerce(key: str, value: str):
         raise InvalidInputError(f"config key {key!r} expects {_KINDS[kind]}, got {value!r}") from None
 
 
+# key = "value" or 'value', then at most a comment
+_QUOTED = re.compile(r"""(?P<key>[^#=]*)=\s*(?P<quote>["'])(?P<value>.*?)(?P=quote)\s*(?:#.*)?""")
+
+
 def read_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into SweepConfig field overrides.
 
     Each key is a SweepConfig field name, given at most once. Blank lines and
-    ``#`` comments are ignored; grids are comma-separated.
+    ``#`` comments are ignored, but a ``#`` inside a quoted value is kept;
+    grids are comma-separated.
     """
     overrides: dict = {}
     first_lines: dict = {}
@@ -140,14 +146,18 @@ def read_config_file(path: str | Path) -> dict:
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: config file is not UTF-8 text: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        quoted = _QUOTED.fullmatch(raw.strip())
+        if quoted:  # a '#' between the quotes is part of the value
+            key, value = quoted["key"], quoted["value"]
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            value = value.strip().strip("\"'")
         key = key.strip()
-        value = value.strip().strip("\"'")
         if key not in _DEFAULTS:
             raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in first_lines:
@@ -201,13 +211,15 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     cfg.out.mkdir(parents=True, exist_ok=True)  # a rejected input leaves no directory behind
     graph = _obtain_scores(cfg, dataset)
     top = top_k(graph, cfg.k)
+    if cfg.post == "random":  # one order to depth max(l), shared by every l
+        ranked = rank_order(graph, min(max(cfg.ell), graph.n_items))
 
     grid = {"none": (), "random": cfg.ell, "greedy": cfg.theta}[cfg.post]
     reports = []
     for post, param in [("none", 0), *((cfg.post, value) for value in grid)]:
         recs, achieved = top, None
         if post == "random":
-            recs = random_rerank(graph, RandomParams(ell=param, seed=cfg.seed), cfg.k)
+            recs = random_rerank(graph, ranked, RandomParams(ell=param, seed=cfg.seed), cfg.k)
         elif post == "greedy":
             result = greedy_rerank(graph, top, GreedyParams(theta=param, threshold=cfg.threshold))
             recs, achieved = result.recommendations, result.achieved_increase

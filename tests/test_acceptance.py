@@ -28,6 +28,7 @@ from fairrec import (
     predict_knn,
     predict_nmf,
     random_rerank,
+    rank_order,
     run_sweep,
     satisfaction,
     top_k,
@@ -95,10 +96,11 @@ def test_criterion_2_gini_oracle():
 def test_criterion_3_random_expectation(ml_knn):
     graph = ml_knn
     top = top_k(graph, 5)
+    ranked = rank_order(graph, 50)
     total = 0.0
     count = 0
     for seed in range(20):
-        recs = random_rerank(graph, RandomParams(ell=50, seed=seed), 5)
+        recs = random_rerank(graph, ranked, RandomParams(ell=50, seed=seed), 5)
         sims = overlap_similarity(graph, recs, top)
         total += float(sims.sum())
         count += sims.size
@@ -187,8 +189,9 @@ def synthetic_graph(request):
 def test_criterion_3_random_expectation_synthetic(synthetic_graph):
     predictor, graph = synthetic_graph
     top = top_k(graph, 5)
+    ranked = rank_order(graph, 50)
     sims = [
-        overlap_similarity(graph, random_rerank(graph, RandomParams(ell=50, seed=seed), 5), top)
+        overlap_similarity(graph, random_rerank(graph, ranked, RandomParams(ell=50, seed=seed), 5), top)
         for seed in range(20)
     ]
     mean = float(np.concatenate(sims).mean())
@@ -200,7 +203,7 @@ def test_random_overlap_depends_only_on_drawn_ranks(synthetic_knn, synthetic_nmf
     # overlap counts drawn rank positions below k, whatever the scores behind them
     params = RandomParams(ell=50, seed=3)
     knn, nmf = (
-        overlap_similarity(graph, random_rerank(graph, params, 5), top_k(graph, 5))
+        overlap_similarity(graph, random_rerank(graph, rank_order(graph, 50), params, 5), top_k(graph, 5))
         for graph in (synthetic_knn, synthetic_nmf)
     )
     assert np.array_equal(knn, nmf)

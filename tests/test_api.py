@@ -37,7 +37,7 @@ REMOVED = {
     fairrec.predictors: {"_Rows"},
     fairrec.reranking: {"RecommendationSet", "_check_lists"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists"},
-    ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users"},
+    ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users", "ranked"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
     RandomParams: {"tag"},
     GreedyParams: {"tag"},

@@ -210,7 +210,7 @@ def test_score_disparity_hand_value():
 
 
 def test_satisfaction_bounded_for_both_post_processors():
-    from fairrec import GreedyParams, RandomParams, greedy_rerank, random_rerank
+    from fairrec import GreedyParams, RandomParams, greedy_rerank, random_rerank, rank_order
 
     rng = np.random.default_rng(6)
     pairs = [
@@ -220,7 +220,7 @@ def test_satisfaction_bounded_for_both_post_processors():
     graph = graph_from_pairs(pairs, 50)
     top = top_k(graph, 4)
     served_sets = [
-        random_rerank(graph, RandomParams(ell=12, seed=s), 4) for s in range(3)
+        random_rerank(graph, rank_order(graph, 12), RandomParams(ell=12, seed=s), 4) for s in range(3)
     ] + [greedy_rerank(graph, top, GreedyParams(theta=t, threshold=3.0)).recommendations
          for t in (3, 10)]
     for served in served_sets:
@@ -233,7 +233,7 @@ def test_satisfaction_bounded_for_both_post_processors():
 def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
     # the whole-matrix gathers must reproduce the per-user arithmetic exactly,
     # including k >= 8, where numpy's pairwise summation starts to unroll
-    from fairrec import RandomParams, random_rerank
+    from fairrec import RandomParams, random_rerank, rank_order
 
     rng = np.random.default_rng(k)
     pairs = [
@@ -242,7 +242,7 @@ def test_satisfaction_and_overlap_equal_a_per_user_loop(k):
     ]
     graph = graph_from_pairs(pairs, 60)
     top = top_k(graph, k)
-    served = random_rerank(graph, RandomParams(ell=30, seed=k), k)
+    served = random_rerank(graph, rank_order(graph, 30), RandomParams(ell=30, seed=k), k)
     sat = [
         float(graph.matrix[u, served[u]].sum()) / float(graph.matrix[u, top[u]].sum())
         for u in range(graph.n_users)

@@ -23,6 +23,7 @@ from fairrec import (
     predict_knn,
     predict_nmf,
     random_rerank,
+    rank_order,
     satisfaction,
     save_score_cache,
     top_k,
@@ -275,25 +276,31 @@ def test_nmf_factors_stay_nonnegative_after_every_epoch():
 
 
 def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
-    # the literal updates, forming mask * (P Q^T) afresh for each use
+    # the literal updates, forming mask * (P Q^T) afresh for each use; the loss
+    # is summed over the observed entries alone
     params = NmfParams(n_factors=5, n_epochs=12, init_seed=3)
-    rated_values, observed = synthetic_dataset.dense_matrix()
+    d = synthetic_dataset
+    rated_values, observed = d.dense_matrix()
     mask = observed.astype(np.float64)
     target = rated_values * mask
     rng = np.random.default_rng(params.init_seed)
-    scale = np.sqrt(synthetic_dataset.ratings.mean() / params.n_factors)
-    p = rng.uniform(size=(synthetic_dataset.n_users, params.n_factors)) * scale
-    q = rng.uniform(size=(synthetic_dataset.n_items, params.n_factors)) * scale
-    losses = [float(((target - mask * (p @ q.T)) ** 2).sum())]
+    scale = np.sqrt(d.ratings.mean() / params.n_factors)
+    p = rng.uniform(size=(d.n_users, params.n_factors)) * scale
+    q = rng.uniform(size=(d.n_items, params.n_factors)) * scale
+    losses = [float(((d.ratings - (p @ q.T)[d.users, d.items]) ** 2).sum())]
+    dense_losses = [float(((target - mask * (p @ q.T)) ** 2).sum())]
     for _ in range(params.n_epochs):
         p *= (target @ q) / ((mask * (p @ q.T)) @ q + 1e-12)
         q *= (target.T @ p) / ((mask * (p @ q.T)).T @ p + 1e-12)
-        losses.append(float(((target - mask * (p @ q.T)) ** 2).sum()))
+        losses.append(float(((d.ratings - (p @ q.T)[d.users, d.items]) ** 2).sum()))
+        dense_losses.append(float(((target - mask * (p @ q.T)) ** 2).sum()))
 
-    got_p, got_q, got_losses = fit_nmf(synthetic_dataset, params)
+    got_p, got_q, got_losses = fit_nmf(d, params)
     assert np.array_equal(got_p, p)
     assert np.array_equal(got_q, q)
     assert got_losses == losses
+    # the same objective as the masked sum over the whole matrix, up to summation order
+    assert got_losses == approx(dense_losses, rel=1e-12, abs=0)
 
 
 def test_fit_nmf_peak_memory_stays_below_four_matrices():
@@ -435,7 +442,7 @@ def test_errors_name_raw_user_ids():
     with pytest.raises(CandidateShortfallError, match="user 205"):
         top_k(graph, 2)
     with pytest.raises(CandidateShortfallError, match="user 205"):
-        random_rerank(graph, RandomParams(ell=3), 2)
+        random_rerank(graph, rank_order(graph, 3), RandomParams(ell=3), 2)
 
     zero = ScoreGraph(np.zeros((2, 4)), d.user_ids)
     lists = np.array([[0], [0]])

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
 
+from fairrec import reranking
 from fairrec import (
     CandidateShortfallError,
     GreedyParams,
@@ -14,6 +17,7 @@ from fairrec import (
     predict_knn,
     predict_nmf,
     random_rerank,
+    rank_order,
     top_k,
 )
 
@@ -104,6 +108,48 @@ def test_top_k_equals_a_stable_full_sort_on_predicted_graphs(tie_heavy_graphs):
             assert np.array_equal(top_k(graph, k), stable_sort_top_k(graph, k))
 
 
+# --------------------------------------------------------- rank_order ----
+
+@pytest.mark.parametrize("cells", [1, 40 * 3, 40 * 7, 1 << 20])  # 60 rows in 60, 20, 9 and 1 blocks
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_order_equals_a_stable_full_sort_in_blocks(monkeypatch, seed, cells):
+    # rated_fraction 0.9 leaves many rows with fewer candidates than the depth
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+    for rated_fraction in (0.3, 0.9):
+        graph = ScoreGraph(_tie_heavy_matrix(seed, rated_fraction=rated_fraction), np.arange(60))
+        for depth in (1, 5, 12, 39, 40):  # 40: every item
+            got = rank_order(graph, depth)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, stable_sort_top_k(graph, depth)), (rated_fraction, depth)
+
+
+def test_rank_order_puts_non_candidates_last_by_ascending_id():
+    graph = graph_of([(3, 2.0), (1, 5.0)], [(0, 1.0), (2, 1.0), (4, 1.0)], n_items=5)
+    assert rank_order(graph, 5).tolist() == [[1, 3, 0, 2, 4], [0, 2, 4, 1, 3]]
+
+
+def test_rank_order_rejects_a_depth_outside_the_items():
+    graph = _six_item_graph()
+    for depth in (0, 7):
+        with pytest.raises(InvalidInputError, match=r"depth must lie in \[1, 6\]"):
+            rank_order(graph, depth)
+
+
+def test_rank_order_working_set_stays_below_a_fraction_of_the_matrix(monkeypatch):
+    # one block of rows at a time: besides its result, the selection holds no
+    # score-sized temporary, such as a negated copy or a full row sort
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    graph = ScoreGraph(_tie_heavy_matrix(5, n_users=400, n_items=300), np.arange(400))
+    for depth in (5, 50):
+        tracemalloc.start()
+        try:
+            order = rank_order(graph, depth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < order.nbytes + graph.matrix.nbytes / 4, depth
+
+
 # ------------------------------------------------------------- random ----
 
 def _six_item_graph(n_users=1):
@@ -114,16 +160,18 @@ def _six_item_graph(n_users=1):
 def test_random_with_ell_equal_k_is_top_k():
     graph = _six_item_graph(n_users=3)
     top = top_k(graph, 3)
+    ranked = rank_order(graph, 3)
     for seed in range(5):
-        recs = random_rerank(graph, RandomParams(ell=3, seed=seed), 3)
+        recs = random_rerank(graph, ranked, RandomParams(ell=3, seed=seed), 3)
         assert recs.tolist() == top.tolist()
 
 
 def test_random_sample_is_subset_of_top_ell_and_ordered():
     graph = _six_item_graph()
     top4 = set(top_k(graph, 4)[0].tolist())
+    ranked = rank_order(graph, 4)
     for seed in range(10):
-        recs = random_rerank(graph, RandomParams(ell=4, seed=seed), 2)
+        recs = random_rerank(graph, ranked, RandomParams(ell=4, seed=seed), 2)
         row = recs[0].tolist()
         assert set(row) <= top4
         assert len(set(row)) == 2
@@ -133,11 +181,12 @@ def test_random_sample_is_subset_of_top_ell_and_ordered():
 
 def test_random_is_deterministic_per_seed_and_varies_across_seeds():
     graph = _six_item_graph()
-    a = random_rerank(graph, RandomParams(ell=6, seed=11), 2)
-    b = random_rerank(graph, RandomParams(ell=6, seed=11), 2)
+    ranked = rank_order(graph, 6)
+    a = random_rerank(graph, ranked, RandomParams(ell=6, seed=11), 2)
+    b = random_rerank(graph, ranked, RandomParams(ell=6, seed=11), 2)
     assert np.array_equal(a, b)
     draws = {
-        tuple(random_rerank(graph, RandomParams(ell=6, seed=s), 2)[0].tolist())
+        tuple(random_rerank(graph, ranked, RandomParams(ell=6, seed=s), 2)[0].tolist())
         for s in range(10)
     }
     assert len(draws) > 1
@@ -145,9 +194,10 @@ def test_random_is_deterministic_per_seed_and_varies_across_seeds():
 
 def test_random_users_get_independent_substreams():
     graph = _six_item_graph(n_users=2)
+    ranked = rank_order(graph, 6)
     differing = 0
     for seed in range(10):
-        recs = random_rerank(graph, RandomParams(ell=6, seed=seed), 2)
+        recs = random_rerank(graph, ranked, RandomParams(ell=6, seed=seed), 2)
         if recs[0].tolist() != recs[1].tolist():
             differing += 1
     assert differing > 0
@@ -155,14 +205,41 @@ def test_random_users_get_independent_substreams():
 
 def test_random_truncates_ell_to_candidate_count():
     graph = _six_item_graph()
-    recs = random_rerank(graph, RandomParams(ell=500, seed=3), 4)
+    recs = random_rerank(graph, rank_order(graph, 6), RandomParams(ell=500, seed=3), 4)
     assert len(set(recs[0].tolist())) == 4
+
+
+def test_random_reads_an_ell_beyond_int64_as_every_candidate():
+    graph = _six_item_graph(n_users=3)
+    ranked = rank_order(graph, 6)
+    for seed in range(5):
+        params = RandomParams(ell=10**21, seed=seed)
+        assert np.array_equal(random_rerank(graph, ranked, params, 4),
+                              random_rerank(graph, ranked, RandomParams(ell=6, seed=seed), 4))
+
+
+def test_random_shares_one_order_to_the_deepest_ell():
+    graph = _random_graph(8, n_users=20, n_items=40)
+    deep = rank_order(graph, 30)
+    for ell in (3, 10, 30):
+        params = RandomParams(ell=ell, seed=2)
+        assert np.array_equal(random_rerank(graph, deep, params, 3),
+                              random_rerank(graph, rank_order(graph, ell), params, 3))
+
+
+def test_random_rejects_an_order_of_the_wrong_shape():
+    graph = _six_item_graph(n_users=2)
+    params = RandomParams(ell=4, seed=0)
+    for bad in (rank_order(graph, 3), rank_order(graph, 6)[:1], rank_order(graph, 6).ravel(),
+                rank_order(graph, 6).tolist()):
+        with pytest.raises(InvalidInputError, match=r"ranked must be \(2, d\) with d >= 4"):
+            random_rerank(graph, bad, params, 2)
 
 
 def test_random_rejects_ell_below_k():
     graph = _six_item_graph()
     with pytest.raises(InvalidInputError):
-        random_rerank(graph, RandomParams(ell=2, seed=0), 3)
+        random_rerank(graph, rank_order(graph, 6), RandomParams(ell=2, seed=0), 3)
 
 
 def test_random_params_validation():
@@ -173,15 +250,16 @@ def test_random_params_validation():
     graph = _six_item_graph()
     for k in (0, -1):  # checked like top_k's k, not drawn as empty or negative lists
         with pytest.raises(InvalidInputError, match="k must be >= 1"):
-            random_rerank(graph, RandomParams(ell=3), k)
+            random_rerank(graph, rank_order(graph, 3), RandomParams(ell=3), k)
 
 
 def test_random_uniform_over_top_two():
     # k=1, ell=2: each of the top-2 items should win about half of the time
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 1.0)])
+    ranked = rank_order(graph, 2)
     counts = {0: 0, 1: 0}
     for seed in range(10000):
-        item = random_rerank(graph, RandomParams(ell=2, seed=seed), 1)[0, 0]
+        item = random_rerank(graph, ranked, RandomParams(ell=2, seed=seed), 1)[0, 0]
         counts[int(item)] += 1
     assert counts[0] + counts[1] == 10000
     assert abs(counts[0] - 5000) <= 150
@@ -197,10 +275,11 @@ def test_random_overlap_matches_hypergeometric_mean():
     ]
     graph = graph_from_pairs(pairs, n_items)
     top = top_k(graph, k)
+    ranked = rank_order(graph, ell)
     total = 0.0
     draws = 0
     for seed in range(200):
-        recs = random_rerank(graph, RandomParams(ell=ell, seed=seed), k)
+        recs = random_rerank(graph, ranked, RandomParams(ell=ell, seed=seed), k)
         for u in range(n_users):
             total += np.intersect1d(recs[u], top[u]).size
             draws += 1
@@ -401,10 +480,9 @@ def test_greedy_calls_sharing_one_graph_equal_calls_on_fresh_graphs(tie_heavy_gr
         assert shared.achieved_increase == fresh.achieved_increase
 
 
-def test_top_k_and_greedy_leave_the_full_row_order_unbuilt():
+def test_no_reader_caches_an_order_on_the_graph():
     graph = _random_graph(4)
     top = top_k(graph, 2)
     greedy_rerank(graph, top, GreedyParams(theta=3))
-    assert set(graph.__dict__) == {"matrix", "user_ids", "n_candidates"}  # greedy caches no order
-    random_rerank(graph, RandomParams(ell=5, seed=1), 2)
-    assert "ranked" in graph.__dict__
+    random_rerank(graph, rank_order(graph, 5), RandomParams(ell=5, seed=1), 2)
+    assert set(graph.__dict__) == {"matrix", "user_ids", "n_candidates"}

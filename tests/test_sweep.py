@@ -1,6 +1,7 @@
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairrec import InvalidInputError, build_config, emit_plot_data, run_sweep, save_score_cache
@@ -50,6 +51,20 @@ def test_read_config_file(tmp_path):
     assert overrides["k"] == 5
     assert overrides["cache"] is True
     assert str(overrides["out"]) == "results"
+
+
+@pytest.mark.parametrize("line", ['out = "res#1"', "out = 'res#1'", 'out="res#1"  # a comment'])
+def test_read_config_keeps_a_hash_inside_quotes(tmp_path, line):
+    # cutting the comment first read these as out = "res, which wrote to res/
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{line}\n")
+    assert read_config_file(path) == {"out": Path("res#1")}
+
+
+def test_read_config_cuts_a_comment_after_a_quoted_value(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text('out = "results"  # "quoted" note\npredictor = \'nmf\'# note = x\n')
+    assert read_config_file(path) == {"out": Path("results"), "predictor": "nmf"}
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
@@ -302,6 +317,20 @@ def test_random_grid_emits_one_report_per_point(synthetic_file, tmp_path):
     assert all(r.post == "random" for r in reports[1:])
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_random_sweep_reads_an_ell_beyond_int64_as_every_candidate(
+    synthetic_file, synthetic_dataset, tmp_path
+):
+    # min(l, n_items) is taken in Python, so numpy never sees an l past int64
+    n_items = synthetic_dataset.n_items
+    every = small_cfg(synthetic_file, tmp_path / "every", post="random", ell=(n_items,))
+    _, expected = run_sweep(every)
+    _, got = run_sweep(replace(every, ell=(10**21,), out=tmp_path / "huge"))
+    assert got.param == 10**21
+    assert np.array_equal(got.overlap, expected.overlap)
+    assert (got.aggregate_diversity, got.score_disparity, got.recommendation_disparity) == (
+        expected.aggregate_diversity, expected.score_disparity, expected.recommendation_disparity)
 
 
 def test_greedy_grid_reports_achieved_increase(synthetic_file, tmp_path):
