@@ -8,9 +8,11 @@ dense ids only, and reports translate back through ``user_ids`` and
 ``item_ids``. A user's candidates are the items they have not rated, held
 for all users as one (n_users, n_items) bool mask.
 
-A file of plain lines (four unsigned integers each, nothing else) is split
-in one vectorised pass, any other source by a line loop that names a faulty
-line; one checker then checks the ratings and pairs of both and maps the ids.
+A file of plain lines (four unsigned integers below 10**18 each, nothing
+else) is split in one vectorised pass, any other source by a line loop that
+names a faulty line and reads each field with ``parse_number``, the one rule
+for what text is an integer; one checker then checks the ratings and pairs
+of both and maps the ids.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ RATING_MIN = 1.0
 RATING_MAX = 5.0
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
 _PLAIN_BYTES = b"0123456789 \t\n"
-_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatingsDataset:
     """Sparse user-item rating matrix with the dense -> raw id arrays.
 
@@ -109,25 +110,35 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     """The (n, 4) int64 fields of a file of plain ratings lines, or None.
 
     Accepts only data made of digits, spaces, tabs and newlines that ends in
-    a newline, has exactly four digit runs on every line and no run longer
-    than 18 digits (so each fits in int64). Anything else, blank lines
-    included, is left to the line loop.
+    a newline, has exactly four numbers on every line and no number of
+    10**18 or more. Each newline gets a -1 sentinel before it; with no '-'
+    in the data the sentinels are the only negative values, so there are
+    four numbers per line exactly when there are five values per line and
+    every fifth is -1. fromstring clamps a number past int64 to 2**63 - 1,
+    which the bound rejects. Anything else, blank lines included, is left
+    to the line loop.
     """
     if not data.endswith(b"\n") or data.translate(None, _PLAIN_BYTES):
         return None
-    chars = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(chars == ord("\n"))
-    # digits sort above the three separators; edges alternate run start, run end
-    edges = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False))
-    starts, ends = edges[0::2], edges[1::2]
-    if (
-        starts.size != 4 * newlines.size
-        or np.any(starts[3::4] > newlines)  # line j's 4th run starts before its newline
-        or np.any(starts[4::4] < newlines[:-1])  # line j+1's 1st run starts after it
-        or np.max(ends - starts) > _MAX_DIGITS
-    ):
+    marked = data.replace(b"\n", b" -1\n")
+    values = np.fromstring(marked, dtype=np.int64, sep=" ")
+    n_lines = (len(marked) - len(data)) // 3  # each newline grew by " -1"
+    if values.size != 5 * n_lines or np.any(values[4::5] != -1) or values.max() >= 10**18:
         return None
-    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4)
+    # a copy, so the (n, 5) array is freed before the checker allocates
+    # (about 2 MB less peak RSS on the cache-resweep benchmark)
+    return np.ascontiguousarray(values.reshape(-1, 5)[:, :4])
+
+
+def parse_number(text: str, kind: type = int):
+    """kind(text), for ASCII text without '_' only.
+
+    int and float alone also read digit separators and non-ASCII digits, so
+    '1_0', '٣' and '３.5' would silently stand for 10, 3 and 3.5.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
 
 
 def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:
@@ -135,7 +146,7 @@ def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:
     rows: list[tuple[int, int, int, int]] = []
     try:
         for line_no, line in enumerate(source, start=1):
-            if not line.isascii():  # int() reads non-ASCII digits such as '١'
+            if not line.isascii():  # also covers the timestamp, which is never read
                 raise RatingParseError(f"line {line_no}: not ASCII text")
             if not line.strip():
                 continue
@@ -145,11 +156,9 @@ def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:
                     f"line {line_no}: expected 4 fields (user item rating timestamp), "
                     f"got {len(fields)}"
                 )
-            if "_" in line and "_" in "".join(fields[:3]):  # int() accepts digit separators
-                raise RatingParseError(f"line {line_no}: '_' in the user, item or rating field")
             try:
-                user = int(fields[0])
-                item = int(fields[1])
+                user = parse_number(fields[0])
+                item = parse_number(fields[1])
             except ValueError:
                 raise RatingParseError(
                     f"line {line_no}: non-numeric user or item id"
@@ -157,7 +166,7 @@ def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:
             if not (_ID_MIN <= user <= _ID_MAX and _ID_MIN <= item <= _ID_MAX):
                 raise RatingParseError(f"line {line_no}: user or item id outside the int64 range")
             try:
-                rating = int(fields[2])
+                rating = parse_number(fields[2])
             except ValueError:
                 raise RatingParseError(
                     f"line {line_no}: rating must be an integer, got {fields[2]!r}"

@@ -68,7 +68,7 @@ class NmfParams:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreGraph:
     """Predicted stars for every (user, candidate item) pair.
 
@@ -150,13 +150,10 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     neighbours = neighbours.ravel()
     row_starts = rows * n
 
-    by_item = np.lexsort((dataset.users, dataset.items))
-    item_bounds = np.searchsorted(dataset.items[by_item], np.arange(m + 1))
-
     predictions = np.empty((n, m))
     nn = params.n_neighbors
     for i in range(m):
-        raters = dataset.users[by_item[item_bounds[i] : item_bounds[i + 1]]]
+        raters = np.flatnonzero(observed[:, i])  # ascending user ids
         if raters.size <= nn:
             sim_block = sims[:, raters]
             numer = sim_block @ deviations[raters, i]

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dataset import candidate_sets, load_ratings
+from .dataset import candidate_sets, load_ratings, parse_number
 from .errors import InvalidInputError
 from .metrics import DisparityReport, disparity_report, write_per_user_csv, write_results_csv
 from .predictors import (
@@ -93,17 +93,6 @@ def _has_type_of(value, default) -> bool:
     if isinstance(default, tuple):
         return type(value) is tuple and all(type(v) is int for v in value)
     return type(value) in ((int, float) if type(default) is float else (type(default),))
-
-
-def parse_number(text: str, kind: type = int):
-    """kind(text), for ASCII text without '_' only.
-
-    int and float alone also read digit separators and non-ASCII digits, so
-    '1_0', '٣' and '３.5' would silently stand for 10, 3 and 3.5.
-    """
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
-    return kind(text)
 
 
 def parse_grid(text: str) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -105,14 +105,21 @@ def test_rating_out_of_range(rating):
      "\u0661 10 4 0\n", "2 \uff11\uff10 5 0\n", "2 10 4 0\u00e9\n"],  # int() reads non-ASCII digits
 )
 def test_malformed_line_is_a_parse_error(line):
-    with pytest.raises(RatingParseError, match="line 2"):
+    with pytest.raises(RatingParseError, match="line 2") as info:
         parse(["1 10 4 0\n", line])
+    # a '_' field fails the one integer rule, so it gets its field's own message
+    exact = {"1_0 10 4 0\n": "line 2: non-numeric user or item id",
+             "1 1_0 4 0\n": "line 2: non-numeric user or item id",
+             "1 10 0_5 0\n": "line 2: rating must be an integer, got '0_5'"}
+    if line in exact:
+        assert str(info.value) == exact[line]
 
 
 @pytest.mark.parametrize(
     "lines",
-    [["1 10 4 0 5\n", "3 4 0\n"], ["3 4 1\n", "0 5 3 4 0\n"]],  # 8 numbers: two valid rows
-    ids=["five-three", "three-five"],
+    [["1 10 4 0 5\n", "3 4 0\n"], ["3 4 1\n", "0 5 3 4 0\n"],  # 8 numbers: two valid rows
+     ["1 10\n", "3\n"]],  # 3 numbers and 2 sentinels: five values, the fifth a sentinel
+    ids=["five-three", "three-five", "two-one"],
 )
 def test_field_counts_that_only_add_up_over_two_lines_are_a_parse_error(lines):
     with pytest.raises(RatingParseError, match="line 1: expected 4 fields"):
@@ -165,27 +172,39 @@ def test_empty_source_rejected():
 
 
 @pytest.mark.parametrize(
-    "lines",
-    [["+1 10 4 0\n", "-2 010 5 0\n"],
-     ["9223372036854775807 10 4 0\n", "1000000000000000000 10 5 0\n"],
-     ["1 10 4 0\r\n", "2 10 5 0\r\n"],
-     ["1 10 4 0\n", "2 10 5 0"],
-     ["1 10 4 0\n", "2 10 5 1234567890123456789012\n"],
-     ["1 10 4 0\n", "\n", "2 10 5 0\n"]],
+    "lines, error",
+    [(["+1 10 4 0\n", "-2 010 5 0\n"], None),
+     (["9223372036854775807 10 4 0\n", "1000000000000000000 10 5 0\n"], None),
+     (["1 10 4 0\r\n", "2 10 5 0\r\n"], None),
+     (["1 10 4 0\n", "2 10 5 0"], None),
+     (["1 10 4 0\n", "2 10 5 1234567890123456789012\n"], None),
+     (["1 10 4 0\n", "\n", "2 10 5 0\n"], None),
+     # fromstring clamps this id to 2**63 - 1, which the pass's bound rejects
+     (["1 10 4 0\n", "99999999999999999999 10 5 0\n"],
+      "line 2: user or item id outside the int64 range"),
+     (["1 10 4 0\n", "2 10 5 0 3 20 4 0 0\n"],
+      "line 2: expected 4 fields (user item rating timestamp), got 9"),
+     (["1 10 4 0\n", "2 10 5 1000000000000000000\n"], None)],
     ids=["signs", "19-digit-ids", "crlf", "no-final-newline",
-         "long-timestamp", "blank-line"],
+         "long-timestamp", "blank-line", "20-digit-id", "nine-numbers", "ten-to-the-18"],
 )
-def test_lines_left_to_the_loop_parse_alike(lines):
+def test_lines_left_to_the_loop_parse_alike(lines, error):
     assert _parse_plain("".join(lines).encode()) is None
-    assert parse(lines).n_ratings == 2
+    if error is None:
+        assert parse(lines).n_ratings == 2
+    else:
+        with pytest.raises(RatingParseError) as info:
+            parse(lines)
+        assert str(info.value) == error
 
 
 def test_vectorised_pass_reads_leading_zeros_18_digits_and_edge_whitespace():
-    lines = ["007\t010\t4\t0 \n", "\t999999999999999999  10 5 123456789012345678\n"]
+    lines = ["007\t010\t4\t0 \n", "\t999999999999999999  10 5 123456789012345678\n",
+             "0000000000000000000000007 20 3 999999999999999999\n"]  # 25 digits, value 7
     assert _parse_plain("".join(lines).encode()) is not None
     d = parse(lines)
     assert d.user_ids.tolist() == [7, 999999999999999999]
-    assert d.item_ids.tolist() == [10]
+    assert d.item_ids.tolist() == [10, 20]
 
 
 def test_load_ratings_equals_the_line_loop(synthetic_file):
@@ -249,6 +268,12 @@ def test_user_and_item_counts_are_the_id_array_sizes(synthetic_dataset):
     d = synthetic_dataset
     assert not {"n_users", "n_items"} & {f.name for f in fields(d)}  # nothing to disagree with
     assert (d.n_users, d.n_items) == (d.user_ids.size, d.item_ids.size)
+
+
+def test_dataset_fields_cannot_be_reassigned(synthetic_dataset):
+    for field in fields(synthetic_dataset):
+        with pytest.raises(FrozenInstanceError):
+            setattr(synthetic_dataset, field.name, getattr(synthetic_dataset, field.name))
 
 
 def test_fingerprint_changes_with_any_rating_or_raw_id():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -235,6 +236,14 @@ def test_predictions_cover_candidates_within_range(synthetic_dataset, predict):
     assert np.array_equal(np.isnan(graph.matrix), ~c)
     assert np.all(graph.matrix[c] >= 1.0)
     assert np.all(graph.matrix[c] <= 5.0)
+
+
+def test_score_graph_fields_cannot_be_reassigned():
+    graph = ScoreGraph(np.array([[np.nan, 4.0, 3.0, 2.0, 1.0]] * 2), np.array([5, 7]))
+    assert graph.n_candidates.tolist() == [4, 4]  # cached on first read
+    for field in dataclasses.fields(graph):  # a new matrix would leave that count stale
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(graph, field.name, getattr(graph, field.name))
 
 
 # ---------------------------------------------------------------- nmf ----
