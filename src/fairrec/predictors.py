@@ -125,51 +125,89 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     fewer than min_overlap co-rated items are excluded) contribute their
     deviation from their own mean, weighted by similarity and normalized
     by the sum of absolute similarities. Candidates with no usable rater,
-    or a zero similarity mass, fall back to the user's mean rating.
+    or a zero similarity mass, fall back to the user's mean rating; their
+    count is logged at DEBUG.
+
+    Items are scored on one thread per CPU this process may run on. Each
+    item column is written by one thread with the same operations in the
+    same order, so the scores do not depend on the thread count.
     """
+    # imported here: runs that never score with KNN skip their start-up cost
+    import logging
+    from concurrent.futures import ThreadPoolExecutor
+
     n, m = dataset.n_users, dataset.n_items
     rated_values, observed = dataset.dense_matrix()
     counts = observed.sum(axis=1)
     means = rated_values.sum(axis=1) / counts
 
     deviations = np.where(observed, rated_values - means[:, None], 0.0)
+    del rated_values
     norms = np.sqrt((deviations**2).sum(axis=1))
     safe_norms = np.where(norms > 0, norms, 1.0)
     sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
 
     observed_f = observed.astype(np.float64)
     valid = observed_f @ observed_f.T >= params.min_overlap
+    del observed_f
     # each user's order of all users: descending similarity, invalid pairs
-    # (keyed below -1) last, ties by ascending id; rank inverts it
-    neighbours = np.argsort(-np.where(valid, sims, -2.0), axis=1, kind="stable")
-    rank = np.empty(neighbours.shape, dtype=np.int32)  # n**2 memory keeps n far below 2**31
+    # (keyed below -1) last, ties by ascending id; rank inverts it. Both are
+    # int32: n**2 memory keeps n far below 2**31
+    key = np.where(valid, sims, -2.0)
+    np.negative(key, out=key)
+    neighbours = np.argsort(key, axis=1, kind="stable").astype(np.int32)
+    del key
+    rank = np.empty(neighbours.shape, dtype=np.int32)
     rows = np.arange(n)[:, None]
     rank[rows, neighbours] = np.arange(n)
     sims[~valid] = 0.0
+    del valid
     sims_by_rank = sims[rows, neighbours].ravel()
     neighbours = neighbours.ravel()
     row_starts = rows * n
 
     predictions = np.empty((n, m))
     nn = params.n_neighbors
-    for i in range(m):
-        raters = np.flatnonzero(observed[:, i])  # ascending user ids
-        if raters.size <= nn:
-            sim_block = sims[:, raters]
-            numer = sim_block @ deviations[raters, i]
-            denom = np.abs(sim_block).sum(axis=1)
-        else:
-            # ranks are unique, so the nn smallest, ascending, are exactly the
-            # stable order's first nn; take keeps C order, and with it the
-            # addition order of the row sums below
-            top = np.partition(rank.take(raters, axis=1), nn - 1, axis=1)[:, :nn]
-            flat = row_starts + np.sort(top, axis=1)
-            sim_sel = sims_by_rank[flat]
-            numer = (sim_sel * deviations[neighbours[flat], i]).sum(axis=1)
-            denom = np.abs(sim_sel).sum(axis=1)
-        safe = np.where(denom > 0, denom, 1.0)
-        predictions[:, i] = np.where(denom > 0, means + numer / safe, means)
 
+    def score(items: range) -> int:
+        fallbacks = 0
+        for i in items:
+            raters = np.flatnonzero(observed[:, i])  # ascending user ids
+            if raters.size <= nn:
+                sim_block = sims[:, raters]
+                numer = sim_block @ deviations[raters, i]
+                denom = np.abs(sim_block).sum(axis=1)
+            else:
+                # ranks are unique, so the nn smallest, ascending, are exactly the
+                # stable order's first nn; take keeps C order, and with it the
+                # addition order of the row sums below
+                top = rank.take(raters, axis=1)
+                top.partition(nn - 1, axis=1)
+                top = top[:, :nn]
+                top.sort(axis=1)
+                flat = row_starts + top
+                sim_sel = sims_by_rank[flat]
+                numer = (sim_sel * deviations[neighbours[flat], i]).sum(axis=1)
+                denom = np.abs(sim_sel).sum(axis=1)
+            fallen = denom == 0
+            safe = np.where(fallen, 1.0, denom)
+            predictions[:, i] = np.where(fallen, means, means + numer / safe)
+            fallbacks += np.count_nonzero(fallen) - np.count_nonzero(fallen[raters])  # candidates only
+        return fallbacks
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, m)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # items by stride balance the load, since popularity is not ordered by id;
+        # consuming every result re-raises a worker's exception here
+        fallbacks = sum(pool.map(score, [range(w, m, workers) for w in range(workers)]))
+    logging.getLogger(__name__).debug(
+        "predict_knn: %d of %d candidate scores fell back to the user mean",
+        fallbacks, n * m - dataset.n_ratings,
+    )
     return ScoreGraph.from_matrix(predictions, dataset)
 
 

@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import io
+import logging
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -132,12 +136,32 @@ def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 9)) == approx(expected, abs=1e-12)
 
 
-def test_knn_falls_back_to_user_mean_without_valid_raters():
-    # v shares no rated item with u, so u's candidates keep u's mean 3.0
+def _fallback_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "fairrec.predictors"]
+
+
+def test_knn_falls_back_to_user_mean_without_valid_raters(caplog):
+    # v shares no rated item with u, so u's candidates keep u's mean 3.0,
+    # and v's keep its own; all four candidates fall back
     d = dataset_of({1: 4, 2: 2}, {3: 5, 4: 1})
-    graph = predict_knn(d)
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        graph = predict_knn(d)
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 3)) == 3.0
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 4)) == 3.0
+    assert _fallback_messages(caplog) == ["predict_knn: 4 of 4 candidate scores fell back to the user mean"]
+
+
+def test_knn_fallback_count_skips_rated_cells(caplog):
+    # w rates 1 and 2 alike, so its similarity to everyone is 0: its candidate
+    # 3 falls back, and so would its two rated cells, which are not counted;
+    # u's candidate 3 has v as a similar rater
+    d = dataset_of({1: 4, 2: 2}, {1: 5, 2: 1, 3: 5}, {1: 3, 2: 3})
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        graph = predict_knn(d)
+    item = np.searchsorted(d.item_ids, 3)
+    assert knn_score(graph, 2, item) == 3.0
+    assert knn_score(graph, 0, item) != 3.0
+    assert _fallback_messages(caplog) == ["predict_knn: 1 of 2 candidate scores fell back to the user mean"]
 
 
 def test_knn_min_overlap_excludes_thin_similarities():
@@ -205,6 +229,61 @@ def test_knn_matches_full_sort_bit_for_bit(tie_heavy, n_neighbors, min_overlap):
     assert (np.bincount(d.items) > n_neighbors).sum() >= 15  # the partial-selection path
     graph = predict_knn(d, params)
     assert np.array_equal(graph.matrix, knn_full_sort(d, params), equal_nan=True)
+
+
+def _knn_on_cpus(monkeypatch, d, params, cpus):
+    """predict_knn's matrix when the process may run on `cpus` CPUs, and its pool size."""
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        matrix = predict_knn(d, params).matrix
+    return matrix, sizes
+
+
+@pytest.mark.parametrize(
+    "lines,params",
+    [
+        (_popular_items_lines(True), KnnParams()),
+        (_popular_items_lines(True), KnnParams(n_neighbors=5, min_overlap=3)),
+        (_popular_items_lines(True), KnnParams(n_neighbors=1, min_overlap=10)),
+        (None, KnnParams()),
+    ],
+    ids=["ties-40-1", "ties-5-3", "ties-1-10", "synthetic"],
+)
+def test_knn_scores_do_not_depend_on_the_thread_count(monkeypatch, caplog, synthetic_dataset, lines, params):
+    from _oracles import knn_full_sort
+
+    d = synthetic_dataset if lines is None else parse_ratings(lines)
+    expected = knn_full_sort(d, params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would race
+    try:
+        for cpus in (1, 2, 3, 7):
+            with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+                matrix, sizes = _knn_on_cpus(monkeypatch, d, params, cpus)
+            assert sizes == [cpus]
+            assert np.array_equal(matrix, expected, equal_nan=True), cpus
+    finally:
+        sys.setswitchinterval(interval)
+    messages = _fallback_messages(caplog)
+    assert len(messages) == 4 and len(set(messages)) == 1  # every worker's count is summed
+
+
+def test_knn_runs_more_cpus_than_items_on_one_thread_per_item(monkeypatch):
+    from _oracles import knn_full_sort
+
+    d = dataset_of({1: 5, 2: 1}, {1: 4, 2: 2, 3: 5}, {1: 1, 2: 5, 3: 1}, {3: 2})
+    assert d.n_items == 3
+    matrix, sizes = _knn_on_cpus(monkeypatch, d, KnnParams(), 7)
+    assert sizes == [3]
+    assert np.array_equal(matrix, knn_full_sort(d, KnnParams()), equal_nan=True)
 
 
 @pytest.mark.parametrize(
