@@ -111,9 +111,21 @@ class ScoreGraph:
 
     @classmethod
     def from_matrix(cls, scores: np.ndarray, dataset: RatingsDataset) -> "ScoreGraph":
-        """Wrap a full prediction matrix in place: clamped to [1, 5], NaN at each rated cell."""
+        """Wrap a full prediction matrix in place: clamped to [1, 5], NaN at each rated cell.
+
+        The candidate scores raised to 1 and lowered to 5 are counted and
+        logged at DEBUG on this module's logger, once per fit.
+        """
+        import logging
+
+        scores[dataset.users, dataset.items] = np.nan  # NaN compares false: rated cells are not counted
+        raised = np.count_nonzero(scores < RATING_MIN)
+        lowered = np.count_nonzero(scores > RATING_MAX)
         np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
-        scores[dataset.users, dataset.items] = np.nan
+        logging.getLogger(__name__).debug(
+            "score graph: %d of %d candidate scores raised to 1, %d lowered to 5",
+            raised, scores.size - dataset.n_ratings, lowered,
+        )
         return cls(scores, dataset.user_ids)
 
 
@@ -137,36 +149,33 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     from concurrent.futures import ThreadPoolExecutor
 
     n, m = dataset.n_users, dataset.n_items
-    rated_values, observed = dataset.dense_matrix()
+    # one score-sized array: the ratings, centred in place, then the scores
+    deviations, observed = dataset.dense_matrix()
     counts = observed.sum(axis=1)
-    means = rated_values.sum(axis=1) / counts
-
-    deviations = np.where(observed, rated_values - means[:, None], 0.0)
-    del rated_values
+    means = deviations.sum(axis=1) / counts
+    deviations -= means[:, None]
+    deviations[~observed] = 0.0
     norms = np.sqrt((deviations**2).sum(axis=1))
     safe_norms = np.where(norms > 0, norms, 1.0)
     sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
 
-    observed_f = observed.astype(np.float64)
-    valid = observed_f @ observed_f.T >= params.min_overlap
+    # float32 adds the integer overlap counts exactly in any order; a pair below
+    # min_overlap gets -2.0, under every cosine, so it sorts last until reset to 0.
+    # No count exceeds m, so a larger min_overlap is read as m + 1, which float32 holds
+    observed_f = observed.astype(np.float32)
+    sims[observed_f @ observed_f.T < min(params.min_overlap, m + 1)] = -2.0
     del observed_f
-    # each user's order of all users: descending similarity, invalid pairs
-    # (keyed below -1) last, ties by ascending id; rank inverts it. Both are
-    # int32: n**2 memory keeps n far below 2**31
-    key = np.where(valid, sims, -2.0)
-    np.negative(key, out=key)
-    neighbours = np.argsort(key, axis=1, kind="stable").astype(np.int32)
-    del key
+    # each user's order of all users: descending similarity, invalid pairs last,
+    # ties by ascending id; rank inverts it. Both are int32: n**2 memory keeps n
+    # far below 2**31
+    neighbours = np.argsort(-sims, axis=1, kind="stable").astype(np.int32)
     rank = np.empty(neighbours.shape, dtype=np.int32)
     rows = np.arange(n)[:, None]
     rank[rows, neighbours] = np.arange(n)
-    sims[~valid] = 0.0
-    del valid
-    sims_by_rank = sims[rows, neighbours].ravel()
+    sims[sims == -2.0] = 0.0
     neighbours = neighbours.ravel()
     row_starts = rows * n
 
-    predictions = np.empty((n, m))
     nn = params.n_neighbors
 
     def score(items: range) -> int:
@@ -185,13 +194,14 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
                 top.partition(nn - 1, axis=1)
                 top = top[:, :nn]
                 top.sort(axis=1)
-                flat = row_starts + top
-                sim_sel = sims_by_rank[flat]
-                numer = (sim_sel * deviations[neighbours[flat], i]).sum(axis=1)
+                chosen = neighbours[row_starts + top]
+                sim_sel = sims.ravel()[row_starts + chosen]
+                numer = (sim_sel * deviations[chosen, i]).sum(axis=1)
                 denom = np.abs(sim_sel).sum(axis=1)
             fallen = denom == 0
             safe = np.where(fallen, 1.0, denom)
-            predictions[:, i] = np.where(fallen, means, means + numer / safe)
+            # column i's deviations were all read above; only this thread touches it
+            deviations[:, i] = np.where(fallen, means, means + numer / safe)
             fallbacks += np.count_nonzero(fallen) - np.count_nonzero(fallen[raters])  # candidates only
         return fallbacks
 
@@ -208,7 +218,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
         "predict_knn: %d of %d candidate scores fell back to the user mean",
         fallbacks, n * m - dataset.n_ratings,
     )
-    return ScoreGraph.from_matrix(predictions, dataset)
+    return ScoreGraph.from_matrix(deviations, dataset)
 
 
 def fit_nmf(

@@ -136,8 +136,15 @@ def test_knn_boundary_tie_at_two_neighbors_keeps_the_lowest_id(first):
     assert knn_score(graph, 0, np.searchsorted(d.item_ids, 9)) == approx(expected, abs=1e-12)
 
 
+def _predictor_messages(caplog, prefix):
+    return [
+        r.getMessage() for r in caplog.records
+        if r.name == "fairrec.predictors" and r.getMessage().startswith(prefix)
+    ]
+
+
 def _fallback_messages(caplog):
-    return [r.getMessage() for r in caplog.records if r.name == "fairrec.predictors"]
+    return _predictor_messages(caplog, "predict_knn:")
 
 
 def test_knn_falls_back_to_user_mean_without_valid_raters(caplog):
@@ -164,6 +171,33 @@ def test_knn_fallback_count_skips_rated_cells(caplog):
     assert _fallback_messages(caplog) == ["predict_knn: 1 of 2 candidate scores fell back to the user mean"]
 
 
+def test_score_graph_logs_the_candidate_scores_it_clamps(caplog, tmp_path):
+    # u (mean 4.5) has one candidate, item 3, whose one rater v (mean 13/3,
+    # similarity 1 / (sqrt(0.5) * sqrt(8/3)) = 0.866) is 2/3 above its mean:
+    # 5.17 is lowered to 5. u's rated item 1 scores 4.5 + 1.077 / 1.866 = 5.08,
+    # above 5 too, but a rated cell is NaN and not counted
+    d = dataset_of({1: 5, 2: 4}, {1: 5, 2: 3, 3: 5})
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        graph = predict_knn(d)
+    assert knn_score(graph, 0, 2) == 5.0
+    assert _predictor_messages(caplog, "score graph:") == [
+        "score graph: 0 of 1 candidate scores raised to 1, 1 lowered to 5"
+    ]
+
+    # NMF's scores are counted alike; a score cache hit logs nothing
+    params = NmfParams(n_factors=2, n_epochs=5)
+    p, q, _ = fit_nmf(d, params)
+    raw = (p @ q.T)[0, 2]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        graph = predict_nmf(d, params)
+        save_score_cache(graph, path=tmp_path / "scores.npy")
+        load_score_cache(tmp_path / "scores.npy", d)
+    assert _predictor_messages(caplog, "") == [
+        f"score graph: {int(raw < 1)} of 1 candidate scores raised to 1, {int(raw > 5)} lowered to 5"
+    ]
+
+
 def test_knn_min_overlap_excludes_thin_similarities():
     # u and v co-rate only item 1; with min_overlap=1 v's deviation moves the
     # prediction off u's mean, with min_overlap=2 it cannot
@@ -173,6 +207,15 @@ def test_knn_min_overlap_excludes_thin_similarities():
     assert knn_score(loose, 0, item) != 3.0
     strict = predict_knn(d, KnnParams(min_overlap=2))
     assert knn_score(strict, 0, item) == 3.0
+
+
+@pytest.mark.parametrize("min_overlap", [10**39, 10**400], ids=["beyond-float32", "beyond-float64"])
+def test_knn_min_overlap_beyond_every_float_excludes_every_pair(min_overlap):
+    # more co-rated items than there are items: every pair is excluded, with
+    # no overflow warning or error from comparing the counts with the bound
+    d = dataset_of({1: 5, 2: 1, 3: 3}, {1: 4, 4: 5}, {2: 2, 4: 1})
+    expected = predict_knn(d, KnnParams(min_overlap=d.n_items + 1)).matrix
+    assert np.array_equal(predict_knn(d, KnnParams(min_overlap=min_overlap)).matrix, expected, equal_nan=True)
 
 
 def test_knn_params_validation():
@@ -402,6 +445,21 @@ def test_fit_nmf_peak_memory_stays_below_four_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 4 * d.n_users * d.n_items * 8
+
+
+def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():
+    # the ratings, centred in place and overwritten by the scores, their mask and
+    # the one matrix-sized temporary deviations**2 fit in 2.5 matrices; a second
+    # copy of the deviations or a separate prediction matrix does not. At this
+    # shape the n_users**2 arrays are small beside them
+    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=200, n_items=2000)))
+    tracemalloc.start()
+    try:
+        predict_knn(d, KnnParams(n_neighbors=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d.n_users * d.n_items * 8
 
 
 def test_nmf_params_validation():
