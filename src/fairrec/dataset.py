@@ -25,12 +25,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import (
-    CandidateShortfallError,
-    DuplicateRatingError,
-    RatingParseError,
-    RatingRangeError,
-)
+from .errors import (CandidateShortfallError, DuplicateRatingError, InvalidInputError, RatingParseError,
+                     RatingRangeError, check_type, reject_rows)
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
@@ -215,16 +211,23 @@ def load_ratings(path: str | Path) -> RatingsDataset:
 def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> np.ndarray:
     """The (n_users, n_items) bool mask of unrated items: row u is user u's candidates.
 
-    If min_size is given, reject any user with fewer candidates than that
-    (the recommendation list size k cannot be met for them).
+    If min_size is given, it is a list size k for ``require_candidates``.
     """
     mask = np.ones((dataset.n_users, dataset.n_items), dtype=bool)
     mask[dataset.users, dataset.items] = False
-    sizes = mask.sum(axis=1)
-    if min_size is not None and np.any(sizes < min_size):
-        u = np.argmax(sizes < min_size)  # the first such user
-        raise CandidateShortfallError(
-            f"user {dataset.user_ids[u]} has only {sizes[u]} unrated items, "
-            f"fewer than the requested list size {min_size}"
-        )
+    if min_size is not None:
+        require_candidates(mask.sum(axis=1), dataset.user_ids, min_size)
     return mask
+
+
+def require_candidates(n_candidates: np.ndarray, user_ids: np.ndarray, k: int) -> None:
+    """Reject a list size k that is not an integer >= 1 or that some user cannot fill.
+
+    ``n_candidates`` holds each user's candidate count; the first user with
+    fewer than k is named by raw id, with a CandidateShortfallError.
+    """
+    check_type("k", k)
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    reject_rows(n_candidates < k, user_ids, error=CandidateShortfallError,
+                message=lambda user, row: f"user {user} has only {n_candidates[row]} candidates, needs k={k}")

@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and the field-type check of the parameter classes."""
+"""Exception types shared across the package, and the input checks every module shares.
+
+``check_type`` is the one type rule for settings: ``check_field_types``
+applies it to each field of ``SweepConfig`` and of the four parameter
+classes, and the list functions apply it to ``k`` and ``depth``.
+``reject_rows`` is the one place that names a flagged row by its raw user id.
+"""
 
 import dataclasses
 from numbers import Integral, Real
+from pathlib import Path
 
 
 class FairrecError(Exception):
@@ -32,14 +39,46 @@ class FactorizationError(FairrecError):
     """Matrix factorization produced non-finite factors."""
 
 
-def check_field_types(params) -> None:
-    """Reject a parameter dataclass field whose value does not have the field's type.
+def _integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
-    An ``int`` field takes an integer, a ``float`` field any real number; a
-    bool is neither, so ``theta=True`` does not stand for one move.
+
+# each field annotation of the settings classes, as source text (their modules
+# postpone annotations): whether a value has it, and its noun in messages
+FIELD_KINDS = {
+    "int": (_integer, "an integer"),
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Path": (lambda v: isinstance(v, Path), "a path"),
+    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(_integer, v)), "a tuple of integers"),
+}
+
+
+def check_type(name: str, value, annotation: str = "int") -> None:
+    """Reject a value that does not have the annotated type, naming it.
+
+    An integer is a Python or numpy integer and a number any real number,
+    numpy's included; a bool is neither, so ``theta=True`` does not stand
+    for one move.
     """
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        kind, noun = (Real, "a number") if field.type in ("float", float) else (Integral, "an integer")
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidInputError(f"{field.name} must be {noun}, got {value!r}")
+    holds, noun = FIELD_KINDS[annotation]
+    if not holds(value):
+        raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
+
+
+def check_field_types(settings) -> None:
+    """Apply ``check_type`` to each field of a settings dataclass."""
+    for field in dataclasses.fields(settings):
+        check_type(field.name, getattr(settings, field.name), field.type)
+
+
+def reject_rows(flagged, user_ids, message, error: type = InvalidInputError) -> None:
+    """Raise ``error(message(user, row))`` for the first flagged row, if any.
+
+    ``flagged`` is a bool array with one entry per row and ``user`` is the
+    row's raw id from ``user_ids``, so every such message names a file id.
+    """
+    if flagged.any():
+        row = flagged.argmax()
+        raise error(message(user_ids[row], row))

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import RatingsDataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, reject_rows
 from .predictors import ScoreGraph
 from .reranking import _list_scores
 
@@ -51,12 +51,8 @@ def satisfaction(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> np.nda
     ``recs`` and ``top`` are list sets of one shape for the graph.
     """
     achieved, best = (scores.sum(axis=1) for scores in _list_scores(graph, recs, top))
-    nonpositive = np.flatnonzero(best <= 0.0)
-    if nonpositive.size:
-        raise InvalidInputError(
-            f"top-k score mass for user {graph.user_ids[nonpositive[0]]} is not positive; "
-            "scores must be clamped to [1, 5]"
-        )
+    reject_rows(best <= 0.0, graph.user_ids,
+                lambda user, _: f"top-k score mass for user {user} is not positive; scores must be clamped to [1, 5]")
     return achieved / best
 
 

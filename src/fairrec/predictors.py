@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, candidate_sets
-from .errors import FactorizationError, InvalidInputError, check_field_types
+from .errors import FactorizationError, InvalidInputError, check_field_types, reject_rows
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,10 @@ class ScoreGraph:
     user_ids: np.ndarray
 
     def __post_init__(self) -> None:
+        array = isinstance(self.matrix, np.ndarray)
+        if not (array and self.matrix.ndim == 2 and self.matrix.dtype.kind == "f"):
+            got = f"{self.matrix.dtype} of shape {self.matrix.shape}" if array else type(self.matrix).__name__
+            raise InvalidInputError(f"a score graph's matrix must be a 2-D float array, got {got}")
         if self.matrix.shape[0] == 0:
             raise InvalidInputError("a score graph needs at least one user")
         if len(self.user_ids) != self.matrix.shape[0]:
@@ -297,9 +301,8 @@ def load_score_cache(path: str | Path, dataset: RatingsDataset) -> ScoreGraph:
     if matrix.dtype != np.float64 or matrix.shape != shape:
         raise InvalidInputError(f"{path}: holds {matrix.dtype} {matrix.shape}, not float64 {shape}")
     stale = (np.isnan(matrix) == candidates).any(axis=1)
-    if stale.any():
-        user = dataset.user_ids[np.argmax(stale)]
-        raise InvalidInputError(f"{path}: cached items for user {user} do not match its candidates (stale cache?)")
+    reject_rows(stale, dataset.user_ids,
+                lambda user, _: f"{path}: cached items for user {user} do not match its candidates (stale cache?)")
     outside = matrix[(matrix < RATING_MIN) | (matrix > RATING_MAX)]
     if outside.size:
         raise InvalidInputError(f"{path}: cached score {outside[0]} outside [1, 5]")

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN
-from .errors import CandidateShortfallError, InvalidInputError, check_field_types
+from .dataset import RATING_MAX, RATING_MIN, require_candidates
+from .errors import InvalidInputError, check_field_types, check_type, reject_rows
 from .predictors import ScoreGraph
 
 
@@ -72,16 +72,6 @@ class GreedyRerankResult:
     achieved_increase: int
 
 
-def _require_candidates(graph: ScoreGraph, k: int) -> None:
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
-    if np.any(graph.n_candidates < k):
-        u = np.argmax(graph.n_candidates < k)  # the first such user
-        raise CandidateShortfallError(
-            f"user {graph.user_ids[u]} has only {graph.n_candidates[u]} candidates, needs k={k}"
-        )
-
-
 # cells of the score matrix that rank_order selects from at a time: each block
 # of rows is copied and masked on its own, so its working set stays a few MiB
 _BLOCK_CELLS = 1 << 18
@@ -98,6 +88,7 @@ def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
     items above that key plus the lowest-id items tied at it are put in
     order by a stable sort of those ``depth`` columns.
     """
+    check_type("depth", depth)
     if not 1 <= depth <= graph.n_items:
         raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
     order = np.empty((graph.n_users, depth), dtype=np.int64)
@@ -125,7 +116,7 @@ def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
     Raises CandidateShortfallError, naming the user, if a user has fewer than k
     candidates; the result is then ``rank_order(graph, k)``.
     """
-    _require_candidates(graph, k)
+    require_candidates(graph.n_candidates, graph.user_ids, k)
     return rank_order(graph, k)
 
 
@@ -141,9 +132,9 @@ def random_rerank(graph: ScoreGraph, ranked: np.ndarray, params: RandomParams, k
     for user u comes from the (seed, u) substream, so it is reproducible
     and independent of other users.
     """
+    require_candidates(graph.n_candidates, graph.user_ids, k)
     if params.ell < k:
         raise InvalidInputError(f"ell={params.ell} must be >= k={k}")
-    _require_candidates(graph, k)
     depth = min(params.ell, graph.n_items)  # in Python: an l beyond int64 means every candidate
     array = isinstance(ranked, np.ndarray)
     if not (array and ranked.ndim == 2 and len(ranked) == graph.n_users and ranked.shape[1] >= depth):
@@ -249,16 +240,12 @@ def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:
             raise InvalidInputError(f"lists must share one shape, got {list_sets[0].shape} and {lists.shape}")
         ordered = np.sort(lists, axis=1)
         outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= graph.n_items)
-        _reject_rows(graph, outside, f"item ids must be non-negative and below {graph.n_items}, for user {{}}")
+        reject_rows(outside, graph.user_ids,
+                    lambda user, _: f"item ids must be non-negative and below {graph.n_items}, for user {user}")
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        _reject_rows(graph, repeats, "list for user {} repeats an item")
+        reject_rows(repeats, graph.user_ids, lambda user, _: f"list for user {user} repeats an item")
         scores = np.take_along_axis(graph.matrix, lists, axis=1)
-        _reject_rows(graph, np.isnan(scores).any(axis=1), "item not in candidate set of user {}")
+        reject_rows(np.isnan(scores).any(axis=1), graph.user_ids,
+                    lambda user, _: f"item not in candidate set of user {user}")
         gathered.append(scores)
     return gathered
-
-
-def _reject_rows(graph: ScoreGraph, faulty: np.ndarray, message: str) -> None:
-    """Raise ``message`` naming the raw id of the first user whose row is faulty."""
-    if faulty.any():
-        raise InvalidInputError(message.format(graph.user_ids[np.argmax(faulty)]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dataset import candidate_sets, load_ratings, parse_number
-from .errors import InvalidInputError
+from .errors import FIELD_KINDS, InvalidInputError, check_field_types
 from .metrics import DisparityReport, disparity_report, write_per_user_csv, write_results_csv
 from .predictors import (
     KnnParams,
@@ -51,14 +51,7 @@ class SweepConfig:
     nmf_epochs: int = 50
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not _has_type_of(value, field.default):
-                kind = _KINDS[type(field.default)]
-                raise InvalidInputError(f"config key {field.name!r} expects {kind}, got {value!r}")
+        check_field_types(self)
         if self.predictor not in PREDICTORS:
             raise InvalidInputError(f"unknown predictor {self.predictor!r}")
         if self.post not in POSTS:
@@ -81,18 +74,9 @@ class SweepConfig:
             GreedyParams(theta=theta, threshold=self.threshold)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a tuple of integers",
-          str: "a string", type(Path()): "a path"}  # a field's default type, as messages name it
+_FIELDS = {f.name: f for f in fields(SweepConfig)}
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether value may stand in a field with this default: a bool is not an int."""
-    if isinstance(default, tuple):
-        return type(value) is tuple and all(type(v) is int for v in value)
-    return type(value) in ((int, float) if type(default) is float else (type(default),))
 
 
 def parse_grid(text: str) -> tuple[int, ...]:
@@ -104,7 +88,8 @@ def parse_grid(text: str) -> tuple[int, ...]:
 
 def _coerce(key: str, value: str):
     """Convert a config file value, a flag or a string keyword to the type of the field's default."""
-    kind = type(_DEFAULTS[key])
+    field = _FIELDS[key]
+    kind = type(field.default)
     if kind is tuple:
         return parse_grid(value)
     try:
@@ -114,7 +99,8 @@ def _coerce(key: str, value: str):
             raise ValueError
         return parse_number(value, kind) if kind in (int, float) else kind(value)
     except (KeyError, ValueError):
-        raise InvalidInputError(f"config key {key!r} expects {_KINDS[kind]}, got {value!r}") from None
+        noun = FIELD_KINDS[field.type][1]
+        raise InvalidInputError(f"config key {key!r} expects {noun}, got {value!r}") from None
 
 
 # key = "value" or 'value', then at most a comment
@@ -147,7 +133,7 @@ def read_config_file(path: str | Path) -> dict:
             key, _, value = line.partition("=")
             value = value.strip().strip("\"'")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _FIELDS:
             raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in first_lines:
             raise InvalidInputError(f"{path}:{line_no}: config key {key!r} repeats line {first_lines[key]}")
@@ -164,7 +150,7 @@ def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfi
     """
     settings = read_config_file(file_path) if file_path is not None else {}
     given = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(given) - set(_DEFAULTS)
+    unknown = set(given) - set(_FIELDS)
     if unknown:
         raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
     settings.update({k: _coerce(k, v) if isinstance(v, str) else v for k, v in given.items()})

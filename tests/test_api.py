@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import fairrec
@@ -15,6 +16,7 @@ from fairrec import (
     ScoreGraph,
     save_score_cache,
 )
+from fairrec.sweep import SweepConfig
 
 
 def _names(owner) -> set[str]:
@@ -35,7 +37,9 @@ REMOVED = {
     fairrec: {"CandidateSets", "write_ratings", "RecommendationSet"},
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
-    fairrec.reranking: {"RecommendationSet", "_check_lists"},
+    fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates"},
+    fairrec.sweep: {"_has_type_of", "_KINDS"},
+    SweepConfig: {"validate"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists"},
     ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users", "ranked"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
@@ -74,3 +78,29 @@ def test_params_reject_a_value_of_the_wrong_type_naming_the_field(make, message)
     with pytest.raises(InvalidInputError) as raised:
         make()
     assert str(raised.value) == message
+
+
+# the five settings classes, each with the arguments that make it valid
+SETTINGS = [(KnnParams, {}), (NmfParams, {}), (RandomParams, {"ell": 5}), (GreedyParams, {"theta": 1}),
+            (SweepConfig, {})]
+NOUNS = {"int": "an integer", "float": "a number", "str": "a string", "Path": "a path",
+         "tuple[int, ...]": "a tuple of integers"}
+
+
+@pytest.mark.parametrize("value", [np.int64, np.float64, True], ids=["np.int64", "np.float64", "True"])
+def test_one_type_rule_for_every_settings_class(value):
+    # numpy integers stand wherever an int does and numpy floats wherever a float
+    # does; a bool stands for nothing but a bool, and every class says so alike
+    for cls, valid in SETTINGS:
+        default = cls(**valid)
+        for field in dataclasses.fields(cls):
+            old = getattr(default, field.name)
+            if value is True and field.type != "bool":
+                with pytest.raises(InvalidInputError) as raised:
+                    cls(**{**valid, field.name: True})
+                assert str(raised.value) == f"{field.name} must be {NOUNS[field.type]}, got True"
+            elif value is np.int64 and field.type in ("int", "tuple[int, ...]"):
+                new = tuple(map(value, old)) if field.type != "int" else value(old)
+                assert cls(**{**valid, field.name: new}) == default
+            elif value is np.float64 and field.type == "float":
+                assert cls(**{**valid, field.name: value(old)}) == default

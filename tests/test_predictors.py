@@ -368,6 +368,19 @@ def test_score_graph_fields_cannot_be_reassigned():
             setattr(graph, field.name, getattr(graph, field.name))
 
 
+@pytest.mark.parametrize("matrix, got", [
+    (np.full(3, 2.0), "float64 of shape (3,)"),
+    (np.full((2, 3, 1), 2.0), "float64 of shape (2, 3, 1)"),
+    (np.full((2, 3), 2.0, dtype=object), "object of shape (2, 3)"),
+    (np.full((2, 3), 2), "int64 of shape (2, 3)"),
+    ([[2.0, 3.0], [4.0, 5.0]], "list"),
+], ids=["1-D", "3-D", "object", "int", "list"])
+def test_score_graph_needs_a_2d_float_matrix(matrix, got):
+    with pytest.raises(InvalidInputError) as raised:
+        ScoreGraph(matrix, np.arange(2))
+    assert str(raised.value) == f"a score graph's matrix must be a 2-D float array, got {got}"
+
+
 # ---------------------------------------------------------------- nmf ----
 
 def _rank_one_dataset():

@@ -58,6 +58,21 @@ def test_top_k_rejects_oversized_k():
         top_k(graph, 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: top_k(g, 2.5), "k must be an integer, got 2.5"),
+    (lambda g: top_k(g, True), "k must be an integer, got True"),
+    (lambda g: rank_order(g, 1.5), "depth must be an integer, got 1.5"),
+    (lambda g: rank_order(g, np.True_), "depth must be an integer, got " + repr(np.True_)),
+    (lambda g: random_rerank(g, rank_order(g, 3), RandomParams(ell=3), 1.5), "k must be an integer, got 1.5"),
+], ids=["top_k-float", "top_k-bool", "rank_order-float", "rank_order-bool", "random-float"])
+def test_list_sizes_take_the_integer_rule(call, message):
+    graph = graph_of([(0, 5.0), (1, 4.0), (2, 3.0)], [(0, 2.0), (2, 1.0)])
+    with pytest.raises(InvalidInputError) as raised:
+        call(graph)
+    assert str(raised.value) == message
+    assert top_k(graph, np.int64(2)).tolist() == [[0, 1], [0, 2]]
+
+
 def test_top_k_invariant_under_pair_order():
     pairs = [(3, 4.0), (0, 2.5), (7, 4.0), (2, 5.0)]
     a = top_k(graph_from_pairs([pairs], 8), 3)

@@ -161,6 +161,18 @@ def test_build_config_reads_string_keywords_as_config_values(synthetic_file, tmp
     assert all((typed.out / f).read_bytes() == (texts.out / f).read_bytes() for f in files)
 
 
+def test_numpy_integer_settings_write_the_same_files(synthetic_file, tmp_path):
+    plain = build_config(data=synthetic_file, post="greedy", k=3, theta=(10,), seed=1, per_user=True,
+                         out=tmp_path / "plain")
+    numpy = build_config(data=synthetic_file, post="greedy", k=np.int64(3), theta=(np.int64(10),),
+                         seed=np.int64(1), per_user=True, out=tmp_path / "numpy")
+    for cfg in (plain, numpy):
+        run_sweep(cfg)
+    files = sorted(p.name for p in plain.out.iterdir())
+    assert "results.csv" in files and files == sorted(p.name for p in numpy.out.iterdir())
+    assert all((plain.out / f).read_bytes() == (numpy.out / f).read_bytes() for f in files)
+
+
 def test_build_config_rejects_a_bad_string_keyword():
     with pytest.raises(InvalidInputError, match="config key 'k' expects an integer, got 'x'"):
         build_config(k="x")
@@ -223,44 +235,44 @@ def test_each_setting_has_one_name(field, tmp_path, monkeypatch):
 
 def test_config_validation_errors():
     with pytest.raises(InvalidInputError):
-        SweepConfig(predictor="svd").validate()
+        SweepConfig(predictor="svd")
     with pytest.raises(InvalidInputError):
-        SweepConfig(post="mmr").validate()
+        SweepConfig(post="mmr")
     with pytest.raises(InvalidInputError):
-        SweepConfig(k=0).validate()
+        SweepConfig(k=0)
     with pytest.raises(InvalidInputError):
-        SweepConfig(post="random", ell=()).validate()
+        SweepConfig(post="random", ell=())
     with pytest.raises(InvalidInputError):
-        SweepConfig(post="greedy", theta=()).validate()
+        SweepConfig(post="greedy", theta=())
     # every grid value and hyperparameter is checked before any work starts
     with pytest.raises(InvalidInputError, match="ell=4 must be >= k=5"):
-        SweepConfig(post="random", k=5, ell=(10, 4)).validate()
+        SweepConfig(post="random", k=5, ell=(10, 4))
     with pytest.raises(InvalidInputError, match="ell must be >= 1"):
-        SweepConfig(post="random", ell=(10, 0)).validate()
+        SweepConfig(post="random", ell=(10, 0))
     with pytest.raises(InvalidInputError, match="theta"):
-        SweepConfig(post="greedy", theta=(10, -1)).validate()
+        SweepConfig(post="greedy", theta=(10, -1))
     for threshold in (0.5, 5.5):
         with pytest.raises(InvalidInputError, match="threshold"):
-            SweepConfig(post="greedy", threshold=threshold).validate()
+            SweepConfig(post="greedy", threshold=threshold)
     with pytest.raises(InvalidInputError, match="n_neighbors"):
-        SweepConfig(predictor="knn", knn_neighbors=0).validate()
+        SweepConfig(predictor="knn", knn_neighbors=0)
     with pytest.raises(InvalidInputError, match="min_overlap"):
-        SweepConfig(predictor="knn", knn_min_overlap=0).validate()
+        SweepConfig(predictor="knn", knn_min_overlap=0)
     with pytest.raises(InvalidInputError, match="n_factors"):
-        SweepConfig(predictor="nmf", nmf_factors=0).validate()
+        SweepConfig(predictor="nmf", nmf_factors=0)
     with pytest.raises(InvalidInputError, match="n_epochs"):
-        SweepConfig(predictor="nmf", nmf_epochs=-1).validate()
+        SweepConfig(predictor="nmf", nmf_epochs=-1)
     # a grid that the selected post-processor does not use is not checked
-    SweepConfig(post="greedy", ell=(0,)).validate()
+    SweepConfig(post="greedy", ell=(0,))
 
 
 WRONG_TYPES = [
-    ("k", True, "config key 'k' expects an integer, got True"),
-    ("k", 2.7, "config key 'k' expects an integer, got 2.7"),
-    ("seed", 1.0, "config key 'seed' expects an integer, got 1.0"),
-    ("ell", (10, "x"), "config key 'ell' expects a tuple of integers, got (10, 'x')"),
-    ("ell", [10, 50], "config key 'ell' expects a tuple of integers, got [10, 50]"),
-    ("out", "r", "config key 'out' expects a path, got 'r'"),
+    ("k", True, "k must be an integer, got True"),
+    ("k", 2.7, "k must be an integer, got 2.7"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("ell", (10, "x"), "ell must be a tuple of integers, got (10, 'x')"),
+    ("ell", [10, 50], "ell must be a tuple of integers, got [10, 50]"),
+    ("out", "r", "out must be a path, got 'r'"),
 ]
 
 
@@ -552,7 +564,7 @@ def test_cli_reports_missing_data_file(tmp_path, capsys):
     [
         (["1 10 4 0\n", "2 10 3 0\n", "1 10 5 0\n"], "line 3: duplicate rating for user 1, item 10"),
         (["1 10 4 0\n", "2 10 6 0\n"], "line 2: rating 6 outside [1, 5]"),
-        (["1 10 4 0\n", "1 20 3 0\n", "2 10 5 0\n"], "user 1 has only 0 unrated items"),
+        (["1 10 4 0\n", "1 20 3 0\n", "2 10 5 0\n"], "user 1 has only 0 candidates, needs k=1"),
     ],
     ids=["repeat", "rating", "shortfall"],
 )
