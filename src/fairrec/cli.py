@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .errors import FairrecError
@@ -33,12 +34,21 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also write per-user satisfaction/overlap files")
     run.add_argument("--svg", action="store_true", default=None,
                      help="also render scatter plots as SVG")
+    # not a setting: absent unless given, so every dest parse_args returns by default is a config key
+    run.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                     help="log what the run computed (fallbacks, clamps, NMF loss) to stderr")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     settings = vars(_build_parser().parse_args(argv))  # flag dests are SweepConfig fields
     del settings["command"]
+    logger = logging.getLogger("fairrec")
+    handler, level = logging.StreamHandler(), logger.level  # stderr
+    if settings.pop("verbose", False):
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
         for report in run_sweep(build_config(settings.pop("config"), **settings)):
             print(report.summary())
@@ -48,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fairrec: i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     return 0
 
 

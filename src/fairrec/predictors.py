@@ -234,10 +234,15 @@ def fit_nmf(
     summed over them alone. Returns the factors and the loss history
     (initial loss plus one value per epoch); the loss is non-increasing
     across epochs. Raises FactorizationError if the factors stop being
-    finite. Besides the dense ratings and their mask, the fit holds one
-    matrix-sized buffer, observed * (P Q^T), rebuilt in place for each use.
+    finite. The fit holds the observed mask and one matrix-sized float64
+    buffer, 9 * n_users * n_items bytes, and no dense copy of the ratings.
+    The buffer is refitted in place to observed * (P Q^T), which is 0 off
+    the observed cells, so writing the ratings into it makes the target.
+    Every product is one whole-matrix product, as in the literal updates,
+    so the factors and losses carry the same bits.
     """
-    target, observed = dataset.dense_matrix()  # target is 0 wherever observed is False
+    observed = ~candidate_sets(dataset)
+    rated = (dataset.users, dataset.items)
 
     rng = np.random.default_rng(params.init_seed)
     scale = np.sqrt(dataset.ratings.mean() / params.n_factors)
@@ -245,21 +250,23 @@ def fit_nmf(
     q = rng.uniform(size=(dataset.n_items, params.n_factors)) * scale
 
     eps = 1e-12
-    fitted = np.empty(target.shape)
-    rated = (dataset.users, dataset.items)
+    buffer = np.empty(observed.shape)
 
     def refit() -> None:
-        np.matmul(p, q.T, out=fitted)
-        np.multiply(fitted, observed, out=fitted)
+        np.matmul(p, q.T, out=buffer)
+        np.multiply(buffer, observed, out=buffer)
 
     refit()
-    losses = [float(((dataset.ratings - fitted[rated]) ** 2).sum())]  # observed cells alone
+    losses = [float(((dataset.ratings - buffer[rated]) ** 2).sum())]  # observed cells alone
     for _ in range(params.n_epochs):
-        p *= (target @ q) / (fitted @ q + eps)
+        fitted_q = buffer @ q
+        buffer[rated] = dataset.ratings  # now the target: the ratings, 0 elsewhere
+        p *= (buffer @ q) / (fitted_q + eps)
+        target_p = buffer.T @ p
         refit()
-        q *= (target.T @ p) / (fitted.T @ p + eps)
+        q *= target_p / (buffer.T @ p + eps)
         refit()
-        loss = float(((dataset.ratings - fitted[rated]) ** 2).sum())
+        loss = float(((dataset.ratings - buffer[rated]) ** 2).sum())
         if not np.isfinite(loss):
             raise FactorizationError("factorization diverged to non-finite values")
         losses.append(loss)
@@ -274,8 +281,17 @@ def _check_finite(factors: np.ndarray) -> None:
 
 
 def predict_nmf(dataset: RatingsDataset, params: NmfParams = NmfParams()) -> ScoreGraph:
-    """Score each user's candidates (unrated items) with the trained factor model."""
-    p, q, _ = fit_nmf(dataset, params)
+    """Score each user's candidates (unrated items) with the trained factor model.
+
+    The fit's first and last loss are logged at DEBUG on this module's logger.
+    """
+    import logging
+
+    p, q, losses = fit_nmf(dataset, params)
+    logging.getLogger(__name__).debug(
+        "predict_nmf: squared-error loss %.6f before the fit, %.6f after %d epochs",
+        losses[0], losses[-1], len(losses) - 1,
+    )
     return ScoreGraph.from_matrix(p @ q.T, dataset)
 
 

@@ -184,9 +184,9 @@ def test_score_graph_logs_the_candidate_scores_it_clamps(caplog, tmp_path):
         "score graph: 0 of 1 candidate scores raised to 1, 1 lowered to 5"
     ]
 
-    # NMF's scores are counted alike; a score cache hit logs nothing
+    # NMF's scores are counted alike, after the fit's loss line; a score cache hit logs nothing
     params = NmfParams(n_factors=2, n_epochs=5)
-    p, q, _ = fit_nmf(d, params)
+    p, q, losses = fit_nmf(d, params)
     raw = (p @ q.T)[0, 2]
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
@@ -194,7 +194,8 @@ def test_score_graph_logs_the_candidate_scores_it_clamps(caplog, tmp_path):
         save_score_cache(graph, path=tmp_path / "scores.npy")
         load_score_cache(tmp_path / "scores.npy", d)
     assert _predictor_messages(caplog, "") == [
-        f"score graph: {int(raw < 1)} of 1 candidate scores raised to 1, {int(raw > 5)} lowered to 5"
+        f"predict_nmf: squared-error loss {losses[0]:.6f} before the fit, {losses[-1]:.6f} after 5 epochs",
+        f"score graph: {int(raw < 1)} of 1 candidate scores raised to 1, {int(raw > 5)} lowered to 5",
     ]
 
 
@@ -458,6 +459,19 @@ def test_fit_nmf_peak_memory_stays_below_four_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 4 * d.n_users * d.n_items * 8
+
+
+def test_fit_nmf_peak_memory_stays_below_one_and_a_half_matrices():
+    # the mask (1/8 matrix) and the one buffer, refitted and overwritten by the
+    # ratings in place, fit in 1.5 matrices; a dense float64 target does not
+    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=300, n_items=400)))
+    tracemalloc.start()
+    try:
+        fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d.n_users * d.n_items * 8
 
 
 def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():

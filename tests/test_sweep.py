@@ -541,6 +541,31 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     assert "D_S=" in stdout
 
 
+@pytest.mark.parametrize("predictor, fit_line", [
+    ("knn", "predict_knn: 0 of "),
+    ("nmf", "predict_nmf: squared-error loss "),
+])
+def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line, synthetic_file, tmp_path, capsys):
+    # -v shows the fit's DEBUG lines (KNN's fallback count or NMF's loss, then the
+    # clamp count) on stderr; every file in out, cache included, is the same without it
+    def run(out, *flags):
+        args = ["run", *flags, "--data", str(synthetic_file), "--predictor", predictor, "--post", "greedy",
+                "--k", "3", "--theta", "4", "--per-user", "--cache", "--out", str(out)]
+        assert main(args) == 0
+        logged = [line for line in capsys.readouterr().err.splitlines() if line.startswith("fairrec")]
+        return logged, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    quiet_logged, quiet_files = run(tmp_path / "quiet")
+    logged, files = run(tmp_path / "verbose", "-v")
+    assert quiet_logged == []
+    assert len(logged) == 2
+    assert logged[0].startswith(f"fairrec.predictors: {fit_line}")
+    assert logged[1].startswith("fairrec.predictors: score graph: ")
+    assert files == quiet_files
+    # a cache hit recomputes no fit-only figure, so -v then logs nothing
+    assert run(tmp_path / "verbose", "-v") == ([], files)
+
+
 def test_cli_flags_override_config(synthetic_file, tmp_path):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(f"data = {synthetic_file}\nk = 3\npost = none\n")
