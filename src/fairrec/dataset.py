@@ -25,11 +25,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import (CandidateShortfallError, DuplicateRatingError, InvalidInputError, RatingParseError,
+from .errors import (RATING_MAX, RATING_MIN, CandidateShortfallError, DuplicateRatingError, RatingParseError,
                      RatingRangeError, check_type, reject_rows)
 
-RATING_MIN = 1.0
-RATING_MAX = 5.0
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
 _PLAIN_BYTES = b"0123456789 \t\n"
 
@@ -226,8 +224,6 @@ def require_candidates(n_candidates: np.ndarray, user_ids: np.ndarray, k: int) -
     ``n_candidates`` holds each user's candidate count; the first user with
     fewer than k is named by raw id, with a CandidateShortfallError.
     """
-    check_type("k", k)
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    check_type("k", k, "PositiveInt")
     reject_rows(n_candidates < k, user_ids, error=CandidateShortfallError,
                 message=lambda user, row: f"user {user} has only {n_candidates[row]} candidates, needs k={k}")

@@ -9,6 +9,7 @@ which keeps every weight strictly positive downstream.
 
 from __future__ import annotations
 
+import logging
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -17,8 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingsDataset, candidate_sets
-from .errors import FactorizationError, InvalidInputError, check_field_types, reject_rows
+from .dataset import RatingsDataset, candidate_sets
+from .errors import (RATING_MAX, RATING_MIN, FactorizationError, InvalidInputError, NonNegativeInt, PositiveInt,
+                     check_field_types, reject_rows)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -27,18 +31,15 @@ class KnnParams:
 
     n_neighbors bounds how many raters of an item are aggregated;
     min_overlap is the number of co-rated items two users need before
-    their similarity counts.
+    their similarity counts. Both are integers >= 1; each field's
+    annotation gives its type and range, checked when the params are built.
     """
 
-    n_neighbors: int = 40
-    min_overlap: int = 1
+    n_neighbors: PositiveInt = 40
+    min_overlap: PositiveInt = 1
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.n_neighbors < 1:
-            raise InvalidInputError("n_neighbors must be >= 1")
-        if self.min_overlap < 1:
-            raise InvalidInputError("min_overlap must be >= 1")
 
     def tag(self) -> str:
         return f"knn(n_neighbors={self.n_neighbors},min_overlap={self.min_overlap})"
@@ -46,20 +47,19 @@ class KnnParams:
 
 @dataclass(frozen=True)
 class NmfParams:
-    """Non-negative factorization settings; training runs a fixed epoch budget."""
+    """Non-negative factorization settings; training runs a fixed epoch budget.
 
-    n_factors: int = 15
-    n_epochs: int = 50
-    init_seed: int = 0
+    n_factors is an integer >= 1, n_epochs and init_seed integers >= 0 (numpy
+    seeds no generator from a negative one); each field's annotation gives
+    its type and range, checked when the params are built.
+    """
+
+    n_factors: PositiveInt = 15
+    n_epochs: NonNegativeInt = 50
+    init_seed: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.n_factors < 1:
-            raise InvalidInputError("n_factors must be >= 1")
-        if self.n_epochs < 0:
-            raise InvalidInputError("n_epochs must be >= 0")
-        if self.init_seed < 0:
-            raise InvalidInputError("init_seed must be non-negative")
 
     def tag(self) -> str:
         return (
@@ -120,13 +120,11 @@ class ScoreGraph:
         The candidate scores raised to 1 and lowered to 5 are counted and
         logged at DEBUG on this module's logger, once per fit.
         """
-        import logging
-
         scores[dataset.users, dataset.items] = np.nan  # NaN compares false: rated cells are not counted
         raised = np.count_nonzero(scores < RATING_MIN)
         lowered = np.count_nonzero(scores > RATING_MAX)
         np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
-        logging.getLogger(__name__).debug(
+        logger.debug(
             "score graph: %d of %d candidate scores raised to 1, %d lowered to 5",
             raised, scores.size - dataset.n_ratings, lowered,
         )
@@ -148,8 +146,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     item column is written by one thread with the same operations in the
     same order, so the scores do not depend on the thread count.
     """
-    # imported here: runs that never score with KNN skip their start-up cost
-    import logging
+    # imported here: runs that never score with KNN skip its start-up cost
     from concurrent.futures import ThreadPoolExecutor
 
     n, m = dataset.n_users, dataset.n_items
@@ -218,7 +215,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
         # items by stride balance the load, since popularity is not ordered by id;
         # consuming every result re-raises a worker's exception here
         fallbacks = sum(pool.map(score, [range(w, m, workers) for w in range(workers)]))
-    logging.getLogger(__name__).debug(
+    logger.debug(
         "predict_knn: %d of %d candidate scores fell back to the user mean",
         fallbacks, n * m - dataset.n_ratings,
     )
@@ -285,10 +282,8 @@ def predict_nmf(dataset: RatingsDataset, params: NmfParams = NmfParams()) -> Sco
 
     The fit's first and last loss are logged at DEBUG on this module's logger.
     """
-    import logging
-
     p, q, losses = fit_nmf(dataset, params)
-    logging.getLogger(__name__).debug(
+    logger.debug(
         "predict_nmf: squared-error loss %.6f before the fit, %.6f after %d epochs",
         losses[0], losses[-1], len(losses) - 1,
     )

@@ -31,39 +31,47 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, require_candidates
-from .errors import InvalidInputError, check_field_types, check_type, reject_rows
+from .dataset import require_candidates
+from .errors import (InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, check_type,
+                     reject_rows)
 from .predictors import ScoreGraph
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class RandomParams:
-    ell: int
-    seed: int = 0
+    """Random re-ranking settings: the pool size l, an integer >= 1, and a seed >= 0.
+
+    Each field's annotation gives its type and range, checked when the
+    params are built.
+    """
+
+    ell: PositiveInt
+    seed: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.ell < 1:
-            raise InvalidInputError("ell must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class GreedyParams:
-    theta: int
-    threshold: float = 3.5
+    """Greedy re-ranking settings: the target theta, an integer >= 0, and a threshold in [1, 5].
+
+    Each field's annotation gives its type and range, checked when the
+    params are built.
+    """
+
+    theta: NonNegativeInt
+    threshold: Stars = 3.5
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.theta < 0:
-            raise InvalidInputError("theta must be >= 0")
-        if not RATING_MIN <= self.threshold <= RATING_MAX:
-            raise InvalidInputError("threshold must lie in [1, 5]")
 
 
 @dataclass
@@ -174,6 +182,14 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     a row without an entry that another user receives never gains one. The
     heap therefore pops exactly the live moves of the fully sorted move
     list, in its order, and skips none that could apply.
+
+    One line is logged at DEBUG on this module's logger per call: theta,
+    the items introduced, the moves popped, the users marked dead, the
+    swaps whose victim scored the same as the new item, and the users with
+    a swap whose victim scored higher, the only swap that lowers a list's
+    score mass. On a top-k base every swap is one of the two: a victim is a
+    base entry (an introduced item is listed once, so it is never a
+    victim), and a top-k entry never scores below an item outside the pool.
     """
     [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
@@ -191,8 +207,10 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     heapq.heapify(heap)
     live = np.ones(graph.n_users, dtype=bool)
 
-    achieved = 0
+    achieved = popped = tied = 0
+    losers = set()  # users with a swap whose victim scored above the new item
     while heap and achieved < params.theta:
+        popped += 1
         neg_score, item, user = heap[0]
         row = rows[user]
         victim = len(row) - 1  # the last entry another user still receives
@@ -208,6 +226,10 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
                 heapq.heappop(heap)
             continue
         heapq.heappop(heap)
+        if row[victim][0] == neg_score:
+            tied += 1
+        elif row[victim][0] < neg_score:
+            losers.add(user)
         counts_list[row[victim][1]] -= 1
         counts_list[item] = 1
         del row[victim]
@@ -215,6 +237,11 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
         achieved += 1
 
     lists = np.array([[item for _, item in row] for row in rows], dtype=np.int64)
+    logger.debug(
+        "greedy_rerank: theta=%d: %d items introduced, %d moves popped, %d users marked dead, "
+        "%d swaps whose victim scored the same as the new item, %d users with a swap whose victim scored higher",
+        params.theta, achieved, popped, graph.n_users - np.count_nonzero(live), tied, len(losers),
+    )
     return GreedyRerankResult(lists, achieved_increase=achieved)
 
 

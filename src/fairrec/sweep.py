@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dataset import candidate_sets, load_ratings, parse_number
-from .errors import FIELD_KINDS, InvalidInputError, check_field_types
+from .errors import FIELD_KINDS, InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types
 from .metrics import DisparityReport, disparity_report, write_per_user_csv, write_results_csv
 from .predictors import (
     KnnParams,
@@ -33,22 +33,31 @@ POSTS = ("none", "random", "greedy")
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings, checked when built.
+
+    Each field's annotation gives its type and range, checked whatever
+    predictor or post-processor runs; a field that feeds a params field
+    carries that field's annotation, so a config that builds always builds
+    its params. The rules between fields apply only to the post-processor
+    that uses them: a non-empty grid, and every l >= k for Random.
+    """
+
     data: Path = Path("u.data")
     predictor: str = "knn"
     post: str = "none"
-    k: int = 5
-    ell: tuple[int, ...] = (10, 50, 100, 500)
-    theta: tuple[int, ...] = (10, 100, 200, 500, 1000)
-    threshold: float = 3.5
-    seed: int = 0
+    k: PositiveInt = 5
+    ell: tuple[PositiveInt, ...] = (10, 50, 100, 500)
+    theta: tuple[NonNegativeInt, ...] = (10, 100, 200, 500, 1000)
+    threshold: Stars = 3.5
+    seed: NonNegativeInt = 0
     out: Path = Path("results")
     cache: bool = False
     per_user: bool = False
     svg: bool = False
-    knn_neighbors: int = 40
-    knn_min_overlap: int = 1
-    nmf_factors: int = 15
-    nmf_epochs: int = 50
+    knn_neighbors: PositiveInt = 40
+    knn_min_overlap: PositiveInt = 1
+    nmf_factors: PositiveInt = 15
+    nmf_epochs: NonNegativeInt = 50
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -56,22 +65,13 @@ class SweepConfig:
             raise InvalidInputError(f"unknown predictor {self.predictor!r}")
         if self.post not in POSTS:
             raise InvalidInputError(f"unknown post-processor {self.post!r}")
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
         if self.post == "random" and not self.ell:
             raise InvalidInputError("ell grid is empty but post=random selected")
         if self.post == "greedy" and not self.theta:
             raise InvalidInputError("theta grid is empty but post=greedy selected")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
-        # build every parameter the run will use, so a bad value fails before the fit
-        _predictor(self)
         for ell in self.ell if self.post == "random" else ():
-            RandomParams(ell=ell, seed=self.seed)
             if ell < self.k:
                 raise InvalidInputError(f"ell={ell} must be >= k={self.k}")
-        for theta in self.theta if self.post == "greedy" else ():
-            GreedyParams(theta=theta, threshold=self.threshold)
 
 
 _FIELDS = {f.name: f for f in fields(SweepConfig)}

@@ -63,16 +63,16 @@ def test_names_the_benchmark_hooks_read_remain():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: GreedyParams(theta=2.5), "theta must be an integer, got 2.5"),
-    (lambda: GreedyParams(theta=True), "theta must be an integer, got True"),  # not one move
-    (lambda: GreedyParams(theta=1, threshold="4"), "threshold must be a number, got '4'"),
-    (lambda: RandomParams(ell=2.5), "ell must be an integer, got 2.5"),
-    (lambda: RandomParams(ell=5, seed=1.0), "seed must be an integer, got 1.0"),
-    (lambda: KnnParams(n_neighbors=2.5), "n_neighbors must be an integer, got 2.5"),
-    (lambda: KnnParams(min_overlap=1.5), "min_overlap must be an integer, got 1.5"),
-    (lambda: NmfParams(n_factors=2.5), "n_factors must be an integer, got 2.5"),
-    (lambda: NmfParams(n_epochs=1.5), "n_epochs must be an integer, got 1.5"),
-    (lambda: NmfParams(init_seed=-1), "init_seed must be non-negative"),  # numpy refuses it at fit
+    (lambda: GreedyParams(theta=2.5), "theta must be an integer >= 0, got 2.5"),
+    (lambda: GreedyParams(theta=True), "theta must be an integer >= 0, got True"),  # not one move
+    (lambda: GreedyParams(theta=1, threshold="4"), "threshold must be a number in [1, 5], got '4'"),
+    (lambda: RandomParams(ell=2.5), "ell must be an integer >= 1, got 2.5"),
+    (lambda: RandomParams(ell=5, seed=1.0), "seed must be an integer >= 0, got 1.0"),
+    (lambda: KnnParams(n_neighbors=2.5), "n_neighbors must be an integer >= 1, got 2.5"),
+    (lambda: KnnParams(min_overlap=1.5), "min_overlap must be an integer >= 1, got 1.5"),
+    (lambda: NmfParams(n_factors=2.5), "n_factors must be an integer >= 1, got 2.5"),
+    (lambda: NmfParams(n_epochs=1.5), "n_epochs must be an integer >= 0, got 1.5"),
+    (lambda: NmfParams(init_seed=-1), "init_seed must be an integer >= 0, got -1"),  # numpy refuses it at fit
 ])
 def test_params_reject_a_value_of_the_wrong_type_naming_the_field(make, message):
     with pytest.raises(InvalidInputError) as raised:
@@ -83,8 +83,10 @@ def test_params_reject_a_value_of_the_wrong_type_naming_the_field(make, message)
 # the five settings classes, each with the arguments that make it valid
 SETTINGS = [(KnnParams, {}), (NmfParams, {}), (RandomParams, {"ell": 5}), (GreedyParams, {"theta": 1}),
             (SweepConfig, {})]
-NOUNS = {"int": "an integer", "float": "a number", "str": "a string", "Path": "a path",
-         "tuple[int, ...]": "a tuple of integers"}
+NOUNS = {"PositiveInt": "an integer >= 1", "NonNegativeInt": "an integer >= 0", "Stars": "a number in [1, 5]",
+         "str": "a string", "Path": "a path", "tuple[PositiveInt, ...]": "a tuple of integers >= 1",
+         "tuple[NonNegativeInt, ...]": "a tuple of integers >= 0"}
+INTEGERS = {"PositiveInt", "NonNegativeInt", "tuple[PositiveInt, ...]", "tuple[NonNegativeInt, ...]"}
 
 
 @pytest.mark.parametrize("value", [np.int64, np.float64, True], ids=["np.int64", "np.float64", "True"])
@@ -99,8 +101,8 @@ def test_one_type_rule_for_every_settings_class(value):
                 with pytest.raises(InvalidInputError) as raised:
                     cls(**{**valid, field.name: True})
                 assert str(raised.value) == f"{field.name} must be {NOUNS[field.type]}, got True"
-            elif value is np.int64 and field.type in ("int", "tuple[int, ...]"):
-                new = tuple(map(value, old)) if field.type != "int" else value(old)
+            elif value is np.int64 and field.type in INTEGERS:
+                new = tuple(map(value, old)) if isinstance(old, tuple) else value(old)
                 assert cls(**{**valid, field.name: new}) == default
-            elif value is np.float64 and field.type == "float":
+            elif value is np.float64 and field.type == "Stars":
                 assert cls(**{**valid, field.name: value(old)}) == default

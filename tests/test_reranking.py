@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,11 +61,11 @@ def test_top_k_rejects_oversized_k():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda g: top_k(g, 2.5), "k must be an integer, got 2.5"),
-    (lambda g: top_k(g, True), "k must be an integer, got True"),
+    (lambda g: top_k(g, 2.5), "k must be an integer >= 1, got 2.5"),
+    (lambda g: top_k(g, True), "k must be an integer >= 1, got True"),
     (lambda g: rank_order(g, 1.5), "depth must be an integer, got 1.5"),
     (lambda g: rank_order(g, np.True_), "depth must be an integer, got " + repr(np.True_)),
-    (lambda g: random_rerank(g, rank_order(g, 3), RandomParams(ell=3), 1.5), "k must be an integer, got 1.5"),
+    (lambda g: random_rerank(g, rank_order(g, 3), RandomParams(ell=3), 1.5), "k must be an integer >= 1, got 1.5"),
 ], ids=["top_k-float", "top_k-bool", "rank_order-float", "rank_order-bool", "random-float"])
 def test_list_sizes_take_the_integer_rule(call, message):
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 3.0)], [(0, 2.0), (2, 1.0)])
@@ -264,7 +266,7 @@ def test_random_params_validation():
         RandomParams(ell=5, seed=-1)
     graph = _six_item_graph()
     for k in (0, -1):  # checked like top_k's k, not drawn as empty or negative lists
-        with pytest.raises(InvalidInputError, match="k must be >= 1"):
+        with pytest.raises(InvalidInputError, match=f"^k must be an integer >= 1, got {k}$"):
             random_rerank(graph, rank_order(graph, 3), RandomParams(ell=3), k)
 
 
@@ -355,6 +357,90 @@ def test_greedy_params_validation():
         GreedyParams(theta=1, threshold=0.5)
     with pytest.raises(InvalidInputError):
         GreedyParams(theta=1, threshold=5.5)
+
+
+_COUNTERS = re.compile(
+    r"greedy_rerank: theta=(?P<theta>\d+): (?P<introduced>\d+) items introduced, (?P<popped>\d+) moves popped, "
+    r"(?P<dead>\d+) users marked dead, (?P<tied>\d+) swaps whose victim scored the same as the new item, "
+    r"(?P<losers>\d+) users with a swap whose victim scored higher"
+)
+
+
+def _logged_counters(caplog, graph, base, params):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fairrec.reranking"):
+        result = greedy_rerank(graph, base, params)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "fairrec.reranking"]
+    return result, {key: int(value) for key, value in _COUNTERS.fullmatch(line).groupdict().items()}
+
+
+def _counted_from_lists(graph, base, recs):
+    """Items introduced, tied swaps and users whose sorted row of scores changed, from the lists alone.
+
+    Per user, greedy takes victims by ascending score (the last entry another
+    user receives, from a set that only shrinks) and new items by descending
+    score (the heap's order), so the i-th lowest removed score was swapped
+    for the i-th highest added one.
+    """
+    introduced = len(set(recs.ravel().tolist()) - set(base.ravel().tolist()))
+    tied = losers = 0
+    for u in range(graph.n_users):
+        removed = sorted(graph.matrix[u, list(set(base[u].tolist()) - set(recs[u].tolist()))])
+        added = sorted(graph.matrix[u, list(set(recs[u].tolist()) - set(base[u].tolist()))], reverse=True)
+        assert all(victim >= new for victim, new in zip(removed, added))  # a top-k base
+        tied += sum(victim == new for victim, new in zip(removed, added))
+        losers += sorted(graph.matrix[u, base[u]]) != sorted(graph.matrix[u, recs[u]])
+    return {"introduced": introduced, "tied": tied, "losers": losers}
+
+
+@pytest.mark.parametrize("graph, k, threshold, counters", [
+    # item 2 and 3 take u0's 5.0 entries, 4 takes u1's item 1 (5.0), then item 5 (4.0) u1's item 0 (5.0)
+    (graph_of([(0, 5.0), (1, 5.0), (2, 5.0), (3, 5.0)], [(0, 5.0), (1, 5.0), (4, 5.0), (5, 4.0)],
+              [(0, 5.0), (1, 5.0), (2, 4.0), (3, 3.0)]), 2, 3.5,
+     {"introduced": 4, "popped": 4, "dead": 0, "tied": 3, "losers": 1}),
+    # item 2 takes u0's item 0; item 3's best user u1 then has no victim, and at threshold 1 nor has u2
+    (graph_of([(0, 5.0), (1, 4.0), (2, 5.0)], [(0, 5.0), (3, 5.0)], [(1, 5.0), (3, 2.0)]), 1, 3.5,
+     {"introduced": 1, "popped": 2, "dead": 1, "tied": 1, "losers": 0}),
+    (graph_of([(0, 5.0), (1, 4.0), (2, 5.0)], [(0, 5.0), (3, 5.0)], [(1, 5.0), (3, 2.0)]), 1, 1.0,
+     {"introduced": 1, "popped": 3, "dead": 2, "tied": 1, "losers": 0}),
+    # no user has a victim: items 2 and 3 each pop once for u0 and once for u1, each user is marked dead once
+    (graph_of([(0, 5.0), (2, 5.0), (3, 5.0)], [(1, 5.0), (2, 4.0), (3, 4.0)]), 1, 3.5,
+     {"introduced": 0, "popped": 4, "dead": 2, "tied": 0, "losers": 0}),
+], ids=["ties-then-a-loss", "a-dead-user", "two-dead-users", "dead-users-popped-twice"])
+def test_greedy_logs_its_counters_on_hand_built_graphs(caplog, graph, k, threshold, counters):
+    base = top_k(graph, k)
+    result, logged = _logged_counters(caplog, graph, base, GreedyParams(theta=10, threshold=threshold))
+    assert logged == {"theta": 10, **counters}
+    assert _counted_from_lists(graph, base, result.recommendations) == {
+        key: counters[key] for key in ("introduced", "tied", "losers")
+    }
+    assert result.achieved_increase == counters["introduced"]
+
+
+def test_greedy_counts_a_swap_that_raises_the_score_as_neither_tied_nor_lost(caplog):
+    # a base that is not the top-k: the victim (2.0) scores below the new item (5.0)
+    graph = graph_of([(0, 2.0), (1, 5.0)], [(0, 3.0)])
+    result, logged = _logged_counters(caplog, graph, np.array([[0], [0]]), GreedyParams(theta=1))
+    assert result.recommendations.tolist() == [[1], [0]]
+    assert logged == {"theta": 1, "introduced": 1, "popped": 1, "dead": 0, "tied": 0, "losers": 0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_counters_equal_a_count_from_the_lists_on_tie_heavy_graphs(caplog, seed):
+    matrix = _tie_heavy_matrix(seed, n_users=12)  # 40 items: room for moves, and for users without a victim
+    graph = ScoreGraph(matrix, np.arange(len(matrix)))
+    base = top_k(graph, 3)
+    totals = dict.fromkeys(("dead", "tied", "losers"), 0)
+    for theta, threshold in [(0, 3.5), (1, 3.5), (5, 4.5), (20, 1.0), (graph.n_items, 3.5), (graph.n_items, 5.0)]:
+        result, logged = _logged_counters(caplog, graph, base, GreedyParams(theta=theta, threshold=threshold))
+        counted = _counted_from_lists(graph, base, result.recommendations)
+        assert {key: logged[key] for key in counted} == counted
+        # every popped move introduces its item or finds its user without a victim
+        assert logged["popped"] >= logged["introduced"] + logged["dead"]
+        if theta == 0:
+            assert logged["popped"] == 0
+        totals = {key: totals[key] + logged[key] for key in totals}
+    assert min(totals.values()) > 0  # each counter is exercised
 
 
 def _random_graph(seed, n_users=12, n_items=30, rated_fraction=0.4):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairrec import InvalidInputError, build_config, emit_plot_data, run_sweep, save_score_cache
+from fairrec import (GreedyParams, InvalidInputError, KnnParams, NmfParams, RandomParams, build_config,
+                     emit_plot_data, run_sweep, save_score_cache)
 from fairrec.cli import _build_parser, main
 from fairrec.metrics import RESULTS_HEADER
 from fairrec.sweep import SweepConfig, read_config_file
@@ -91,16 +92,16 @@ def test_read_config_rejects_bad_boolean(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("cache = maybe", "config key 'cache' expects a boolean, got 'maybe'"),
-    ("k = 2.5", "config key 'k' expects an integer, got '2.5'"),
-    ("threshold = high", "config key 'threshold' expects a number, got 'high'"),
+    ("k = 2.5", "config key 'k' expects an integer >= 1, got '2.5'"),
+    ("threshold = high", "config key 'threshold' expects a number in [1, 5], got 'high'"),
     ("theta = 10,x", "grid must be comma-separated integers, got '10,x'"),
     # int() and float() alone read these as 10, 3, (10, 20), (10,), 3.5 and 35
-    ("k = 1_0", "config key 'k' expects an integer, got '1_0'"),
-    ("seed = \u0663", "config key 'seed' expects an integer, got '\u0663'"),
+    ("k = 1_0", "config key 'k' expects an integer >= 1, got '1_0'"),
+    ("seed = \u0663", "config key 'seed' expects an integer >= 0, got '\u0663'"),
     ("ell = 1_0,2_0", "grid must be comma-separated integers, got '1_0,2_0'"),
     ("theta = \uff11\uff10", "grid must be comma-separated integers, got '\uff11\uff10'"),
-    ("threshold = \uff13.5", "config key 'threshold' expects a number, got '\uff13.5'"),
-    ("threshold = 3_5", "config key 'threshold' expects a number, got '3_5'"),
+    ("threshold = \uff13.5", "config key 'threshold' expects a number in [1, 5], got '\uff13.5'"),
+    ("threshold = 3_5", "config key 'threshold' expects a number in [1, 5], got '3_5'"),
 ])
 def test_read_config_type_errors_name_the_bad_value(tmp_path, line, message):
     path = tmp_path / "sweep.cfg"
@@ -174,7 +175,7 @@ def test_numpy_integer_settings_write_the_same_files(synthetic_file, tmp_path):
 
 
 def test_build_config_rejects_a_bad_string_keyword():
-    with pytest.raises(InvalidInputError, match="config key 'k' expects an integer, got 'x'"):
+    with pytest.raises(InvalidInputError, match="config key 'k' expects an integer >= 1, got 'x'"):
         build_config(k="x")
 
 
@@ -247,31 +248,76 @@ def test_config_validation_errors():
     # every grid value and hyperparameter is checked before any work starts
     with pytest.raises(InvalidInputError, match="ell=4 must be >= k=5"):
         SweepConfig(post="random", k=5, ell=(10, 4))
-    with pytest.raises(InvalidInputError, match="ell must be >= 1"):
+    with pytest.raises(InvalidInputError, match=r"^ell must be a tuple of integers >= 1, got \(10, 0\)$"):
         SweepConfig(post="random", ell=(10, 0))
-    with pytest.raises(InvalidInputError, match="theta"):
+    with pytest.raises(InvalidInputError, match=r"^theta must be a tuple of integers >= 0, got \(10, -1\)$"):
         SweepConfig(post="greedy", theta=(10, -1))
     for threshold in (0.5, 5.5):
-        with pytest.raises(InvalidInputError, match="threshold"):
+        with pytest.raises(InvalidInputError, match=rf"^threshold must be a number in \[1, 5\], got {threshold}$"):
             SweepConfig(post="greedy", threshold=threshold)
-    with pytest.raises(InvalidInputError, match="n_neighbors"):
+    with pytest.raises(InvalidInputError, match="^knn_neighbors must be an integer >= 1, got 0$"):
         SweepConfig(predictor="knn", knn_neighbors=0)
-    with pytest.raises(InvalidInputError, match="min_overlap"):
+    with pytest.raises(InvalidInputError, match="^knn_min_overlap must be an integer >= 1, got 0$"):
         SweepConfig(predictor="knn", knn_min_overlap=0)
-    with pytest.raises(InvalidInputError, match="n_factors"):
+    with pytest.raises(InvalidInputError, match="^nmf_factors must be an integer >= 1, got 0$"):
         SweepConfig(predictor="nmf", nmf_factors=0)
-    with pytest.raises(InvalidInputError, match="n_epochs"):
+    with pytest.raises(InvalidInputError, match="^nmf_epochs must be an integer >= 0, got -1$"):
         SweepConfig(predictor="nmf", nmf_epochs=-1)
-    # a grid that the selected post-processor does not use is not checked
-    SweepConfig(post="greedy", ell=(0,))
+    # a grid that the selected post-processor does not use is checked too
+    with pytest.raises(InvalidInputError, match=r"^ell must be a tuple of integers >= 1, got \(0,\)$"):
+        SweepConfig(post="greedy", ell=(0,))
+
+
+# each config field that a run passes on to a parameter class, and the field it fills
+FEEDS = [("knn_neighbors", KnnParams, "n_neighbors"), ("knn_min_overlap", KnnParams, "min_overlap"),
+         ("nmf_factors", NmfParams, "n_factors"), ("nmf_epochs", NmfParams, "n_epochs"),
+         ("seed", NmfParams, "init_seed"), ("seed", RandomParams, "seed"), ("ell", RandomParams, "ell"),
+         ("theta", GreedyParams, "theta"), ("threshold", GreedyParams, "threshold")]
+
+
+@pytest.mark.parametrize("key, params, name", FEEDS, ids=[f"{key}-{name}" for key, _, name in FEEDS])
+def test_each_setting_carries_the_annotation_of_the_params_field_it_feeds(key, params, name):
+    # the config checks each field by its annotation, so a config that builds
+    # always builds the params of its fit and of every grid point
+    annotation = {f.name: f.type for f in fields(params)}[name]
+    if key in ("ell", "theta"):  # a grid: one params object per value
+        annotation = f"tuple[{annotation}, ...]"
+    assert {f.name: f.type for f in fields(SweepConfig)}[key] == annotation
+
+
+def test_a_setting_out_of_range_is_rejected_though_the_run_does_not_use_it(tmp_path, capsys):
+    # each field is checked whatever predictor and post-processor run, naming the config key
+    for settings, key, value, noun in [
+        ({"predictor": "knn"}, "nmf_factors", 0, "an integer >= 1"),
+        ({"predictor": "nmf"}, "knn_neighbors", 0, "an integer >= 1"),
+        ({"post": "none"}, "threshold", 7, "a number in [1, 5]"),
+    ]:
+        for make in (SweepConfig, build_config):
+            with pytest.raises(InvalidInputError) as info:
+                make(**settings, **{key: value})
+            assert str(info.value) == f"{key} must be {noun}, got {value!r}"
+        path = tmp_path / "sweep.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in {**settings, key: value}.items()))
+        read = read_config_file(path)[key]  # 7.0 for the threshold, a number field
+        message = f"{key} must be {noun}, got {read!r}"
+        with pytest.raises(InvalidInputError) as info:
+            build_config(path)
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"fairrec: error: {message}\n"
+        assert not out.exists()
+    # a rule between fields applies only to the post-processor that uses it:
+    # the default l grid holds 10 < k, but greedy does not read it
+    assert SweepConfig(post="greedy", k=20).ell == (10, 50, 100, 500)
 
 
 WRONG_TYPES = [
-    ("k", True, "k must be an integer, got True"),
-    ("k", 2.7, "k must be an integer, got 2.7"),
-    ("seed", 1.0, "seed must be an integer, got 1.0"),
-    ("ell", (10, "x"), "ell must be a tuple of integers, got (10, 'x')"),
-    ("ell", [10, 50], "ell must be a tuple of integers, got [10, 50]"),
+    ("k", True, "k must be an integer >= 1, got True"),
+    ("k", 2.7, "k must be an integer >= 1, got 2.7"),
+    ("seed", 1.0, "seed must be an integer >= 0, got 1.0"),
+    ("ell", (10, "x"), "ell must be a tuple of integers >= 1, got (10, 'x')"),
+    ("ell", [10, 50], "ell must be a tuple of integers >= 1, got [10, 50]"),
     ("out", "r", "out must be a path, got 'r'"),
 ]
 
@@ -547,7 +593,8 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
 ])
 def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line, synthetic_file, tmp_path, capsys):
     # -v shows the fit's DEBUG lines (KNN's fallback count or NMF's loss, then the
-    # clamp count) on stderr; every file in out, cache included, is the same without it
+    # clamp count) and greedy's counters on stderr; every file in out, cache
+    # included, is the same without it
     def run(out, *flags):
         args = ["run", *flags, "--data", str(synthetic_file), "--predictor", predictor, "--post", "greedy",
                 "--k", "3", "--theta", "4", "--per-user", "--cache", "--out", str(out)]
@@ -558,12 +605,13 @@ def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line,
     quiet_logged, quiet_files = run(tmp_path / "quiet")
     logged, files = run(tmp_path / "verbose", "-v")
     assert quiet_logged == []
-    assert len(logged) == 2
+    assert len(logged) == 3
     assert logged[0].startswith(f"fairrec.predictors: {fit_line}")
     assert logged[1].startswith("fairrec.predictors: score graph: ")
+    assert logged[2].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
     assert files == quiet_files
-    # a cache hit recomputes no fit-only figure, so -v then logs nothing
-    assert run(tmp_path / "verbose", "-v") == ([], files)
+    # a cache hit recomputes no fit-only figure, so -v then logs only greedy's line, unchanged
+    assert run(tmp_path / "verbose", "-v") == (logged[2:], files)
 
 
 def test_cli_flags_override_config(synthetic_file, tmp_path):
