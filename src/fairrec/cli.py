@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also render scatter plots as SVG")
     # not a setting: absent unless given, so every dest parse_args returns by default is a config key
     run.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
-                     help="log what the run computed (fallbacks, clamps, NMF loss, greedy counters) to stderr")
+                     help="log the fit's and greedy's counters and each stage's time and peak RSS to stderr")
     return parser
 
 

@@ -26,7 +26,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import (RATING_MAX, RATING_MIN, CandidateShortfallError, DuplicateRatingError, RatingParseError,
-                     RatingRangeError, check_type, reject_rows)
+                     RatingRangeError, check_type, parse_number, reject_rows)
 
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1  # raw ids are stored as int64
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -122,17 +122,6 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     # a copy, so the (n, 5) array is freed before the checker allocates
     # (about 2 MB less peak RSS on the cache-resweep benchmark)
     return np.ascontiguousarray(values.reshape(-1, 5)[:, :4])
-
-
-def parse_number(text: str, kind: type = int):
-    """kind(text), for ASCII text without '_' only.
-
-    int and float alone also read digit separators and non-ASCII digits, so
-    '1_0', '٣' and '３.5' would silently stand for 10, 3 and 3.5.
-    """
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
-    return kind(text)
 
 
 def _parse_lines(source: IO[str] | Iterable[str]) -> list[tuple[int, ...]]:

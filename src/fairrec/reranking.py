@@ -96,8 +96,8 @@ def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
     items above that key plus the lowest-id items tied at it are put in
     order by a stable sort of those ``depth`` columns.
     """
-    check_type("depth", depth)
-    if not 1 <= depth <= graph.n_items:
+    check_type("depth", depth, "PositiveInt")
+    if depth > graph.n_items:
         raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
     order = np.empty((graph.n_users, depth), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // graph.n_items)

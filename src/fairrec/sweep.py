@@ -5,16 +5,25 @@ grid point per l (random) or theta (greedy). Outputs are deterministic for
 a fixed config and seed: results.csv, one scatter file per disparity
 metric (aggregate diversity on x), and optional per-user and SVG files.
 Grid points share one immutable ScoreGraph and are evaluated in grid order.
+
+Settings come from defaults, a ``key = value`` file whose every line has one
+form, and keywords or flags; each text value is read by its field's
+annotation (``errors.FIELD_KINDS``). At DEBUG, ``run_sweep`` logs each
+stage's wall time and peak RSS on this module's logger, never into the
+output directory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import re
+import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dataset import candidate_sets, load_ratings, parse_number
+from .dataset import candidate_sets, load_ratings
 from .errors import FIELD_KINDS, InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types
 from .metrics import DisparityReport, disparity_report, write_per_user_csv, write_results_csv
 from .predictors import (
@@ -26,6 +35,8 @@ from .predictors import (
     save_score_cache,
 )
 from .reranking import GreedyParams, RandomParams, greedy_rerank, random_rerank, rank_order, top_k
+
+logger = logging.getLogger(__name__)
 
 PREDICTORS = ("knn", "nmf")
 POSTS = ("none", "random", "greedy")
@@ -65,54 +76,39 @@ class SweepConfig:
             raise InvalidInputError(f"unknown predictor {self.predictor!r}")
         if self.post not in POSTS:
             raise InvalidInputError(f"unknown post-processor {self.post!r}")
-        if self.post == "random" and not self.ell:
-            raise InvalidInputError("ell grid is empty but post=random selected")
-        if self.post == "greedy" and not self.theta:
-            raise InvalidInputError("theta grid is empty but post=greedy selected")
+        grid = {"random": "ell", "greedy": "theta"}.get(self.post)
+        if grid and not getattr(self, grid):
+            raise InvalidInputError(f"{grid} grid is empty but post={self.post} selected")
         for ell in self.ell if self.post == "random" else ():
             if ell < self.k:
                 raise InvalidInputError(f"ell={ell} must be >= k={self.k}")
 
 
 _FIELDS = {f.name: f for f in fields(SweepConfig)}
-_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-             **dict.fromkeys(("false", "0", "no", "off"), False)}
-
-
-def parse_grid(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(parse_number(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise InvalidInputError(f"grid must be comma-separated integers, got {text!r}") from None
 
 
 def _coerce(key: str, value: str):
-    """Convert a config file value, a flag or a string keyword to the type of the field's default."""
-    field = _FIELDS[key]
-    kind = type(field.default)
-    if kind is tuple:
-        return parse_grid(value)
+    """Read a config file value, a flag or a string keyword with the reader of its field's annotation."""
+    _, noun, read = FIELD_KINDS[_FIELDS[key].type]
     try:
-        if kind is bool:
-            return _BOOLEANS[value.strip().lower()]
-        if issubclass(kind, Path) and not value.strip():  # Path("") is the working directory
-            raise ValueError
-        return parse_number(value, kind) if kind in (int, float) else kind(value)
+        return read(value)
     except (KeyError, ValueError):
-        noun = FIELD_KINDS[field.type][1]
         raise InvalidInputError(f"config key {key!r} expects {noun}, got {value!r}") from None
 
 
-# key = "value" or 'value', then at most a comment
-_QUOTED = re.compile(r"""(?P<key>[^#=]*)=\s*(?P<quote>["'])(?P<value>.*?)(?P=quote)\s*(?:#.*)?""")
+# blank, a comment, or key = value then at most a comment; the value is bare
+# (no quote at either end, no '#') or between matching quotes, which keep a '#'
+_LINE = re.compile(r"""\s*(?:(?P<key>[^#=]*)=\s*(?:(?P<quote>["'])(?P<quoted>.*?)(?P=quote)"""
+                   r"""|(?P<bare>(?:[^\s"'#](?:[^#]*[^\s"'#])?)?))\s*)?(?:#.*)?""")
 
 
 def read_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into SweepConfig field overrides.
 
     Each key is a SweepConfig field name, given at most once. Blank lines and
-    ``#`` comments are ignored, but a ``#`` inside a quoted value is kept;
-    grids are comma-separated.
+    ``#`` comments are ignored. A value is bare, or between matching quotes
+    that keep a ``#``, with at most a comment after it; any other line is
+    rejected. Grids are comma-separated.
     """
     overrides: dict = {}
     first_lines: dict = {}
@@ -121,24 +117,18 @@ def read_config_file(path: str | Path) -> dict:
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: config file is not UTF-8 text: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):
-        quoted = _QUOTED.fullmatch(raw.strip())
-        if quoted:  # a '#' between the quotes is part of the value
-            key, value = quoted["key"], quoted["value"]
-        else:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            value = value.strip().strip("\"'")
-        key = key.strip()
+        line = _LINE.fullmatch(raw)
+        if not line:
+            raise InvalidInputError(f"{path}:{line_no}: expected 'key = value'")
+        if line["key"] is None:  # blank or a comment
+            continue
+        key = line["key"].strip()
         if key not in _FIELDS:
             raise InvalidInputError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in first_lines:
             raise InvalidInputError(f"{path}:{line_no}: config key {key!r} repeats line {first_lines[key]}")
         first_lines[key] = line_no
-        overrides[key] = _coerce(key, value)
+        overrides[key] = _coerce(key, line["bare"] if line["quote"] is None else line["quoted"])
     return overrides
 
 
@@ -157,14 +147,9 @@ def build_config(file_path: str | Path | None = None, **overrides) -> SweepConfi
     return SweepConfig(**settings)
 
 
-def _predictor(cfg: SweepConfig):
-    if cfg.predictor == "knn":
-        return predict_knn, KnnParams(cfg.knn_neighbors, cfg.knn_min_overlap)
-    return predict_nmf, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed)
-
-
 def _obtain_scores(cfg: SweepConfig, dataset):
-    predict, params = _predictor(cfg)
+    predict, params = ((predict_knn, KnnParams(cfg.knn_neighbors, cfg.knn_min_overlap)) if cfg.predictor == "knn"
+                       else (predict_nmf, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed)))
     if not cfg.cache:
         return predict(dataset, params)
     key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
@@ -176,18 +161,34 @@ def _obtain_scores(cfg: SweepConfig, dataset):
     return graph
 
 
+def _log_stage(marks: list[float], stage: str) -> None:
+    """At DEBUG, mark the time and log the stage's wall seconds since the last mark and the peak RSS so far."""
+    if logger.isEnabledFor(logging.DEBUG):
+        import resource  # POSIX only, so imported only when a stage is logged
+
+        marks.append(time.perf_counter())
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        logger.debug("run_sweep: %s: %.3f s, peak RSS %.1f MB", stage, marks[-1] - marks[-2], peak)
+
+
 def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """Execute the configured sweep and write all output files.
 
     Returns the reports in output order: baseline first, then grid order.
+    Under DEBUG, each stage (read, scores, order, each grid point, write)
+    logs its wall time and the peak RSS so far on ``fairrec.sweep``.
     """
+    marks = [time.perf_counter()]
     dataset = load_ratings(cfg.data)
     candidate_sets(dataset, min_size=cfg.k)  # a user short of k candidates fails before the fit
+    _log_stage(marks, "read")
     cfg.out.mkdir(parents=True, exist_ok=True)  # a rejected input leaves no directory behind
     graph = _obtain_scores(cfg, dataset)
+    _log_stage(marks, "scores")
     top = top_k(graph, cfg.k)
     if cfg.post == "random":  # one order to depth max(l), shared by every l
         ranked = rank_order(graph, min(max(cfg.ell), graph.n_items))
+    _log_stage(marks, "order")
 
     grid = {"none": (), "random": cfg.ell, "greedy": cfg.theta}[cfg.post]
     reports = []
@@ -203,6 +204,7 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
                 graph, recs, top, predictor=cfg.predictor, post=post, param=param, achieved=achieved
             )
         )
+        _log_stage(marks, f"{post} {param}")
 
     write_results_csv(reports, cfg.out / "results.csv")
     emit_plot_data(reports, cfg.out, svg=cfg.svg)
@@ -210,6 +212,7 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
         for report in reports:
             name = f"per_user__{report.post}__{report.param}.csv"
             write_per_user_csv(report, cfg.out / name, dataset)
+    _log_stage(marks, "write")
     return reports
 
 

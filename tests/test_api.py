@@ -16,6 +16,7 @@ from fairrec import (
     ScoreGraph,
     save_score_cache,
 )
+from fairrec.errors import FIELD_KINDS
 from fairrec.sweep import SweepConfig
 
 
@@ -38,7 +39,7 @@ REMOVED = {
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
     fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates"},
-    fairrec.sweep: {"_has_type_of", "_KINDS"},
+    fairrec.sweep: {"_has_type_of", "_KINDS", "parse_grid", "_BOOLEANS", "_QUOTED", "_predictor"},
     SweepConfig: {"validate"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists"},
     ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users", "ranked"},
@@ -87,6 +88,12 @@ NOUNS = {"PositiveInt": "an integer >= 1", "NonNegativeInt": "an integer >= 0", 
          "str": "a string", "Path": "a path", "tuple[PositiveInt, ...]": "a tuple of integers >= 1",
          "tuple[NonNegativeInt, ...]": "a tuple of integers >= 0"}
 INTEGERS = {"PositiveInt", "NonNegativeInt", "tuple[PositiveInt, ...]", "tuple[NonNegativeInt, ...]"}
+
+
+def test_every_field_kind_is_the_annotation_of_a_setting():
+    # a row no settings field carries, nor k or depth (both PositiveInt), is dead
+    annotations = {field.type for cls, _ in SETTINGS for field in dataclasses.fields(cls)}
+    assert set(FIELD_KINDS) == annotations | {"PositiveInt"}
 
 
 @pytest.mark.parametrize("value", [np.int64, np.float64, True], ids=["np.int64", "np.float64", "True"])

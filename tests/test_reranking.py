@@ -63,8 +63,8 @@ def test_top_k_rejects_oversized_k():
 @pytest.mark.parametrize("call, message", [
     (lambda g: top_k(g, 2.5), "k must be an integer >= 1, got 2.5"),
     (lambda g: top_k(g, True), "k must be an integer >= 1, got True"),
-    (lambda g: rank_order(g, 1.5), "depth must be an integer, got 1.5"),
-    (lambda g: rank_order(g, np.True_), "depth must be an integer, got " + repr(np.True_)),
+    (lambda g: rank_order(g, 1.5), "depth must be an integer >= 1, got 1.5"),
+    (lambda g: rank_order(g, np.True_), "depth must be an integer >= 1, got " + repr(np.True_)),
     (lambda g: random_rerank(g, rank_order(g, 3), RandomParams(ell=3), 1.5), "k must be an integer >= 1, got 1.5"),
 ], ids=["top_k-float", "top_k-bool", "rank_order-float", "rank_order-bool", "random-float"])
 def test_list_sizes_take_the_integer_rule(call, message):
@@ -147,9 +147,10 @@ def test_rank_order_puts_non_candidates_last_by_ascending_id():
 
 def test_rank_order_rejects_a_depth_outside_the_items():
     graph = _six_item_graph()
-    for depth in (0, 7):
-        with pytest.raises(InvalidInputError, match=r"depth must lie in \[1, 6\]"):
-            rank_order(graph, depth)
+    with pytest.raises(InvalidInputError, match=r"^depth must be an integer >= 1, got 0$"):
+        rank_order(graph, 0)
+    with pytest.raises(InvalidInputError, match=r"^depth must lie in \[1, 6\], got 7$"):
+        rank_order(graph, 7)
 
 
 def test_rank_order_working_set_stays_below_a_fraction_of_the_matrix(monkeypatch):

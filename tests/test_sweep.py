@@ -1,11 +1,14 @@
+import logging
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fairrec import (GreedyParams, InvalidInputError, KnnParams, NmfParams, RandomParams, build_config,
-                     emit_plot_data, run_sweep, save_score_cache)
+                     emit_plot_data, run_sweep, save_score_cache, sweep)
 from fairrec.cli import _build_parser, main
 from fairrec.metrics import RESULTS_HEADER
 from fairrec.sweep import SweepConfig, read_config_file
@@ -68,6 +71,21 @@ def test_read_config_cuts_a_comment_after_a_quoted_value(tmp_path):
     assert read_config_file(path) == {"out": Path("results"), "predictor": "nmf"}
 
 
+@pytest.mark.parametrize("line", ["k 5", 'out = "res', 'out = "res" extra', "k = 5\"", "out = res'", 'out = a""'])
+def test_read_config_rejects_a_line_not_of_the_key_value_form(tmp_path, line):
+    # all but the first were read, as res, res" extra, 5, res and a: a stray quote went unnoticed
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(InvalidInputError, match=r"sweep.cfg:2: expected 'key = value'$"):
+        read_config_file(path)
+
+
+def test_read_config_keeps_a_quote_inside_a_bare_value(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("out = it's  # a comment\n")
+    assert read_config_file(path) == {"out": Path("it's")}
+
+
 def test_read_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("bogus = 1\n")
@@ -94,12 +112,12 @@ def test_read_config_rejects_bad_boolean(tmp_path):
     ("cache = maybe", "config key 'cache' expects a boolean, got 'maybe'"),
     ("k = 2.5", "config key 'k' expects an integer >= 1, got '2.5'"),
     ("threshold = high", "config key 'threshold' expects a number in [1, 5], got 'high'"),
-    ("theta = 10,x", "grid must be comma-separated integers, got '10,x'"),
+    ("theta = 10,x", "config key 'theta' expects a tuple of integers >= 0, got '10,x'"),
     # int() and float() alone read these as 10, 3, (10, 20), (10,), 3.5 and 35
     ("k = 1_0", "config key 'k' expects an integer >= 1, got '1_0'"),
     ("seed = \u0663", "config key 'seed' expects an integer >= 0, got '\u0663'"),
-    ("ell = 1_0,2_0", "grid must be comma-separated integers, got '1_0,2_0'"),
-    ("theta = \uff11\uff10", "grid must be comma-separated integers, got '\uff11\uff10'"),
+    ("ell = 1_0,2_0", "config key 'ell' expects a tuple of integers >= 1, got '1_0,2_0'"),
+    ("theta = \uff11\uff10", "config key 'theta' expects a tuple of integers >= 0, got '\uff11\uff10'"),
     ("threshold = \uff13.5", "config key 'threshold' expects a number in [1, 5], got '\uff13.5'"),
     ("threshold = 3_5", "config key 'threshold' expects a number in [1, 5], got '3_5'"),
 ])
@@ -126,9 +144,10 @@ def test_cli_number_flags_reject_separators_and_non_ascii_digits(flag, value, tm
 
 @pytest.mark.parametrize("flag", ["--ell", "--theta"])
 def test_cli_reports_bad_grid_flag(flag, tmp_path, capsys):
+    bound = {"--ell": 1, "--theta": 0}[flag]
     assert main(["run", flag, "1_0,x", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        "fairrec: error: grid must be comma-separated integers, got '1_0,x'\n"
+        f"fairrec: error: config key '{flag[2:]}' expects a tuple of integers >= {bound}, got '1_0,x'\n"
     )
 
 
@@ -172,6 +191,11 @@ def test_numpy_integer_settings_write_the_same_files(synthetic_file, tmp_path):
     files = sorted(p.name for p in plain.out.iterdir())
     assert "results.csv" in files and files == sorted(p.name for p in numpy.out.iterdir())
     assert all((plain.out / f).read_bytes() == (numpy.out / f).read_bytes() for f in files)
+
+
+def test_build_config_rejects_an_unknown_keyword():
+    with pytest.raises(InvalidInputError, match=r"^unknown config fields: \['bogus'\]$"):
+        build_config(bogus=1)
 
 
 def test_build_config_rejects_a_bad_string_keyword():
@@ -562,6 +586,12 @@ def test_emit_plot_data_row_counts(synthetic_file, tmp_path):
     assert again[0].read_bytes() == paths[0].read_bytes()
 
 
+def test_emit_plot_data_rejects_no_reports(tmp_path):
+    with pytest.raises(InvalidInputError, match="^no reports to plot$"):
+        emit_plot_data([], tmp_path / "none")
+    assert not (tmp_path / "none").exists()
+
+
 def test_emit_plot_data_rejects_reports_of_two_sweeps(synthetic_file, tmp_path):
     # one file per metric is named for one predictor and one post-processor
     reports = run_sweep(small_cfg(synthetic_file, tmp_path / "run", post="random"))
@@ -593,25 +623,46 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
 ])
 def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line, synthetic_file, tmp_path, capsys):
     # -v shows the fit's DEBUG lines (KNN's fallback count or NMF's loss, then the
-    # clamp count) and greedy's counters on stderr; every file in out, cache
-    # included, is the same without it
+    # clamp count), greedy's counters and each stage's time and peak RSS on
+    # stderr; every file in out, cache included, is the same without it
+    stage = re.compile(r"fairrec\.sweep: run_sweep: (.+): \d+\.\d{3} s, peak RSS \d+\.\d MB")
+
+    def shape(lines):  # a stage line by its stage alone, as its time and RSS vary
+        return [m[1] if (m := stage.fullmatch(line)) else line for line in lines]
+
     def run(out, *flags):
         args = ["run", *flags, "--data", str(synthetic_file), "--predictor", predictor, "--post", "greedy",
                 "--k", "3", "--theta", "4", "--per-user", "--cache", "--out", str(out)]
         assert main(args) == 0
         logged = [line for line in capsys.readouterr().err.splitlines() if line.startswith("fairrec")]
-        return logged, {p.name: p.read_bytes() for p in out.iterdir()}
+        return shape(logged), {p.name: p.read_bytes() for p in out.iterdir()}
 
     quiet_logged, quiet_files = run(tmp_path / "quiet")
     logged, files = run(tmp_path / "verbose", "-v")
     assert quiet_logged == []
-    assert len(logged) == 3
-    assert logged[0].startswith(f"fairrec.predictors: {fit_line}")
-    assert logged[1].startswith("fairrec.predictors: score graph: ")
-    assert logged[2].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
+    assert len(logged) == 9
+    assert logged[0] == "read"
+    assert logged[1].startswith(f"fairrec.predictors: {fit_line}")
+    assert logged[2].startswith("fairrec.predictors: score graph: ")
+    assert logged[3:6] == ["scores", "order", "none 0"]
+    assert logged[6].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
+    assert logged[7:] == ["greedy 4", "write"]
     assert files == quiet_files
-    # a cache hit recomputes no fit-only figure, so -v then logs only greedy's line, unchanged
-    assert run(tmp_path / "verbose", "-v") == (logged[2:], files)
+    # a cache hit recomputes no fit-only figure, so -v then logs greedy's line unchanged, and the stages
+    assert run(tmp_path / "verbose", "-v") == (logged[:1] + logged[3:], files)
+
+
+def test_each_stage_line_times_its_own_stage(synthetic_file, tmp_path, monkeypatch, caplog):
+    # a clock that reads 0, 1, 4, 9, ...: each stage since the last mark took 1, 3, 5, ... s
+    ticks = iter(range(100))
+    monkeypatch.setattr(sweep, "time", SimpleNamespace(perf_counter=lambda: next(ticks) ** 2))
+    caplog.set_level(logging.DEBUG, logger="fairrec.sweep")
+    run_sweep(small_cfg(synthetic_file, tmp_path / "out", post="random"))
+    lines = [record.getMessage() for record in caplog.records if record.name == "fairrec.sweep"]
+    stages = ["read", "scores", "order", "none 0", "random 4", "random 8", "write"]
+    assert [line.split(",")[0] for line in lines] == [
+        f"run_sweep: {stage}: {2 * n + 1}.000 s" for n, stage in enumerate(stages)]
+    assert all(float(line.split("peak RSS ")[1].removesuffix(" MB")) > 0 for line in lines)
 
 
 def test_cli_flags_override_config(synthetic_file, tmp_path):
