@@ -5,14 +5,18 @@ holding user u's k >= 1 distinct candidates. Every reader (greedy's base
 and each metric) takes the score graph and applies one check,
 ``_list_scores``, which also gathers the lists' scores. Each row is
 ordered by descending score with ties broken by ascending item id.
-``rank_order(graph, d)`` puts each row's first d items in that order
-(non-candidates last), selecting only to depth d in blocks of rows of a
-fixed cell count, so it builds no score-sized temporary; ``top_k`` is
-``rank_order`` to depth k once every user has k candidates. A sweep
-computes one order to depth max(l) and passes it to every Random call.
-Random draws k items uniformly from each user's top-l list using a per-user
-substream of the global seed, so results do not depend on evaluation order;
-sorting the drawn rank positions puts them back in list order. Greedy
+One blocked pass, ``_ordered_blocks``, puts each row's first d items in
+that order (non-candidates last), selecting only to depth d in blocks of
+rows of a fixed cell count, so it builds no score-sized temporary.
+``rank_order(graph, d)`` writes its blocks into one ``(n_users, d)`` order;
+``top_k`` is ``rank_order`` to depth k once every user has k candidates.
+Random serves a whole l grid from one such pass and keeps no order: it
+first draws, for every l, k rank positions uniformly from each user's
+top-l list, from a per-user substream of the global seed (seeded once per
+call and restored before each l's draw), so results do not depend on
+evaluation order or on the other l; sorting the drawn positions puts them
+back in list order. Each block's order to depth max(l) is then gathered at
+every l's positions and dropped. Greedy
 introduces not-yet-recommended items with a score above a threshold, one at
 a time in globally descending score order, each replacing the last entry of
 the victim user's list that another user still receives; the
@@ -46,17 +50,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RandomParams:
-    """Random re-ranking settings: the pool size l, an integer >= 1, and a seed >= 0.
+    """Random re-ranking settings: a non-empty grid of pool sizes l, each an integer >= 1, and a seed >= 0.
 
     Each field's annotation gives its type and range, checked when the
     params are built.
     """
 
-    ell: PositiveInt
+    ell: tuple[PositiveInt, ...]
     seed: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if not self.ell:
+            raise InvalidInputError("ell grid is empty")
 
 
 @dataclass(frozen=True)
@@ -85,24 +91,21 @@ class GreedyRerankResult:
 _BLOCK_CELLS = 1 << 18
 
 
-def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
-    """Each user's first ``depth`` items, as an (n_users, depth) int64 array.
+def _ordered_blocks(graph: ScoreGraph, depth: int):
+    """Yield ``(rows, order)`` for each block of rows, ``order`` their first ``depth`` items.
 
     Items come by descending score, ties by ascending id, and the items
     that are not the user's candidates (NaN) last, by ascending id: the
-    first ``depth`` columns of a stable row-wise sort of ``-graph.matrix``.
-    Selects only to depth, one block of rows at a time: each row of a block
-    copy (NaN read as -inf) is partitioned to its depth-th key, and the
-    items above that key plus the lowest-id items tied at it are put in
-    order by a stable sort of those ``depth`` columns.
+    first ``depth`` columns of a stable row-wise sort of the block of
+    ``-graph.matrix``. Each row of a block copy (NaN read as -inf) is
+    partitioned to its depth-th key, and the items above that key plus the
+    lowest-id items tied at it are put in order by a stable sort of those
+    ``depth`` columns. ``depth`` lies in [1, n_items].
     """
-    check_type("depth", depth, "PositiveInt")
-    if depth > graph.n_items:
-        raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
-    order = np.empty((graph.n_users, depth), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // graph.n_items)
     for start in range(0, graph.n_users, step):
-        block = np.fmax(graph.matrix[start : start + step], -np.inf)  # NaN below every score
+        rows = slice(start, start + step)
+        block = np.fmax(graph.matrix[rows], -np.inf)  # NaN below every score
         negated = -block
         negated.partition(depth - 1, axis=1)
         kth = -negated[:, depth - 1 : depth]
@@ -114,7 +117,23 @@ def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
         chosen |= tied
         items = np.nonzero(chosen)[1].reshape(len(block), depth)  # ascending id per row
         by_key = np.argsort(-np.take_along_axis(block, items, axis=1), axis=1, kind="stable")
-        order[start : start + step] = np.take_along_axis(items, by_key, axis=1)
+        yield rows, np.take_along_axis(items, by_key, axis=1)
+
+
+def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
+    """Each user's first ``depth`` items, as an (n_users, depth) int64 array.
+
+    Items come by descending score, ties by ascending id, and the items
+    that are not the user's candidates (NaN) last, by ascending id: the
+    first ``depth`` columns of a stable row-wise sort of ``-graph.matrix``,
+    selected only to depth, one block of rows at a time.
+    """
+    check_type("depth", depth, "PositiveInt")
+    if depth > graph.n_items:
+        raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
+    order = np.empty((graph.n_users, depth), dtype=np.int64)
+    for rows, block_order in _ordered_blocks(graph, depth):
+        order[rows] = block_order
     return order
 
 
@@ -128,31 +147,41 @@ def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
     return rank_order(graph, k)
 
 
-def random_rerank(graph: ScoreGraph, ranked: np.ndarray, params: RandomParams, k: int) -> np.ndarray:
-    """Sample k items uniformly without replacement from each user's top-l.
+def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> list[np.ndarray]:
+    """Sample k items uniformly without replacement from each user's top-l, for every l of the grid.
 
-    ``ranked`` is ``rank_order(graph, d)`` for some d >= min(l, n_items);
-    one order to depth max(l) serves a whole l grid. Returns an
-    (n_users, k) array, each row in list order.
+    Returns one (n_users, k) array per l of ``params.ell``, in grid order,
+    each row in list order; a repeated l gives equal arrays.
 
     l is truncated to the candidate count for users with fewer than l
     candidates, so an l of at least n_items means every candidate. The draw
     for user u comes from the (seed, u) substream, so it is reproducible
-    and independent of other users.
+    and independent of other users and of the other l: the user's
+    generator is seeded once and its state restored before each l's draw.
+    Every l's rank positions are drawn first; one blocked pass to depth
+    min(max(l), n_items) then gathers each block's order at them, so no
+    (n_users, max(l)) order is held.
     """
     require_candidates(graph.n_candidates, graph.user_ids, k)
-    if params.ell < k:
-        raise InvalidInputError(f"ell={params.ell} must be >= k={k}")
-    depth = min(params.ell, graph.n_items)  # in Python: an l beyond int64 means every candidate
-    array = isinstance(ranked, np.ndarray)
-    if not (array and ranked.ndim == 2 and len(ranked) == graph.n_users and ranked.shape[1] >= depth):
-        got = ranked.shape if array else type(ranked).__name__
-        raise InvalidInputError(f"ranked must be ({graph.n_users}, d) with d >= {depth}, got {got}")
-    ranks = np.empty((graph.n_users, k), dtype=np.int64)
-    for u, limit in enumerate(np.minimum(graph.n_candidates, depth).tolist()):
-        ranks[u] = np.random.default_rng([params.seed, u]).choice(limit, size=k, replace=False)
-    ranks.sort(axis=1)
-    return np.take_along_axis(ranked, ranks, axis=1)
+    for ell in params.ell:
+        if ell < k:
+            raise InvalidInputError(f"ell={ell} must be >= k={k}")
+    depths = [min(ell, graph.n_items) for ell in params.ell]  # in Python: an l beyond int64 means every candidate
+    ranks = [np.empty((graph.n_users, k), dtype=np.int64) for _ in depths]
+    limits = np.minimum(graph.n_candidates[:, None], depths).tolist()
+    for u, user_limits in enumerate(limits):
+        generator = np.random.default_rng([params.seed, u])
+        seeded = generator.bit_generator.state
+        for drawn, limit in zip(ranks, user_limits):
+            generator.bit_generator.state = seeded
+            drawn[u] = generator.choice(limit, size=k, replace=False)
+    for drawn in ranks:
+        drawn.sort(axis=1)
+    lists = [np.empty_like(drawn) for drawn in ranks]
+    for rows, order in _ordered_blocks(graph, max(depths)):
+        for drawn, chosen in zip(ranks, lists):
+            chosen[rows] = np.take_along_axis(order, drawn[rows], axis=1)
+    return lists
 
 
 def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> GreedyRerankResult:
@@ -175,7 +204,8 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     per-call copy of the matrix with NaN read as 0.0 (argmax takes the
     lowest user id among ties). Popping a move that finds a victim
     introduces its item, which is never pushed again. A move without a
-    victim marks its user dead, and the item moves on to the argmax of its
+    victim marks its user dead (a move whose user is already dead has none
+    and skips the scan), and the item moves on to the argmax of its
     scores over the live users, or leaves the heap once that score is below
     the threshold. A dead user stays dead: the counts of listed items never
     rise (a victim loses one, an introduced item goes from 0 to 1 once), so
@@ -213,7 +243,7 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
         popped += 1
         neg_score, item, user = heap[0]
         row = rows[user]
-        victim = len(row) - 1  # the last entry another user still receives
+        victim = len(row) - 1 if live[user] else -1  # the last entry another user still receives
         while victim >= 0 and counts_list[row[victim][1]] < 2:
             victim -= 1
         if victim < 0:

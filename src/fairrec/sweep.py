@@ -34,7 +34,7 @@ from .predictors import (
     predict_nmf,
     save_score_cache,
 )
-from .reranking import GreedyParams, RandomParams, greedy_rerank, random_rerank, rank_order, top_k
+from .reranking import GreedyParams, RandomParams, greedy_rerank, random_rerank, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +113,7 @@ def read_config_file(path: str | Path) -> dict:
     overrides: dict = {}
     first_lines: dict = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")  # a byte-order mark is not part of a key
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: config file is not UTF-8 text: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):
@@ -175,6 +175,7 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """Execute the configured sweep and write all output files.
 
     Returns the reports in output order: baseline first, then grid order.
+    Random draws every l's lists in one call, in the order stage with top-k.
     Under DEBUG, each stage (read, scores, order, each grid point, write)
     logs its wall time and the peak RSS so far on ``fairrec.sweep``.
     """
@@ -186,8 +187,8 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     graph = _obtain_scores(cfg, dataset)
     _log_stage(marks, "scores")
     top = top_k(graph, cfg.k)
-    if cfg.post == "random":  # one order to depth max(l), shared by every l
-        ranked = rank_order(graph, min(max(cfg.ell), graph.n_items))
+    if cfg.post == "random":  # one blocked pass draws every l's lists
+        drawn = iter(random_rerank(graph, RandomParams(ell=cfg.ell, seed=cfg.seed), cfg.k))
     _log_stage(marks, "order")
 
     grid = {"none": (), "random": cfg.ell, "greedy": cfg.theta}[cfg.post]
@@ -195,7 +196,7 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     for post, param in [("none", 0), *((cfg.post, value) for value in grid)]:
         recs, achieved = top, None
         if post == "random":
-            recs = random_rerank(graph, ranked, RandomParams(ell=param, seed=cfg.seed), cfg.k)
+            recs = next(drawn)
         elif post == "greedy":
             result = greedy_rerank(graph, top, GreedyParams(theta=param, threshold=cfg.threshold))
             recs, achieved = result.recommendations, result.achieved_increase

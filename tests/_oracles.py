@@ -3,11 +3,13 @@
 These deliberately avoid the library's own code paths: the Gini oracle is
 the literal pairwise double sum, and the greedy oracle re-scans every
 possible move from scratch on each iteration instead of walking a
-presorted move list. knn_full_sort and greedy_move_list are the exception:
-the vectorized KNN as it was before neighbour selection used partial
-selection, and the greedy walk over one fully sorted move list as it was
-before the heap walk, kept as written so the rewrites can be held to them
-exactly at sizes the re-scan oracles cannot reach. graph_from_pairs and
+presorted move list. knn_full_sort, greedy_move_list and random_per_ell
+are the exception: the vectorized KNN as it was before neighbour selection
+used partial selection, the greedy walk over one fully sorted move list as
+it was before the heap walk, and the Random draw of one l from a given
+order as it was before one blocked pass served the whole l grid, kept as
+written so the rewrites can be held to them exactly at sizes the re-scan
+oracles cannot reach. graph_from_pairs and
 candidate_scores build and read score graphs the way the tests state them,
 as per-user (item, score) pairs.
 """
@@ -155,6 +157,22 @@ def greedy_move_list(graph: ScoreGraph, base_lists, k: int, theta: int, threshol
     items, scores = np.asarray(current, dtype=np.int64), np.asarray(current_scores)
     lists = np.take_along_axis(items, np.lexsort((items, -scores)), axis=1)
     return lists, achieved
+
+
+def random_per_ell(graph: ScoreGraph, ranked, ell: int, seed: int, k: int):
+    """Reference Random draw for one l: k of each user's top-l items, gathered from a given order.
+
+    random_rerank's body before one blocked pass served the whole l grid,
+    kept as written: ``ranked`` is an order to depth >= min(l, n_items),
+    such as a full stable row-wise sort of ``-graph.matrix``, and user u's
+    k rank positions come from a generator built afresh from (seed, u).
+    """
+    depth = min(ell, graph.n_items)  # in Python: an l beyond int64 means every candidate
+    ranks = np.empty((graph.n_users, k), dtype=np.int64)
+    for u, limit in enumerate(np.minimum(graph.n_candidates, depth).tolist()):
+        ranks[u] = np.random.default_rng([seed, u]).choice(limit, size=k, replace=False)
+    ranks.sort(axis=1)
+    return np.take_along_axis(ranked, ranks, axis=1)
 
 
 def knn_rescan(dataset, candidates, n_neighbors: int, min_overlap: int):

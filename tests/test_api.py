@@ -67,8 +67,8 @@ def test_names_the_benchmark_hooks_read_remain():
     (lambda: GreedyParams(theta=2.5), "theta must be an integer >= 0, got 2.5"),
     (lambda: GreedyParams(theta=True), "theta must be an integer >= 0, got True"),  # not one move
     (lambda: GreedyParams(theta=1, threshold="4"), "threshold must be a number in [1, 5], got '4'"),
-    (lambda: RandomParams(ell=2.5), "ell must be an integer >= 1, got 2.5"),
-    (lambda: RandomParams(ell=5, seed=1.0), "seed must be an integer >= 0, got 1.0"),
+    (lambda: RandomParams(ell=(5, 2.5)), "ell must be a tuple of integers >= 1, got (5, 2.5)"),
+    (lambda: RandomParams(ell=(5,), seed=1.0), "seed must be an integer >= 0, got 1.0"),
     (lambda: KnnParams(n_neighbors=2.5), "n_neighbors must be an integer >= 1, got 2.5"),
     (lambda: KnnParams(min_overlap=1.5), "min_overlap must be an integer >= 1, got 1.5"),
     (lambda: NmfParams(n_factors=2.5), "n_factors must be an integer >= 1, got 2.5"),
@@ -82,7 +82,7 @@ def test_params_reject_a_value_of_the_wrong_type_naming_the_field(make, message)
 
 
 # the five settings classes, each with the arguments that make it valid
-SETTINGS = [(KnnParams, {}), (NmfParams, {}), (RandomParams, {"ell": 5}), (GreedyParams, {"theta": 1}),
+SETTINGS = [(KnnParams, {}), (NmfParams, {}), (RandomParams, {"ell": (5,)}), (GreedyParams, {"theta": 1}),
             (SweepConfig, {})]
 NOUNS = {"PositiveInt": "an integer >= 1", "NonNegativeInt": "an integer >= 0", "Stars": "a number in [1, 5]",
          "str": "a string", "Path": "a path", "tuple[PositiveInt, ...]": "a tuple of integers >= 1",

@@ -28,7 +28,6 @@ from fairrec import (
     predict_knn,
     predict_nmf,
     random_rerank,
-    rank_order,
     satisfaction,
     save_score_cache,
     top_k,
@@ -615,7 +614,7 @@ def test_errors_name_raw_user_ids():
     with pytest.raises(CandidateShortfallError, match="user 205"):
         top_k(graph, 2)
     with pytest.raises(CandidateShortfallError, match="user 205"):
-        random_rerank(graph, rank_order(graph, 3), RandomParams(ell=3), 2)
+        random_rerank(graph, RandomParams(ell=(3,)), 2)
 
     zero = ScoreGraph(np.zeros((2, 4)), d.user_ids)
     lists = np.array([[0], [0]])

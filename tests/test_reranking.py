@@ -28,6 +28,7 @@ from _oracles import (
     graph_from_pairs,
     greedy_move_list,
     greedy_rescan,
+    random_per_ell,
 )
 from conftest import synthetic_triples, triples_to_lines
 
@@ -65,7 +66,7 @@ def test_top_k_rejects_oversized_k():
     (lambda g: top_k(g, True), "k must be an integer >= 1, got True"),
     (lambda g: rank_order(g, 1.5), "depth must be an integer >= 1, got 1.5"),
     (lambda g: rank_order(g, np.True_), "depth must be an integer >= 1, got " + repr(np.True_)),
-    (lambda g: random_rerank(g, rank_order(g, 3), RandomParams(ell=3), 1.5), "k must be an integer >= 1, got 1.5"),
+    (lambda g: random_rerank(g, RandomParams(ell=(3,)), 1.5), "k must be an integer >= 1, got 1.5"),
 ], ids=["top_k-float", "top_k-bool", "rank_order-float", "rank_order-bool", "random-float"])
 def test_list_sizes_take_the_integer_rule(call, message):
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 3.0)], [(0, 2.0), (2, 1.0)])
@@ -178,18 +179,16 @@ def _six_item_graph(n_users=1):
 def test_random_with_ell_equal_k_is_top_k():
     graph = _six_item_graph(n_users=3)
     top = top_k(graph, 3)
-    ranked = rank_order(graph, 3)
     for seed in range(5):
-        recs = random_rerank(graph, ranked, RandomParams(ell=3, seed=seed), 3)
+        [recs] = random_rerank(graph, RandomParams(ell=(3,), seed=seed), 3)
         assert recs.tolist() == top.tolist()
 
 
 def test_random_sample_is_subset_of_top_ell_and_ordered():
     graph = _six_item_graph()
     top4 = set(top_k(graph, 4)[0].tolist())
-    ranked = rank_order(graph, 4)
     for seed in range(10):
-        recs = random_rerank(graph, ranked, RandomParams(ell=4, seed=seed), 2)
+        [recs] = random_rerank(graph, RandomParams(ell=(4,), seed=seed), 2)
         row = recs[0].tolist()
         assert set(row) <= top4
         assert len(set(row)) == 2
@@ -199,12 +198,11 @@ def test_random_sample_is_subset_of_top_ell_and_ordered():
 
 def test_random_is_deterministic_per_seed_and_varies_across_seeds():
     graph = _six_item_graph()
-    ranked = rank_order(graph, 6)
-    a = random_rerank(graph, ranked, RandomParams(ell=6, seed=11), 2)
-    b = random_rerank(graph, ranked, RandomParams(ell=6, seed=11), 2)
+    a = random_rerank(graph, RandomParams(ell=(6,), seed=11), 2)
+    b = random_rerank(graph, RandomParams(ell=(6,), seed=11), 2)
     assert np.array_equal(a, b)
     draws = {
-        tuple(random_rerank(graph, ranked, RandomParams(ell=6, seed=s), 2)[0].tolist())
+        tuple(random_rerank(graph, RandomParams(ell=(6,), seed=s), 2)[0][0].tolist())
         for s in range(10)
     }
     assert len(draws) > 1
@@ -212,10 +210,9 @@ def test_random_is_deterministic_per_seed_and_varies_across_seeds():
 
 def test_random_users_get_independent_substreams():
     graph = _six_item_graph(n_users=2)
-    ranked = rank_order(graph, 6)
     differing = 0
     for seed in range(10):
-        recs = random_rerank(graph, ranked, RandomParams(ell=6, seed=seed), 2)
+        [recs] = random_rerank(graph, RandomParams(ell=(6,), seed=seed), 2)
         if recs[0].tolist() != recs[1].tolist():
             differing += 1
     assert differing > 0
@@ -223,61 +220,88 @@ def test_random_users_get_independent_substreams():
 
 def test_random_truncates_ell_to_candidate_count():
     graph = _six_item_graph()
-    recs = random_rerank(graph, rank_order(graph, 6), RandomParams(ell=500, seed=3), 4)
+    [recs] = random_rerank(graph, RandomParams(ell=(500,), seed=3), 4)
     assert len(set(recs[0].tolist())) == 4
 
 
 def test_random_reads_an_ell_beyond_int64_as_every_candidate():
     graph = _six_item_graph(n_users=3)
-    ranked = rank_order(graph, 6)
     for seed in range(5):
-        params = RandomParams(ell=10**21, seed=seed)
-        assert np.array_equal(random_rerank(graph, ranked, params, 4),
-                              random_rerank(graph, ranked, RandomParams(ell=6, seed=seed), 4))
+        huge, every = random_rerank(graph, RandomParams(ell=(10**21, 6), seed=seed), 4)
+        assert np.array_equal(huge, every)
 
 
 def test_random_shares_one_order_to_the_deepest_ell():
+    # one pass to depth max(l) draws what a per-l order to depth l would
     graph = _random_graph(8, n_users=20, n_items=40)
-    deep = rank_order(graph, 30)
-    for ell in (3, 10, 30):
-        params = RandomParams(ell=ell, seed=2)
-        assert np.array_equal(random_rerank(graph, deep, params, 3),
-                              random_rerank(graph, rank_order(graph, ell), params, 3))
+    grid = (3, 10, 30)
+    got = random_rerank(graph, RandomParams(ell=grid, seed=2), 3)
+    assert len(got) == len(grid)
+    for ell, lists in zip(grid, got):
+        assert np.array_equal(lists, random_per_ell(graph, rank_order(graph, ell), ell, 2, 3)), ell
 
 
-def test_random_rejects_an_order_of_the_wrong_shape():
-    graph = _six_item_graph(n_users=2)
-    params = RandomParams(ell=4, seed=0)
-    for bad in (rank_order(graph, 3), rank_order(graph, 6)[:1], rank_order(graph, 6).ravel(),
-                rank_order(graph, 6).tolist()):
-        with pytest.raises(InvalidInputError, match=r"ranked must be \(2, d\) with d >= 4"):
-            random_rerank(graph, bad, params, 2)
+# grids with an l above some users' candidate counts, l = n_items (40) and
+# beyond, one beyond int64, a repeated l, and l out of order
+GRIDS = [(3,), (12, 3, 40), (40, 5, 12, 5), (10**21, 41, 3, 7, 3), (7, 3, 41, 12, 10**21)]
+
+
+@pytest.mark.parametrize("cells", [1, 40 * 7, 1 << 20])  # 60 rows in 60, 9 and 1 blocks
+@pytest.mark.parametrize("seed", range(3))
+def test_random_grid_equals_the_per_ell_oracle_on_tie_heavy_graphs(monkeypatch, seed, cells):
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+    for rated_fraction, k in ((0.3, 3), (0.8, 1)):  # 0.8 leaves about 8 candidates a user
+        graph = ScoreGraph(_tie_heavy_matrix(seed, rated_fraction=rated_fraction), np.arange(60))
+        ranked = np.argsort(-graph.matrix, axis=1, kind="stable")
+        assert graph.n_candidates.min() >= k
+        for grid in GRIDS:
+            got = random_rerank(graph, RandomParams(ell=grid, seed=seed), k)
+            assert len(got) == len(grid)
+            for ell, lists in zip(grid, got):
+                assert lists.dtype == np.int64 and lists.shape == (60, k)
+                assert np.array_equal(lists, random_per_ell(graph, ranked, ell, seed, k)), (grid, ell)
+
+
+def test_random_holds_no_order_of_the_deepest_ell(monkeypatch):
+    # one block of rows at a time, each gathered at every l's draws and dropped:
+    # even at max(l) = n_items the call never holds an (n_users, n_items) order
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    graph = ScoreGraph(_tie_heavy_matrix(5, n_users=400, n_items=300), np.arange(400))
+    order_bytes = graph.n_users * graph.n_items * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        random_rerank(graph, RandomParams(ell=(5, 300, 50), seed=1), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < order_bytes / 2
 
 
 def test_random_rejects_ell_below_k():
     graph = _six_item_graph()
-    with pytest.raises(InvalidInputError):
-        random_rerank(graph, rank_order(graph, 6), RandomParams(ell=2, seed=0), 3)
+    with pytest.raises(InvalidInputError, match=r"^ell=2 must be >= k=3$"):
+        random_rerank(graph, RandomParams(ell=(6, 2), seed=0), 3)
 
 
 def test_random_params_validation():
+    with pytest.raises(InvalidInputError, match=r"^ell must be a tuple of integers >= 1, got \(0,\)$"):
+        RandomParams(ell=(0,))
+    with pytest.raises(InvalidInputError, match="^ell grid is empty$"):
+        RandomParams(ell=())
     with pytest.raises(InvalidInputError):
-        RandomParams(ell=0)
-    with pytest.raises(InvalidInputError):
-        RandomParams(ell=5, seed=-1)
+        RandomParams(ell=(5,), seed=-1)
     graph = _six_item_graph()
     for k in (0, -1):  # checked like top_k's k, not drawn as empty or negative lists
         with pytest.raises(InvalidInputError, match=f"^k must be an integer >= 1, got {k}$"):
-            random_rerank(graph, rank_order(graph, 3), RandomParams(ell=3), k)
+            random_rerank(graph, RandomParams(ell=(3,)), k)
 
 
 def test_random_uniform_over_top_two():
     # k=1, ell=2: each of the top-2 items should win about half of the time
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 1.0)])
-    ranked = rank_order(graph, 2)
     counts = {0: 0, 1: 0}
     for seed in range(10000):
-        item = random_rerank(graph, ranked, RandomParams(ell=2, seed=seed), 1)[0, 0]
+        item = random_rerank(graph, RandomParams(ell=(2,), seed=seed), 1)[0][0, 0]
         counts[int(item)] += 1
     assert counts[0] + counts[1] == 10000
     assert abs(counts[0] - 5000) <= 150
@@ -293,11 +317,10 @@ def test_random_overlap_matches_hypergeometric_mean():
     ]
     graph = graph_from_pairs(pairs, n_items)
     top = top_k(graph, k)
-    ranked = rank_order(graph, ell)
     total = 0.0
     draws = 0
     for seed in range(200):
-        recs = random_rerank(graph, ranked, RandomParams(ell=ell, seed=seed), k)
+        [recs] = random_rerank(graph, RandomParams(ell=(ell,), seed=seed), k)
         for u in range(n_users):
             total += np.intersect1d(recs[u], top[u]).size
             draws += 1
@@ -444,6 +467,26 @@ def test_greedy_counters_equal_a_count_from_the_lists_on_tie_heavy_graphs(caplog
     assert min(totals.values()) > 0  # each counter is exercised
 
 
+# (introduced, popped, dead) at theta 5 and at every item, threshold 1.0; a pop
+# whose user is already dead skips the victim scan, and that moves none of them
+DEAD_USER_POPS = {0: [(5, 7, 1), (13, 50, 12)], 1: [(5, 19, 3), (12, 39, 12)], 2: [(5, 6, 1), (13, 44, 12)]}
+
+
+@pytest.mark.parametrize("seed", DEAD_USER_POPS)
+def test_greedy_pops_of_dead_users_change_no_list_and_no_counter(caplog, seed):
+    # at threshold 1.0 every user runs out of victims while other items still
+    # name it as their best user, so the walk pops moves of users already dead
+    graph = ScoreGraph(_tie_heavy_matrix(seed, n_users=12), np.arange(12))
+    base = top_k(graph, 3)
+    for theta, counted in zip((5, graph.n_items), DEAD_USER_POPS[seed]):
+        result, logged = _logged_counters(caplog, graph, base, GreedyParams(theta=theta, threshold=1.0))
+        lists, achieved = greedy_rescan(graph, base, 3, theta, 1.0)
+        assert result.recommendations.tolist() == lists
+        assert result.achieved_increase == achieved
+        assert (logged["introduced"], logged["popped"], logged["dead"]) == counted
+    assert counted[1] > counted[0] + counted[2]  # some pops find a user already dead
+
+
 def _random_graph(seed, n_users=12, n_items=30, rated_fraction=0.4):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -586,5 +629,5 @@ def test_no_reader_caches_an_order_on_the_graph():
     graph = _random_graph(4)
     top = top_k(graph, 2)
     greedy_rerank(graph, top, GreedyParams(theta=3))
-    random_rerank(graph, rank_order(graph, 5), RandomParams(ell=5, seed=1), 2)
+    random_rerank(graph, RandomParams(ell=(5,), seed=1), 2)
     assert set(graph.__dict__) == {"matrix", "user_ids", "n_candidates"}

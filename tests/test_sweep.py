@@ -57,6 +57,13 @@ def test_read_config_file(tmp_path):
     assert str(overrides["out"]) == "results"
 
 
+def test_read_config_drops_a_byte_order_mark(tmp_path):
+    # some editors save UTF-8 with a leading BOM, which is no part of the first key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfk = 3\n")
+    assert read_config_file(path) == {"k": 3}
+
+
 @pytest.mark.parametrize("line", ['out = "res#1"', "out = 'res#1'", 'out="res#1"  # a comment'])
 def test_read_config_keeps_a_hash_inside_quotes(tmp_path, line):
     # cutting the comment first read these as out = "res, which wrote to res/
@@ -304,7 +311,7 @@ def test_each_setting_carries_the_annotation_of_the_params_field_it_feeds(key, p
     # the config checks each field by its annotation, so a config that builds
     # always builds the params of its fit and of every grid point
     annotation = {f.name: f.type for f in fields(params)}[name]
-    if key in ("ell", "theta"):  # a grid: one params object per value
+    if key == "theta":  # a grid: one params object per value; Random takes its whole grid
         annotation = f"tuple[{annotation}, ...]"
     assert {f.name: f.type for f in fields(SweepConfig)}[key] == annotation
 
