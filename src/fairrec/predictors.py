@@ -131,6 +131,28 @@ class ScoreGraph:
         return cls(scores, dataset.user_ids)
 
 
+# rows per block of the fit's products. The last block of an axis takes the
+# remainder, so no block is shorter unless the whole axis is: OpenBLAS sends a
+# short product down its small-matrix path, which adds in another order
+_BLOCK_ROWS = 384
+
+
+def _workers(tasks: int) -> int:
+    """One thread per CPU this process may run on, and no more threads than tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tasks)
+
+
+def _blocks(n: int) -> list[slice]:
+    """0..n in _BLOCK_ROWS-row slices, the last one taking the remainder."""
+    count = max(1, n // _BLOCK_ROWS)
+    bounds = [b * _BLOCK_ROWS for b in range(count)] + [n]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> ScoreGraph:
     """Score each user's candidates (unrated items) with user-based KNN.
 
@@ -206,11 +228,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
             fallbacks += np.count_nonzero(fallen) - np.count_nonzero(fallen[raters])  # candidates only
         return fallbacks
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, m)
+    workers = _workers(m)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # items by stride balance the load, since popularity is not ordered by id;
         # consuming every result re-raises a worker's exception here
@@ -235,9 +253,17 @@ def fit_nmf(
     buffer, 9 * n_users * n_items bytes, and no dense copy of the ratings.
     The buffer is refitted in place to observed * (P Q^T), which is 0 off
     the observed cells, so writing the ratings into it makes the target.
-    Every product is one whole-matrix product, as in the literal updates,
-    so the factors and losses carry the same bits.
+
+    Each product runs in fixed blocks of _BLOCK_ROWS users (the refit and
+    the products with Q) or items (the products with P), on one thread per
+    CPU this process may run on. A block is written by one thread with the
+    same operations whatever the thread count, so the factors and losses
+    depend on the block size and the BLAS build and setting, never on the
+    number of CPUs.
     """
+    # imported here: runs that never fit NMF skip its start-up cost
+    from concurrent.futures import ThreadPoolExecutor
+
     observed = ~candidate_sets(dataset)
     rated = (dataset.users, dataset.items)
 
@@ -248,25 +274,45 @@ def fit_nmf(
 
     eps = 1e-12
     buffer = np.empty(observed.shape)
+    fitted_q, target_q = np.empty_like(p), np.empty_like(p)
+    fitted_p, target_p = np.empty_like(q), np.empty_like(q)
+    users, items = _blocks(dataset.n_users), _blocks(dataset.n_items)
+    workers = _workers(max(len(users), len(items)))
+    logger.debug(
+        "fit_nmf: %d user blocks and %d item blocks of at least %d rows on %d threads",
+        len(users), len(items), min(_BLOCK_ROWS, dataset.n_users, dataset.n_items), workers,
+    )
 
-    def refit() -> None:
-        np.matmul(p, q.T, out=buffer)
-        np.multiply(buffer, observed, out=buffer)
+    def refit(r: slice) -> None:
+        np.matmul(p[r], q.T, out=buffer[r])
+        np.multiply(buffer[r], observed[r], out=buffer[r])
 
-    refit()
-    losses = [float(((dataset.ratings - buffer[rated]) ** 2).sum())]  # observed cells alone
-    for _ in range(params.n_epochs):
-        fitted_q = buffer @ q
-        buffer[rated] = dataset.ratings  # now the target: the ratings, 0 elsewhere
-        p *= (buffer @ q) / (fitted_q + eps)
-        target_p = buffer.T @ p
-        refit()
-        q *= target_p / (buffer.T @ p + eps)
-        refit()
-        loss = float(((dataset.ratings - buffer[rated]) ** 2).sum())
-        if not np.isfinite(loss):
-            raise FactorizationError("factorization diverged to non-finite values")
-        losses.append(loss)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def each(task, blocks: list[slice]) -> None:
+            list(pool.map(task, blocks))  # consuming every result re-raises a worker's exception here
+
+        def times_q(out: np.ndarray) -> np.ndarray:  # buffer @ q
+            each(lambda r: np.matmul(buffer[r], q, out=out[r]), users)
+            return out
+
+        def times_p(out: np.ndarray) -> np.ndarray:  # buffer.T @ p, read through strided views
+            each(lambda c: np.matmul(buffer[:, c].T, p, out=out[c]), items)
+            return out
+
+        each(refit, users)
+        losses = [float(((dataset.ratings - buffer[rated]) ** 2).sum())]  # observed cells alone
+        for _ in range(params.n_epochs):
+            times_q(fitted_q)
+            buffer[rated] = dataset.ratings  # now the target: the ratings, 0 elsewhere
+            p *= times_q(target_q) / (fitted_q + eps)
+            times_p(target_p)
+            each(refit, users)
+            q *= target_p / (times_p(fitted_p) + eps)
+            each(refit, users)
+            loss = float(((dataset.ratings - buffer[rated]) ** 2).sum())
+            if not np.isfinite(loss):
+                raise FactorizationError("factorization diverged to non-finite values")
+            losses.append(loss)
     _check_finite(p)
     _check_finite(q)
     return p, q, losses

@@ -183,7 +183,7 @@ def test_score_graph_logs_the_candidate_scores_it_clamps(caplog, tmp_path):
         "score graph: 0 of 1 candidate scores raised to 1, 1 lowered to 5"
     ]
 
-    # NMF's scores are counted alike, after the fit's loss line; a score cache hit logs nothing
+    # NMF's scores are counted alike, after the fit's blocks and loss lines; a score cache hit logs nothing
     params = NmfParams(n_factors=2, n_epochs=5)
     p, q, losses = fit_nmf(d, params)
     raw = (p @ q.T)[0, 2]
@@ -193,6 +193,7 @@ def test_score_graph_logs_the_candidate_scores_it_clamps(caplog, tmp_path):
         save_score_cache(graph, path=tmp_path / "scores.npy")
         load_score_cache(tmp_path / "scores.npy", d)
     assert _predictor_messages(caplog, "") == [
+        "fit_nmf: 1 user blocks and 1 item blocks of at least 2 rows on 1 threads",
         f"predict_nmf: squared-error loss {losses[0]:.6f} before the fit, {losses[-1]:.6f} after 5 epochs",
         f"score graph: {int(raw < 1)} of 1 candidate scores raised to 1, {int(raw > 5)} lowered to 5",
     ]
@@ -274,8 +275,8 @@ def test_knn_matches_full_sort_bit_for_bit(tie_heavy, n_neighbors, min_overlap):
     assert np.array_equal(graph.matrix, knn_full_sort(d, params), equal_nan=True)
 
 
-def _knn_on_cpus(monkeypatch, d, params, cpus):
-    """predict_knn's matrix when the process may run on `cpus` CPUs, and its pool size."""
+def _scores_on_cpus(monkeypatch, predict, d, params, cpus):
+    """predict's matrix when the process may run on `cpus` CPUs, and its pool sizes."""
     sizes = []
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
@@ -286,7 +287,7 @@ def _knn_on_cpus(monkeypatch, d, params, cpus):
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         patch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        matrix = predict_knn(d, params).matrix
+        matrix = predict(d, params).matrix
     return matrix, sizes
 
 
@@ -310,7 +311,7 @@ def test_knn_scores_do_not_depend_on_the_thread_count(monkeypatch, caplog, synth
     try:
         for cpus in (1, 2, 3, 7):
             with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
-                matrix, sizes = _knn_on_cpus(monkeypatch, d, params, cpus)
+                matrix, sizes = _scores_on_cpus(monkeypatch, predict_knn, d, params, cpus)
             assert sizes == [cpus]
             assert np.array_equal(matrix, expected, equal_nan=True), cpus
     finally:
@@ -324,7 +325,7 @@ def test_knn_runs_more_cpus_than_items_on_one_thread_per_item(monkeypatch):
 
     d = dataset_of({1: 5, 2: 1}, {1: 4, 2: 2, 3: 5}, {1: 1, 2: 5, 3: 1}, {3: 2})
     assert d.n_items == 3
-    matrix, sizes = _knn_on_cpus(monkeypatch, d, KnnParams(), 7)
+    matrix, sizes = _scores_on_cpus(monkeypatch, predict_knn, d, KnnParams(), 7)
     assert sizes == [3]
     assert np.array_equal(matrix, knn_full_sort(d, KnnParams()), equal_nan=True)
 
@@ -419,11 +420,12 @@ def test_nmf_factors_stay_nonnegative_after_every_epoch():
         assert np.all(q >= 0)
 
 
-def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
-    # the literal updates, forming mask * (P Q^T) afresh for each use; the loss
-    # is summed over the observed entries alone
-    params = NmfParams(n_factors=5, n_epochs=12, init_seed=3)
-    d = synthetic_dataset
+def _three_product_loop(d, params):
+    """The literal updates, forming mask * (P Q^T) afresh for each use, as whole-matrix products.
+
+    Returns P, Q, the losses summed over the observed entries alone, and the
+    same losses summed over the whole masked matrix.
+    """
     rated_values, observed = d.dense_matrix()
     mask = observed.astype(np.float64)
     target = rated_values * mask
@@ -438,6 +440,19 @@ def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
         q *= (target.T @ p) / ((mask * (p @ q.T)).T @ p + 1e-12)
         losses.append(float(((d.ratings - (p @ q.T)[d.users, d.items]) ** 2).sum()))
         dense_losses.append(float(((target - mask * (p @ q.T)) ** 2).sum()))
+    return p, q, losses, dense_losses
+
+
+def _multi_block_dataset():
+    # 800 users and 900 items make two 384-row blocks on each axis, the last one longer
+    return parse_ratings(triples_to_lines(synthetic_triples(n_users=800, n_items=900)))
+
+
+def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
+    # 60 users and 80 items are one block, so every product is the whole-matrix one
+    params = NmfParams(n_factors=5, n_epochs=12, init_seed=3)
+    d = synthetic_dataset
+    p, q, losses, dense_losses = _three_product_loop(d, params)
 
     got_p, got_q, got_losses = fit_nmf(d, params)
     assert np.array_equal(got_p, p)
@@ -447,30 +462,67 @@ def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
     assert got_losses == approx(dense_losses, rel=1e-12, abs=0)
 
 
+def test_fit_nmf_matches_the_three_product_loop_over_many_blocks():
+    # a wrong slice or a skipped block moves P and Q far beyond the last bits
+    # that blocked products may change
+    params = NmfParams(n_factors=5, n_epochs=6, init_seed=3)
+    d = _multi_block_dataset()
+    p, q, losses, _ = _three_product_loop(d, params)
+    got_p, got_q, got_losses = fit_nmf(d, params)
+    assert got_p == approx(p, rel=1e-12, abs=0)
+    assert got_q == approx(q, rel=1e-12, abs=0)
+    assert got_losses == approx(losses, rel=1e-12, abs=0)
+    assert all(after <= before for before, after in zip(got_losses, got_losses[1:]))
+
+
+def test_nmf_scores_do_not_depend_on_the_thread_count(monkeypatch, caplog):
+    d = _multi_block_dataset()
+    params = NmfParams(n_factors=5, n_epochs=3, init_seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would race
+    try:
+        matrices = []
+        for cpus in (1, 2, 3, 7):
+            with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+                matrix, sizes = _scores_on_cpus(monkeypatch, predict_nmf, d, params, cpus)
+            assert sizes == [min(cpus, 2)]
+            matrices.append(matrix)
+    finally:
+        sys.setswitchinterval(interval)
+    for cpus, matrix in zip((2, 3, 7), matrices[1:]):
+        assert np.array_equal(matrix, matrices[0], equal_nan=True), cpus
+    assert _predictor_messages(caplog, "fit_nmf:") == [
+        f"fit_nmf: 2 user blocks and 2 item blocks of at least 384 rows on {threads} threads"
+        for threads in (1, 2, 2, 2)
+    ]
+
+
+def _fit_nmf_peaks():
+    """fit_nmf's traced peak over its matrix's bytes, at one block and at two blocks per axis."""
+    peaks = []
+    for n_users, n_items in ((300, 400), (800, 900)):
+        d = parse_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / (d.n_users * d.n_items * 8))
+    return peaks
+
+
 def test_fit_nmf_peak_memory_stays_below_four_matrices():
     # the dense ratings and the loop's matrix-sized temporaries fit in four
     # matrices; a float64 copy of the mask and a copy of the ratings do not
-    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=300, n_items=400)))
-    tracemalloc.start()  # numpy reports its buffers to tracemalloc
-    try:
-        fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * d.n_users * d.n_items * 8
+    assert max(_fit_nmf_peaks()) < 4
 
 
 def test_fit_nmf_peak_memory_stays_below_one_and_a_half_matrices():
     # the mask (1/8 matrix) and the one buffer, refitted and overwritten by the
-    # ratings in place, fit in 1.5 matrices; a dense float64 target does not
-    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=300, n_items=400)))
-    tracemalloc.start()
-    try:
-        fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * d.n_users * d.n_items * 8
+    # ratings in place, fit in 1.5 matrices; a dense float64 target does not,
+    # nor, over two item blocks, a copy of a block's strided columns
+    assert max(_fit_nmf_peaks()) < 1.5
 
 
 def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():

@@ -629,8 +629,8 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     ("nmf", "predict_nmf: squared-error loss "),
 ])
 def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line, synthetic_file, tmp_path, capsys):
-    # -v shows the fit's DEBUG lines (KNN's fallback count or NMF's loss, then the
-    # clamp count), greedy's counters and each stage's time and peak RSS on
+    # -v shows the fit's DEBUG lines (KNN's fallback count, or NMF's blocks and
+    # loss, then the clamp count), greedy's counters and each stage's time and peak RSS on
     # stderr; every file in out, cache included, is the same without it
     stage = re.compile(r"fairrec\.sweep: run_sweep: (.+): \d+\.\d{3} s, peak RSS \d+\.\d MB")
 
@@ -647,16 +647,18 @@ def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line,
     quiet_logged, quiet_files = run(tmp_path / "quiet")
     logged, files = run(tmp_path / "verbose", "-v")
     assert quiet_logged == []
-    assert len(logged) == 9
     assert logged[0] == "read"
-    assert logged[1].startswith(f"fairrec.predictors: {fit_line}")
-    assert logged[2].startswith("fairrec.predictors: score graph: ")
-    assert logged[3:6] == ["scores", "order", "none 0"]
-    assert logged[6].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
-    assert logged[7:] == ["greedy 4", "write"]
+    fitted, rest = logged[1:-6], logged[-6:]
+    blocks = "fairrec.predictors: fit_nmf: 1 user blocks and 1 item blocks of at least 60 rows on 1 threads"
+    assert fitted[:-2] == ([blocks] if predictor == "nmf" else [])
+    assert fitted[-2].startswith(f"fairrec.predictors: {fit_line}")
+    assert fitted[-1].startswith("fairrec.predictors: score graph: ")
+    assert rest[:3] == ["scores", "order", "none 0"]
+    assert rest[3].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
+    assert rest[4:] == ["greedy 4", "write"]
     assert files == quiet_files
     # a cache hit recomputes no fit-only figure, so -v then logs greedy's line unchanged, and the stages
-    assert run(tmp_path / "verbose", "-v") == (logged[:1] + logged[3:], files)
+    assert run(tmp_path / "verbose", "-v") == (logged[:1] + rest, files)
 
 
 def test_each_stage_line_times_its_own_stage(synthetic_file, tmp_path, monkeypatch, caplog):
