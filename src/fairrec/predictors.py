@@ -153,6 +153,16 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
+# cells per row block of predict_knn's steps before its item loop: a block's
+# temporaries stay a few hundred KiB on each thread
+_KNN_BLOCK_CELLS = 1 << 15
+
+
+def _index_dtype(n: int) -> type[np.signedinteger]:
+    """int16 while it holds every id and rank of n users, else int32: n**2 memory keeps n far below 2**31."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
 def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> ScoreGraph:
     """Score each user's candidates (unrated items) with user-based KNN.
 
@@ -164,9 +174,16 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     or a zero similarity mass, fall back to the user's mean rating; their
     count is logged at DEBUG.
 
-    Items are scored on one thread per CPU this process may run on. Each
-    item column is written by one thread with the same operations in the
-    same order, so the scores do not depend on the thread count.
+    Besides the ratings and their mask, the fit holds the similarities
+    (float64), each user's order of all users and its inverse, the ranks
+    (both int16 up to 32,768 users, else int32), and until the item loop
+    one bool per user pair. Every step before the item loop but the
+    similarity product runs in blocks of user rows, so the one other large
+    temporary is a float32 copy of the mask, freed before the product. Row
+    blocks, then items, run on one thread per CPU this process may run on.
+    Each row and each item column is written by one thread with the same
+    operations in the same order, so the scores do not depend on the
+    thread count.
     """
     # imported here: runs that never score with KNN skip its start-up cost
     from concurrent.futures import ThreadPoolExecutor
@@ -176,30 +193,40 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     deviations, observed = dataset.dense_matrix()
     counts = observed.sum(axis=1)
     means = deviations.sum(axis=1) / counts
-    deviations -= means[:, None]
-    deviations[~observed] = 0.0
-    norms = np.sqrt((deviations**2).sum(axis=1))
-    safe_norms = np.where(norms > 0, norms, 1.0)
-    sims = (deviations @ deviations.T) / np.outer(safe_norms, safe_norms)
+    step = max(1, _KNN_BLOCK_CELLS // max(n, m))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    index = _index_dtype(n)
+    workers = _workers(max(len(blocks), m))
+    logger.debug(
+        "predict_knn order: %d user blocks of at most %d rows, %s ids, on %d threads",
+        len(blocks), min(step, n), np.dtype(index).name, workers,
+    )
 
-    # float32 adds the integer overlap counts exactly in any order; a pair below
-    # min_overlap gets -2.0, under every cosine, so it sorts last until reset to 0.
-    # No count exceeds m, so a larger min_overlap is read as m + 1, which float32 holds
+    # float32 adds the integer overlap counts exactly in any order; no count
+    # exceeds m, so a larger min_overlap is read as m + 1, which float32 holds
     observed_f = observed.astype(np.float32)
-    sims[observed_f @ observed_f.T < min(params.min_overlap, m + 1)] = -2.0
-    del observed_f
-    # each user's order of all users: descending similarity, invalid pairs last,
-    # ties by ascending id; rank inverts it. Both are int32: n**2 memory keeps n
-    # far below 2**31
-    neighbours = np.argsort(-sims, axis=1, kind="stable").astype(np.int32)
-    rank = np.empty(neighbours.shape, dtype=np.int32)
-    rows = np.arange(n)[:, None]
-    rank[rows, neighbours] = np.arange(n)
-    sims[sims == -2.0] = 0.0
-    neighbours = neighbours.ravel()
-    row_starts = rows * n
+    floor = min(params.min_overlap, m + 1)
+    norms = np.empty(n)
+    thin = np.empty((n, n), dtype=bool)  # pairs below min_overlap
+
+    def centre(r: slice) -> None:
+        block = deviations[r]
+        block -= means[r, None]
+        block[~observed[r]] = 0.0
+        norms[r] = np.sqrt((block**2).sum(axis=1))
+        np.less(observed_f[r] @ observed_f.T, floor, out=thin[r])
+
+    def order(r: slice) -> None:
+        block = sims[r]
+        block /= np.outer(safe_norms[r], safe_norms)
+        # -2.0 lies under every cosine, so thin pairs sort last until reset to 0
+        np.copyto(block, -2.0, where=thin[r])
+        neighbours[r] = np.argsort(-block, axis=1, kind="stable")
+        np.put_along_axis(rank[r], neighbours[r], np.arange(n), axis=1)
+        np.copyto(block, 0.0, where=thin[r])
 
     nn = params.n_neighbors
+    row_starts = np.arange(n)[:, None] * n  # int64, as is all flat index arithmetic below
 
     def score(items: range) -> int:
         fallbacks = 0
@@ -211,13 +238,13 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
                 denom = np.abs(sim_block).sum(axis=1)
             else:
                 # ranks are unique, so the nn smallest, ascending, are exactly the
-                # stable order's first nn; take keeps C order, and with it the
-                # addition order of the row sums below
+                # stable order's first nn; take and sort keep C order, and with it
+                # the addition order of the row sums below. The sorted copy lets
+                # the (n_users, raters) ranks go at once
                 top = rank.take(raters, axis=1)
                 top.partition(nn - 1, axis=1)
-                top = top[:, :nn]
-                top.sort(axis=1)
-                chosen = neighbours[row_starts + top]
+                top = np.sort(top[:, :nn], axis=1)
+                chosen = neighbours.ravel()[row_starts + top]
                 sim_sel = sims.ravel()[row_starts + chosen]
                 numer = (sim_sel * deviations[chosen, i]).sum(axis=1)
                 denom = np.abs(sim_sel).sum(axis=1)
@@ -228,10 +255,20 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
             fallbacks += np.count_nonzero(fallen) - np.count_nonzero(fallen[raters])  # candidates only
         return fallbacks
 
-    workers = _workers(m)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # items by stride balance the load, since popularity is not ordered by id;
         # consuming every result re-raises a worker's exception here
+        list(pool.map(centre, blocks))
+        del observed_f
+        safe_norms = np.where(norms > 0, norms, 1.0)
+        # whole: numpy sends a @ a.T to SYRK, whose bits a row block could move
+        sims = deviations @ deviations.T
+        # each user's order of all users: descending similarity, thin pairs last,
+        # ties by ascending id; rank inverts it
+        neighbours = np.empty((n, n), dtype=index)
+        rank = np.empty_like(neighbours)
+        list(pool.map(order, blocks))
+        del thin
+        # items by stride balance the load, since popularity is not ordered by id
         fallbacks = sum(pool.map(score, [range(w, m, workers) for w in range(workers)]))
     logger.debug(
         "predict_knn: %d of %d candidate scores fell back to the user mean",

@@ -32,7 +32,7 @@ from fairrec import (
     save_score_cache,
     top_k,
 )
-from fairrec.predictors import _check_finite
+from fairrec.predictors import _check_finite, _index_dtype
 
 from _oracles import candidate_scores
 from conftest import synthetic_triples, triples_to_lines
@@ -330,6 +330,26 @@ def test_knn_runs_more_cpus_than_items_on_one_thread_per_item(monkeypatch):
     assert np.array_equal(matrix, knn_full_sort(d, KnnParams()), equal_nan=True)
 
 
+def test_knn_index_width_holds_every_user_id_and_rank():
+    assert _index_dtype(32768) == np.int16  # ids and ranks up to 32767
+    assert _index_dtype(32769) == np.int32
+
+
+def test_knn_scores_do_not_depend_on_the_index_width(monkeypatch, caplog):
+    # 210 users make two row blocks, the second shorter; int32 ids and ranks
+    # must give the same bits as int16, which every other test here runs
+    from _oracles import knn_full_sort
+
+    d = parse_ratings(_popular_items_lines(True))
+    params = KnnParams(n_neighbors=5, min_overlap=3)
+    monkeypatch.setattr("fairrec.predictors._index_dtype", lambda n: np.int32)
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        matrix, sizes = _scores_on_cpus(monkeypatch, predict_knn, d, params, 2)
+    assert np.array_equal(matrix, knn_full_sort(d, params), equal_nan=True)
+    assert _predictor_messages(caplog, "predict_knn order:") == [
+        "predict_knn order: 2 user blocks of at most 156 rows, int32 ids, on 2 threads"]
+
+
 @pytest.mark.parametrize(
     "seed,n_neighbors,min_overlap",
     [(0, 40, 1), (1, 3, 1), (2, 1, 1), (3, 5, 2), (4, 2, 3)],
@@ -525,19 +545,34 @@ def test_fit_nmf_peak_memory_stays_below_one_and_a_half_matrices():
     assert max(_fit_nmf_peaks()) < 1.5
 
 
-def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():
-    # the ratings, centred in place and overwritten by the scores, their mask and
-    # the one matrix-sized temporary deviations**2 fit in 2.5 matrices; a second
-    # copy of the deviations or a separate prediction matrix does not. At this
-    # shape the n_users**2 arrays are small beside them
-    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=200, n_items=2000)))
+def _predict_knn_peak(n_users, n_items):
+    """predict_knn's traced peak in bytes, and the dataset's shape."""
+    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
     tracemalloc.start()
     try:
         predict_knn(d, KnnParams(n_neighbors=5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * d.n_users * d.n_items * 8
+    return peak, d.n_users, d.n_items
+
+
+def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():
+    # the ratings, centred in place and overwritten by the scores, their mask and
+    # the one matrix-sized temporary, the mask's float32 copy, fit in 2.5 matrices;
+    # a second copy of the deviations or a separate prediction matrix does not.
+    # At this shape the n_users**2 arrays are small beside them
+    peak, n, m = _predict_knn_peak(200, 2000)
+    assert peak < 2.5 * n * m * 8
+
+
+def test_predict_knn_peak_memory_stays_below_eighteen_bytes_per_user_pair():
+    # beside the ratings and their mask (9 bytes a cell), the similarities (8),
+    # the int16 order and ranks (2 each) and the thin-pair bool (1) fit in 18
+    # bytes a user pair; an n_users**2 temporary of the argsort's float64 key
+    # or int64 order, or of the overlap counts, does not
+    peak, n, m = _predict_knn_peak(1500, 200)
+    assert peak < 9 * n * m + 18 * n * n
 
 
 def test_nmf_params_validation():

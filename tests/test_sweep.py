@@ -11,6 +11,7 @@ from fairrec import (GreedyParams, InvalidInputError, KnnParams, NmfParams, Rand
                      emit_plot_data, run_sweep, save_score_cache, sweep)
 from fairrec.cli import _build_parser, main
 from fairrec.metrics import RESULTS_HEADER
+from fairrec.predictors import _workers
 from fairrec.sweep import SweepConfig, read_config_file
 
 
@@ -629,8 +630,8 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     ("nmf", "predict_nmf: squared-error loss "),
 ])
 def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line, synthetic_file, tmp_path, capsys):
-    # -v shows the fit's DEBUG lines (KNN's fallback count, or NMF's blocks and
-    # loss, then the clamp count), greedy's counters and each stage's time and peak RSS on
+    # -v shows the fit's DEBUG lines (its blocks and threads, KNN's fallback count
+    # or NMF's loss, then the clamp count), greedy's counters and each stage's time and peak RSS on
     # stderr; every file in out, cache included, is the same without it
     stage = re.compile(r"fairrec\.sweep: run_sweep: (.+): \d+\.\d{3} s, peak RSS \d+\.\d MB")
 
@@ -649,8 +650,11 @@ def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line,
     assert quiet_logged == []
     assert logged[0] == "read"
     fitted, rest = logged[1:-6], logged[-6:]
-    blocks = "fairrec.predictors: fit_nmf: 1 user blocks and 1 item blocks of at least 60 rows on 1 threads"
-    assert fitted[:-2] == ([blocks] if predictor == "nmf" else [])
+    blocks = {
+        "nmf": "fit_nmf: 1 user blocks and 1 item blocks of at least 60 rows on 1 threads",
+        "knn": f"predict_knn order: 1 user blocks of at most 60 rows, int16 ids, on {_workers(80)} threads",
+    }
+    assert fitted[:-2] == [f"fairrec.predictors: {blocks[predictor]}"]
     assert fitted[-2].startswith(f"fairrec.predictors: {fit_line}")
     assert fitted[-1].startswith("fairrec.predictors: score graph: ")
     assert rest[:3] == ["scores", "order", "none 0"]
