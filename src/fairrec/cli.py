@@ -20,8 +20,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # values stay text: build_config reads a flag exactly as it reads a config file value
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--data", help="ratings file (user item rating timestamp)")
-    run.add_argument("--predictor", choices=PREDICTORS)
-    run.add_argument("--post", choices=POSTS)
+    run.add_argument("--predictor", help=f"score predictor: {', '.join(PREDICTORS)}")
+    run.add_argument("--post", help=f"post-processor: {', '.join(POSTS)}")
     run.add_argument("--k", help="recommendation list size")
     run.add_argument("--ell", metavar="L1,L2,...", help="random pool sizes")
     run.add_argument("--theta", metavar="T1,T2,...", help="greedy diversity targets")

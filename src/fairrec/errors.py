@@ -4,7 +4,7 @@
 rule for its type and range and the one reader of its text.
 ``check_type`` applies the rule: ``check_field_types`` to each field of
 ``SweepConfig`` and of the four parameter classes, and the list functions to
-``k`` and ``depth``. The sweep reads every config file value, flag and
+``k``. The sweep reads every config file value, flag and
 string keyword with the reader; ``parse_number`` is the one rule for what
 text is a number, shared with the ratings parser. ``reject_rows`` is the one
 place that names a flagged row by its raw user id.

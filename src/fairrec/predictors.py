@@ -77,7 +77,7 @@ class ScoreGraph:
     the size of the prediction matrix both predictors build anyway. It is
     the graph's only score-sized array: n_candidates, cached on first use,
     holds one count per user, and no order of the items is cached (see
-    reranking.rank_order). items yields each user's candidate ids,
+    reranking.top_k). items yields each user's candidate ids,
     ascending; no pipeline path reads it, but the benchmark's scored-pairs
     count (bench/fairbench/layers.py::_count_pairs) iterates it. user_ids
     are the raw ids that error messages name, one per matrix row. A graph

@@ -8,15 +8,14 @@ ordered by descending score with ties broken by ascending item id.
 One blocked pass, ``_ordered_blocks``, puts each row's first d items in
 that order (non-candidates last), selecting only to depth d in blocks of
 rows of a fixed cell count, so it builds no score-sized temporary.
-``rank_order(graph, d)`` writes its blocks into one ``(n_users, d)`` order;
-``top_k`` is ``rank_order`` to depth k once every user has k candidates.
-Random serves a whole l grid from one such pass and keeps no order: it
-first draws, for every l, k rank positions uniformly from each user's
-top-l list, from a per-user substream of the global seed (seeded once per
-call and restored before each l's draw), so results do not depend on
-evaluation order or on the other l; sorting the drawn positions puts them
-back in list order. Each block's order to depth max(l) is then gathered at
-every l's positions and dropped. Greedy
+``top_k`` writes the pass to depth k into its lists once every user has k
+candidates. Random serves a whole l grid from one such pass and keeps no
+order: it first draws, for every l, k rank positions uniformly from each
+user's top-l list, from a per-user substream of the global seed (seeded
+once per call and restored before each l's draw), so results do not depend
+on evaluation order or on the other l; sorting the drawn positions puts
+them back in list order. Each block's order to depth max(l) is then
+gathered at every l's positions and dropped. Greedy
 introduces not-yet-recommended items with a score above a threshold, one at
 a time in globally descending score order, each replacing the last entry of
 the victim user's list that another user still receives; the
@@ -41,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import require_candidates
-from .errors import (InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, check_type,
-                     reject_rows)
+from .errors import InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, reject_rows
 from .predictors import ScoreGraph
 
 logger = logging.getLogger(__name__)
@@ -86,7 +84,7 @@ class GreedyRerankResult:
     achieved_increase: int
 
 
-# cells of the score matrix that rank_order selects from at a time: each block
+# cells of the score matrix that _ordered_blocks selects from at a time: each block
 # of rows is copied and masked on its own, so its working set stays a few MiB
 _BLOCK_CELLS = 1 << 18
 
@@ -100,7 +98,9 @@ def _ordered_blocks(graph: ScoreGraph, depth: int):
     ``-graph.matrix``. Each row of a block copy (NaN read as -inf) is
     partitioned to its depth-th key, and the items above that key plus the
     lowest-id items tied at it are put in order by a stable sort of those
-    ``depth`` columns. ``depth`` lies in [1, n_items].
+    ``depth`` columns. ``depth`` lies in [1, n_items]: ``top_k`` passes a k
+    that every user's candidates reach, and ``random_rerank`` min(max(l),
+    n_items) with every l >= k.
     """
     step = max(1, _BLOCK_CELLS // graph.n_items)
     for start in range(0, graph.n_users, step):
@@ -120,31 +120,18 @@ def _ordered_blocks(graph: ScoreGraph, depth: int):
         yield rows, np.take_along_axis(items, by_key, axis=1)
 
 
-def rank_order(graph: ScoreGraph, depth: int) -> np.ndarray:
-    """Each user's first ``depth`` items, as an (n_users, depth) int64 array.
-
-    Items come by descending score, ties by ascending id, and the items
-    that are not the user's candidates (NaN) last, by ascending id: the
-    first ``depth`` columns of a stable row-wise sort of ``-graph.matrix``,
-    selected only to depth, one block of rows at a time.
-    """
-    check_type("depth", depth, "PositiveInt")
-    if depth > graph.n_items:
-        raise InvalidInputError(f"depth must lie in [1, {graph.n_items}], got {depth}")
-    order = np.empty((graph.n_users, depth), dtype=np.int64)
-    for rows, block_order in _ordered_blocks(graph, depth):
-        order[rows] = block_order
-    return order
-
-
 def top_k(graph: ScoreGraph, k: int) -> np.ndarray:
-    """The k highest-scored candidates per user, as an (n_users, k) array in list order.
+    """The k highest-scored candidates per user, as an (n_users, k) int64 array in list order.
 
     Raises CandidateShortfallError, naming the user, if a user has fewer than k
-    candidates; the result is then ``rank_order(graph, k)``.
+    candidates. Otherwise the lists are the first k columns of a stable
+    row-wise sort of ``-graph.matrix``, from one blocked pass to depth k.
     """
     require_candidates(graph.n_candidates, graph.user_ids, k)
-    return rank_order(graph, k)
+    top = np.empty((graph.n_users, k), dtype=np.int64)
+    for rows, order in _ordered_blocks(graph, k):
+        top[rows] = order
+    return top
 
 
 def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> list[np.ndarray]:

@@ -175,9 +175,10 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """Execute the configured sweep and write all output files.
 
     Returns the reports in output order: baseline first, then grid order.
-    Random draws every l's lists in one call, in the order stage with top-k.
-    Under DEBUG, each stage (read, scores, order, each grid point, write)
-    logs its wall time and the peak RSS so far on ``fairrec.sweep``.
+    Every grid point's lists are drawn in the order stage with top-k:
+    Random's for every l in one call, Greedy's in one call per theta. Under
+    DEBUG, each stage (read, scores, order, each grid point's report,
+    write) logs its wall time and the peak RSS so far on ``fairrec.sweep``.
     """
     marks = [time.perf_counter()]
     dataset = load_ratings(cfg.data)
@@ -187,19 +188,18 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     graph = _obtain_scores(cfg, dataset)
     _log_stage(marks, "scores")
     top = top_k(graph, cfg.k)
+    points = [("none", 0, top, None)]  # (post, param, lists, achieved increase) in output order
     if cfg.post == "random":  # one blocked pass draws every l's lists
-        drawn = iter(random_rerank(graph, RandomParams(ell=cfg.ell, seed=cfg.seed), cfg.k))
+        drawn = random_rerank(graph, RandomParams(ell=cfg.ell, seed=cfg.seed), cfg.k)
+        points += [("random", ell, lists, None) for ell, lists in zip(cfg.ell, drawn)]
+    elif cfg.post == "greedy":  # one walk per theta, each from the top-k lists
+        for theta in cfg.theta:
+            result = greedy_rerank(graph, top, GreedyParams(theta=theta, threshold=cfg.threshold))
+            points.append(("greedy", theta, result.recommendations, result.achieved_increase))
     _log_stage(marks, "order")
 
-    grid = {"none": (), "random": cfg.ell, "greedy": cfg.theta}[cfg.post]
     reports = []
-    for post, param in [("none", 0), *((cfg.post, value) for value in grid)]:
-        recs, achieved = top, None
-        if post == "random":
-            recs = next(drawn)
-        elif post == "greedy":
-            result = greedy_rerank(graph, top, GreedyParams(theta=param, threshold=cfg.threshold))
-            recs, achieved = result.recommendations, result.achieved_increase
+    for post, param, recs, achieved in points:
         reports.append(
             disparity_report(
                 graph, recs, top, predictor=cfg.predictor, post=post, param=param, achieved=achieved

@@ -35,10 +35,10 @@ def test_every_exported_name_resolves():
 
 # names no pipeline path, CLI flag or benchmark hook read, removed from the API
 REMOVED = {
-    fairrec: {"CandidateSets", "write_ratings", "RecommendationSet"},
+    fairrec: {"CandidateSets", "write_ratings", "RecommendationSet", "rank_order"},
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
-    fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates"},
+    fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates", "rank_order"},
     fairrec.sweep: {"_has_type_of", "_KINDS", "parse_grid", "_BOOLEANS", "_QUOTED", "_predictor"},
     SweepConfig: {"validate"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists"},
@@ -59,6 +59,9 @@ def test_names_the_benchmark_hooks_read_remain():
     assert {"n_ratings"} <= _names(RatingsDataset)
     assert {"items"} <= _names(ScoreGraph)
     assert {"achieved_increase"} <= _names(GreedyRerankResult)
+    # the greedy hook reads params positionally or by keyword, one scalar theta per call
+    assert list(inspect.signature(fairrec.greedy_rerank).parameters) == ["graph", "base", "params"]
+    assert {f.name: f.type for f in dataclasses.fields(GreedyParams)}["theta"] == "NonNegativeInt"
     assert list(inspect.signature(save_score_cache).parameters) == ["graph", "path"]
     assert {"tag"} <= _names(KnnParams) & _names(NmfParams)  # they key the score cache
 
@@ -91,7 +94,7 @@ INTEGERS = {"PositiveInt", "NonNegativeInt", "tuple[PositiveInt, ...]", "tuple[N
 
 
 def test_every_field_kind_is_the_annotation_of_a_setting():
-    # a row no settings field carries, nor k or depth (both PositiveInt), is dead
+    # a row no settings field carries, nor k (PositiveInt), is dead
     annotations = {field.type for cls, _ in SETTINGS for field in dataclasses.fields(cls)}
     assert set(FIELD_KINDS) == annotations | {"PositiveInt"}
 

@@ -19,7 +19,6 @@ from fairrec import (
     predict_knn,
     predict_nmf,
     random_rerank,
-    rank_order,
     top_k,
 )
 
@@ -64,10 +63,8 @@ def test_top_k_rejects_oversized_k():
 @pytest.mark.parametrize("call, message", [
     (lambda g: top_k(g, 2.5), "k must be an integer >= 1, got 2.5"),
     (lambda g: top_k(g, True), "k must be an integer >= 1, got True"),
-    (lambda g: rank_order(g, 1.5), "depth must be an integer >= 1, got 1.5"),
-    (lambda g: rank_order(g, np.True_), "depth must be an integer >= 1, got " + repr(np.True_)),
     (lambda g: random_rerank(g, RandomParams(ell=(3,)), 1.5), "k must be an integer >= 1, got 1.5"),
-], ids=["top_k-float", "top_k-bool", "rank_order-float", "rank_order-bool", "random-float"])
+], ids=["top_k-float", "top_k-bool", "random-float"])
 def test_list_sizes_take_the_integer_rule(call, message):
     graph = graph_of([(0, 5.0), (1, 4.0), (2, 3.0)], [(0, 2.0), (2, 1.0)])
     with pytest.raises(InvalidInputError) as raised:
@@ -126,7 +123,17 @@ def test_top_k_equals_a_stable_full_sort_on_predicted_graphs(tie_heavy_graphs):
             assert np.array_equal(top_k(graph, k), stable_sort_top_k(graph, k))
 
 
-# --------------------------------------------------------- rank_order ----
+# --------------------------------------------------------- rank order ----
+# _ordered_blocks, the one pass that puts items in rank order for top_k and random_rerank
+
+def ordered(graph, depth):
+    """The blocked pass's order to ``depth``, its blocks written into one array as top_k writes them."""
+    order = np.empty((graph.n_users, depth), dtype=np.int64)
+    for rows, block in reranking._ordered_blocks(graph, depth):
+        assert block.dtype == np.int64
+        order[rows] = block
+    return order
+
 
 @pytest.mark.parametrize("cells", [1, 40 * 3, 40 * 7, 1 << 20])  # 60 rows in 60, 20, 9 and 1 blocks
 @pytest.mark.parametrize("seed", range(3))
@@ -136,22 +143,13 @@ def test_rank_order_equals_a_stable_full_sort_in_blocks(monkeypatch, seed, cells
     for rated_fraction in (0.3, 0.9):
         graph = ScoreGraph(_tie_heavy_matrix(seed, rated_fraction=rated_fraction), np.arange(60))
         for depth in (1, 5, 12, 39, 40):  # 40: every item
-            got = rank_order(graph, depth)
-            assert got.dtype == np.int64 and got.flags.c_contiguous
-            assert np.array_equal(got, stable_sort_top_k(graph, depth)), (rated_fraction, depth)
+            assert np.array_equal(ordered(graph, depth), stable_sort_top_k(graph, depth)), (rated_fraction, depth)
 
 
 def test_rank_order_puts_non_candidates_last_by_ascending_id():
+    # Random's rank positions beyond a user's candidates rely on this order
     graph = graph_of([(3, 2.0), (1, 5.0)], [(0, 1.0), (2, 1.0), (4, 1.0)], n_items=5)
-    assert rank_order(graph, 5).tolist() == [[1, 3, 0, 2, 4], [0, 2, 4, 1, 3]]
-
-
-def test_rank_order_rejects_a_depth_outside_the_items():
-    graph = _six_item_graph()
-    with pytest.raises(InvalidInputError, match=r"^depth must be an integer >= 1, got 0$"):
-        rank_order(graph, 0)
-    with pytest.raises(InvalidInputError, match=r"^depth must lie in \[1, 6\], got 7$"):
-        rank_order(graph, 7)
+    assert ordered(graph, 5).tolist() == [[1, 3, 0, 2, 4], [0, 2, 4, 1, 3]]
 
 
 def test_rank_order_working_set_stays_below_a_fraction_of_the_matrix(monkeypatch):
@@ -162,7 +160,7 @@ def test_rank_order_working_set_stays_below_a_fraction_of_the_matrix(monkeypatch
     for depth in (5, 50):
         tracemalloc.start()
         try:
-            order = rank_order(graph, depth)
+            order = ordered(graph, depth)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -238,7 +236,7 @@ def test_random_shares_one_order_to_the_deepest_ell():
     got = random_rerank(graph, RandomParams(ell=grid, seed=2), 3)
     assert len(got) == len(grid)
     for ell, lists in zip(grid, got):
-        assert np.array_equal(lists, random_per_ell(graph, rank_order(graph, ell), ell, 2, 3)), ell
+        assert np.array_equal(lists, random_per_ell(graph, ordered(graph, ell), ell, 2, 3)), ell
 
 
 # grids with an l above some users' candidate counts, l = n_items (40) and

@@ -657,12 +657,32 @@ def test_verbose_logs_the_fit_to_stderr_and_changes_no_file(predictor, fit_line,
     assert fitted[:-2] == [f"fairrec.predictors: {blocks[predictor]}"]
     assert fitted[-2].startswith(f"fairrec.predictors: {fit_line}")
     assert fitted[-1].startswith("fairrec.predictors: score graph: ")
-    assert rest[:3] == ["scores", "order", "none 0"]
-    assert rest[3].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
-    assert rest[4:] == ["greedy 4", "write"]
+    assert rest[0] == "scores"
+    assert rest[1].startswith("fairrec.reranking: greedy_rerank: theta=4: 4 items introduced, ")
+    assert rest[2:] == ["order", "none 0", "greedy 4", "write"]
     assert files == quiet_files
     # a cache hit recomputes no fit-only figure, so -v then logs greedy's line unchanged, and the stages
     assert run(tmp_path / "verbose", "-v") == (logged[:1] + rest, files)
+
+
+def test_greedy_walks_every_theta_in_the_order_stage(synthetic_file, tmp_path, capsys):
+    # every theta's lists are drawn before any report, out-of-order grid and all,
+    # so each greedy stage line times only its report; -v changes no result
+    def run(out, *flags):
+        args = ["run", *flags, "--data", str(synthetic_file), "--post", "greedy", "--k", "3", "--theta", "20,5",
+                "--out", str(out)]
+        assert main(args) == 0
+        err = capsys.readouterr().err.splitlines()
+        return [line for line in err if line.startswith("fairrec.")], (out / "results.csv").read_bytes()
+
+    logged, results = run(tmp_path / "verbose", "-v")
+    walks = [n for n, line in enumerate(logged) if line.startswith("fairrec.reranking: greedy_rerank: ")]
+    stages = {m[1]: n for n, line in enumerate(logged)
+              if (m := re.fullmatch(r"fairrec\.sweep: run_sweep: (.+): \d+\.\d{3} s, .*", line))}
+    assert [logged[n].split(": ")[2] for n in walks] == ["theta=20", "theta=5"]
+    assert list(stages) == ["read", "scores", "order", "none 0", "greedy 20", "greedy 5", "write"]
+    assert stages["scores"] < walks[0] and walks[-1] < stages["order"]
+    assert run(tmp_path / "quiet") == ([], results)
 
 
 def test_each_stage_line_times_its_own_stage(synthetic_file, tmp_path, monkeypatch, caplog):
@@ -734,6 +754,15 @@ def test_cli_rejects_bad_grid_before_writing_cache(synthetic_file, tmp_path, cap
     assert not list(out.glob("scores_*"))
 
 
-def test_cli_rejects_unknown_choice():
-    with pytest.raises(SystemExit):
-        main(["run", "--predictor", "svd++"])
+def test_cli_rejects_unknown_choice(synthetic_file, tmp_path, capsys):
+    # a flag is read as a config value is, so SweepConfig's one check answers both routes
+    out = tmp_path / "o"
+    for flag, value, noun in [("--predictor", "svd++", "predictor"), ("--post", "Greedy", "post-processor")]:
+        assert main(["run", "--data", str(synthetic_file), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"fairrec: error: unknown {noun} {value!r}\n"
+        assert not out.exists()
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"data = {synthetic_file}\npredictor = svd++\n")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "fairrec: error: unknown predictor 'svd++'\n"
+    assert not out.exists()
