@@ -16,9 +16,7 @@ from .metrics import (
     disparity_report,
     gini,
     overlap_similarity,
-    recommendation_disparity,
     satisfaction,
-    score_disparity,
 )
 from .predictors import (
     KnnParams,
@@ -74,10 +72,8 @@ __all__ = [
     "predict_knn",
     "predict_nmf",
     "random_rerank",
-    "recommendation_disparity",
     "run_sweep",
     "satisfaction",
     "save_score_cache",
-    "score_disparity",
     "top_k",
 ]

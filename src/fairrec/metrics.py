@@ -3,7 +3,9 @@
 Satisfaction compares the score mass a user's served list achieves against
 their best possible top-k list; overlap counts how much of the served list
 is still the true top-k. The Gini coefficient of either vector across users
-summarizes how unevenly the post-processing burden is spread. Every
+summarizes how unevenly the post-processing burden is spread: ``gini`` of
+satisfaction is D_S and ``gini`` of overlap is D_R, which a report keeps as
+``score_disparity`` and ``recommendation_disparity``. Every
 reader of a list set takes the score graph and checks the lists with
 ``reranking._list_scores``, so a fault in a row names the user's raw id.
 """
@@ -66,23 +68,13 @@ def overlap_similarity(graph: ScoreGraph, recs: np.ndarray, top: np.ndarray) -> 
     return common / recs.shape[1]
 
 
-def score_disparity(satisfaction_vector) -> float:
-    """Gini coefficient of the per-user satisfaction vector."""
-    return gini(satisfaction_vector)
-
-
-def recommendation_disparity(overlap_vector) -> float:
-    """Gini coefficient of the per-user overlap vector."""
-    return gini(overlap_vector)
-
-
 def aggregate_diversity(graph: ScoreGraph, recs: np.ndarray) -> float:
     """Fraction of the graph's catalog recommended to at least one user.
 
     ``recs`` is a list set for the graph.
     """
-    _list_scores(graph, recs)
-    return np.unique(recs).size / graph.n_items
+    _list_scores(graph, recs)  # every id lies in [0, n_items), so bincount counts each item once
+    return np.count_nonzero(np.bincount(recs.ravel(), minlength=graph.n_items)) / graph.n_items
 
 
 @dataclass
@@ -138,8 +130,8 @@ def disparity_report(
         param=param,
         k=recs.shape[1],
         aggregate_diversity=aggregate_diversity(graph, recs),
-        score_disparity=score_disparity(a),
-        recommendation_disparity=recommendation_disparity(sim),
+        score_disparity=gini(a),
+        recommendation_disparity=gini(sim),
         satisfaction=a,
         overlap=sim,
         achieved=achieved,

@@ -177,13 +177,13 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     Besides the ratings and their mask, the fit holds the similarities
     (float64), each user's order of all users and its inverse, the ranks
     (both int16 up to 32,768 users, else int32), and until the item loop
-    one bool per user pair. Every step before the item loop but the
-    similarity product runs in blocks of user rows, so the one other large
-    temporary is a float32 copy of the mask, freed before the product. Row
-    blocks, then items, run on one thread per CPU this process may run on.
-    Each row and each item column is written by one thread with the same
-    operations in the same order, so the scores do not depend on the
-    thread count.
+    one bool per user pair; all of these go before the scores are clamped.
+    Every step before the item loop but the similarity product runs in
+    blocks of user rows, so the one other large temporary is a float32 copy
+    of the mask, freed before the product. Row blocks, then items, run on
+    one thread per CPU this process may run on. Each row and each item
+    column is written by one thread with the same operations in the same
+    order, so the scores do not depend on the thread count.
     """
     # imported here: runs that never score with KNN skip its start-up cost
     from concurrent.futures import ThreadPoolExecutor
@@ -270,6 +270,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
         del thin
         # items by stride balance the load, since popularity is not ordered by id
         fallbacks = sum(pool.map(score, [range(w, m, workers) for w in range(workers)]))
+    del sims, neighbours, rank  # so the clamp's bool temporaries do not stack on the n_users**2 arrays
     logger.debug(
         "predict_knn: %d of %d candidate scores fell back to the user mean",
         fallbacks, n * m - dataset.n_ratings,

@@ -217,10 +217,8 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     return reports
 
 
-_METRICS = (
-    ("score_disparity", lambda r: r.score_disparity),
-    ("recommendation_disparity", lambda r: r.recommendation_disparity),
-)
+# the DisparityReport fields plotted against aggregate diversity; each names its file and header
+_METRICS = ("score_disparity", "recommendation_disparity")
 
 
 def emit_plot_data(reports: list[DisparityReport], output_dir: str | Path, svg: bool = False) -> list[Path]:
@@ -241,9 +239,9 @@ def emit_plot_data(reports: list[DisparityReport], output_dir: str | Path, svg: 
     output_dir.mkdir(parents=True, exist_ok=True)
 
     written: list[Path] = []
-    for metric_name, metric in _METRICS:
+    for metric_name in _METRICS:
         points = sorted(
-            ((r.aggregate_diversity, metric(r), r.post == "none") for r in reports),
+            ((r.aggregate_diversity, getattr(r, metric_name), r.post == "none") for r in reports),
             key=lambda p: (p[0], p[1]),
         )
         path = output_dir / f"{post}__{predictor}__{metric_name}.dat"

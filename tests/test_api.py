@@ -35,13 +35,15 @@ def test_every_exported_name_resolves():
 
 # names no pipeline path, CLI flag or benchmark hook read, removed from the API
 REMOVED = {
-    fairrec: {"CandidateSets", "write_ratings", "RecommendationSet", "rank_order"},
+    fairrec: {"CandidateSets", "write_ratings", "RecommendationSet", "rank_order", "score_disparity",
+              "recommendation_disparity"},
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
     fairrec.predictors: {"_Rows"},
     fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates", "rank_order"},
     fairrec.sweep: {"_has_type_of", "_KINDS", "parse_grid", "_BOOLEANS", "_QUOTED", "_predictor"},
     SweepConfig: {"validate"},
-    fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists"},
+    fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists", "score_disparity",
+                      "recommendation_disparity"},
     ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users", "ranked"},
     RatingsDataset: {"rated_items", "user_index", "item_index"},
     RandomParams: {"tag"},

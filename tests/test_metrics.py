@@ -16,9 +16,7 @@ from fairrec import (
     greedy_rerank,
     overlap_similarity,
     parse_ratings,
-    recommendation_disparity,
     satisfaction,
-    score_disparity,
     top_k,
 )
 from fairrec.metrics import RESULTS_HEADER, as_percent, write_per_user_csv, write_results_csv
@@ -132,7 +130,7 @@ def test_satisfaction_of_top_list_is_exactly_one():
     top = top_k(graph, 2)
     a = satisfaction(graph, top, top)
     assert a.tolist() == [1.0]
-    assert score_disparity(a) == 0.0
+    assert gini(a) == 0.0
 
 
 def test_satisfaction_rejects_mismatched_inputs():
@@ -205,8 +203,8 @@ def test_satisfaction_rejects_nonpositive_top_mass():
 
 
 def test_score_disparity_hand_value():
-    # double sum: |1 - 0.5| * 2 = 1, denominator 2 * 2 * 1.5
-    assert score_disparity([1.0, 0.5]) == approx(1 / 6, abs=1e-12)
+    # D_S is the Gini of satisfactions. Double sum: |1 - 0.5| * 2 = 1, denominator 2 * 2 * 1.5
+    assert gini([1.0, 0.5]) == approx(1 / 6, abs=1e-12)
 
 
 def test_satisfaction_bounded_for_both_post_processors():
@@ -287,11 +285,6 @@ def test_overlap_one_iff_same_set():
     assert (sims[1] == 1.0) == (set(served[1]) == set(top[1]))
 
 
-def test_recommendation_disparity_two_point():
-    assert recommendation_disparity([0.0, 1.0]) == approx(0.5, abs=1e-12)
-    assert recommendation_disparity([1.0, 1.0, 1.0]) == 0.0
-
-
 # ------------------------------------------------- aggregate diversity ----
 
 def test_aggregate_diversity_shared_and_full():
@@ -306,6 +299,18 @@ def test_aggregate_diversity_monotone_under_pool_growth():
     grown = np.array([[0, 2], [0, 1]])
     graph = _open_graph(2, 5)
     assert aggregate_diversity(graph, grown) >= aggregate_diversity(graph, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([np.int16, np.int32, np.int64]))
+def test_aggregate_diversity_counts_the_distinct_listed_items(data, dtype):
+    n_items = data.draw(st.integers(1, 2000), label="n_items")
+    k = data.draw(st.integers(1, min(n_items, 12)), label="k")
+    n_users = data.draw(st.integers(1, 8), label="n_users")
+    row = st.lists(st.integers(0, n_items - 1), min_size=k, max_size=k, unique=True)
+    recs = np.array(data.draw(st.lists(row, min_size=n_users, max_size=n_users), label="lists"), dtype=dtype)
+    graph = _open_graph(n_users, n_items)
+    assert aggregate_diversity(graph, recs) == np.unique(recs).size / graph.n_items
 
 
 def test_aggregate_diversity_rejects_bad_catalog():

@@ -575,6 +575,31 @@ def test_predict_knn_peak_memory_stays_below_eighteen_bytes_per_user_pair():
     assert peak < 9 * n * m + 18 * n * n
 
 
+def test_predict_knn_releases_its_user_pair_arrays_before_the_clamp(monkeypatch):
+    # when the scores reach from_matrix only the scores (8 bytes a cell), the
+    # mask (1) and per-user vectors are held; the similarities, order and ranks
+    # (12 bytes a user pair) are gone, so the clamp's bool temporaries do not
+    # stack on them. At 600 users and 80 items one int16 user-pair array
+    # alone (2 bytes a pair) is larger than the bound
+    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=600, n_items=80)))
+    clamp = ScoreGraph.from_matrix.__func__
+    held = []
+
+    def spy(cls, scores, dataset):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return clamp(cls, scores, dataset)
+
+    monkeypatch.setattr(ScoreGraph, "from_matrix", classmethod(spy))
+    tracemalloc.start()
+    try:
+        predict_knn(d, KnnParams(n_neighbors=5))
+    finally:
+        tracemalloc.stop()
+    n, m = d.n_users, d.n_items
+    assert len(held) == 1
+    assert held[0] < 9 * n * m + n * n
+
+
 def test_nmf_params_validation():
     with pytest.raises(InvalidInputError):
         NmfParams(n_factors=0)

@@ -1,5 +1,8 @@
 import logging
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fairrec
 from fairrec import (GreedyParams, InvalidInputError, KnnParams, NmfParams, RandomParams, build_config,
                      emit_plot_data, run_sweep, save_score_cache, sweep)
 from fairrec.cli import _build_parser, main
@@ -623,6 +627,26 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     assert len(stdout.splitlines()) == 3  # one summary line per report
     assert "agg_div=" in stdout
     assert "D_S=" in stdout
+
+
+def test_a_sweep_imports_no_masked_array_module(synthetic_file, tmp_path):
+    # numpy.ma is a lazy numpy submodule; no report or writer needs it, so a
+    # whole sweep loads none of it beyond what importing the CLI loaded
+    script = (
+        "import sys\n"
+        "import fairrec.cli\n"
+        "masked = lambda: {name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']}\n"
+        "before = masked()\n"
+        "code = fairrec.cli.main(sys.argv[1:])\n"
+        "print(code, sorted(masked() - before))\n"
+    )
+    args = ["run", "--data", str(synthetic_file), "--post", "greedy", "--k", "3", "--theta", "1,4", "--per-user",
+            "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(fairrec.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "greedy__knn__score_disparity.dat").exists()
 
 
 @pytest.mark.parametrize("predictor, fit_line", [
