@@ -41,31 +41,22 @@ class KnnParams:
     def __post_init__(self) -> None:
         check_field_types(self)
 
-    def tag(self) -> str:
-        return f"knn(n_neighbors={self.n_neighbors},min_overlap={self.min_overlap})"
-
 
 @dataclass(frozen=True)
 class NmfParams:
     """Non-negative factorization settings; training runs a fixed epoch budget.
 
-    n_factors is an integer >= 1, n_epochs and init_seed integers >= 0 (numpy
+    n_factors is an integer >= 1, n_epochs and seed integers >= 0 (numpy
     seeds no generator from a negative one); each field's annotation gives
     its type and range, checked when the params are built.
     """
 
     n_factors: PositiveInt = 15
     n_epochs: NonNegativeInt = 50
-    init_seed: NonNegativeInt = 0
+    seed: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-
-    def tag(self) -> str:
-        return (
-            f"nmf(n_factors={self.n_factors},n_epochs={self.n_epochs},"
-            f"seed={self.init_seed})"
-        )
 
 
 @dataclass(frozen=True)
@@ -89,9 +80,9 @@ class ScoreGraph:
 
     def __post_init__(self) -> None:
         array = isinstance(self.matrix, np.ndarray)
-        if not (array and self.matrix.ndim == 2 and self.matrix.dtype.kind == "f"):
+        if not (array and self.matrix.ndim == 2 and self.matrix.dtype == np.float64):
             got = f"{self.matrix.dtype} of shape {self.matrix.shape}" if array else type(self.matrix).__name__
-            raise InvalidInputError(f"a score graph's matrix must be a 2-D float array, got {got}")
+            raise InvalidInputError(f"a score graph's matrix must be a 2-D float64 array, got {got}")
         if self.matrix.shape[0] == 0:
             raise InvalidInputError("a score graph needs at least one user")
         if len(self.user_ids) != self.matrix.shape[0]:
@@ -305,7 +296,7 @@ def fit_nmf(
     observed = ~candidate_sets(dataset)
     rated = (dataset.users, dataset.items)
 
-    rng = np.random.default_rng(params.init_seed)
+    rng = np.random.default_rng(params.seed)
     scale = np.sqrt(dataset.ratings.mean() / params.n_factors)
     p = rng.uniform(size=(dataset.n_users, params.n_factors)) * scale
     q = rng.uniform(size=(dataset.n_items, params.n_factors)) * scale

@@ -152,7 +152,9 @@ def _obtain_scores(cfg: SweepConfig, dataset):
                        else (predict_nmf, NmfParams(cfg.nmf_factors, cfg.nmf_epochs, cfg.seed)))
     if not cfg.cache:
         return predict(dataset, params)
-    key = hashlib.sha256(f"{params.tag()}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
+    # the fit is named by every field of its params, so no field can be left out of the key
+    fit = f"{cfg.predictor}({','.join(f'{f.name}={getattr(params, f.name)}' for f in fields(params))})"
+    key = hashlib.sha256(f"{fit}\n{dataset.fingerprint()}".encode()).hexdigest()[:16]
     cache_path = cfg.out / f"scores_{cfg.predictor}_{key}.npy"
     if cache_path.exists():
         return load_score_cache(cache_path, dataset)

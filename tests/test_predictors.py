@@ -394,12 +394,13 @@ def test_score_graph_fields_cannot_be_reassigned():
     (np.full((2, 3, 1), 2.0), "float64 of shape (2, 3, 1)"),
     (np.full((2, 3), 2.0, dtype=object), "object of shape (2, 3)"),
     (np.full((2, 3), 2), "int64 of shape (2, 3)"),
+    (np.zeros((2, 3), dtype=np.float32), "float32 of shape (2, 3)"),  # the score cache holds float64 alone
     ([[2.0, 3.0], [4.0, 5.0]], "list"),
-], ids=["1-D", "3-D", "object", "int", "list"])
+], ids=["1-D", "3-D", "object", "int", "float32", "list"])
 def test_score_graph_needs_a_2d_float_matrix(matrix, got):
     with pytest.raises(InvalidInputError) as raised:
         ScoreGraph(matrix, np.arange(2))
-    assert str(raised.value) == f"a score graph's matrix must be a 2-D float array, got {got}"
+    assert str(raised.value) == f"a score graph's matrix must be a 2-D float64 array, got {got}"
 
 
 # ---------------------------------------------------------------- nmf ----
@@ -411,7 +412,7 @@ def _rank_one_dataset():
 
 def test_nmf_reconstructs_a_rank_one_matrix():
     d = _rank_one_dataset()
-    p, q, losses = fit_nmf(d, NmfParams(n_factors=2, n_epochs=2000, init_seed=1))
+    p, q, losses = fit_nmf(d, NmfParams(n_factors=2, n_epochs=2000, seed=1))
     dense, observed = d.dense_matrix()
     errors = np.abs((p @ q.T) - dense)[observed]
     assert errors.max() <= 1e-2
@@ -419,14 +420,14 @@ def test_nmf_reconstructs_a_rank_one_matrix():
 
 
 def test_nmf_is_deterministic_for_a_seed(synthetic_dataset):
-    params = NmfParams(n_factors=5, n_epochs=15, init_seed=3)
+    params = NmfParams(n_factors=5, n_epochs=15, seed=3)
     a = predict_nmf(synthetic_dataset, params)
     b = predict_nmf(synthetic_dataset, params)
     assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
 def test_nmf_loss_is_non_increasing_every_epoch(synthetic_dataset):
-    _, _, losses = fit_nmf(synthetic_dataset, NmfParams(n_factors=6, n_epochs=30, init_seed=2))
+    _, _, losses = fit_nmf(synthetic_dataset, NmfParams(n_factors=6, n_epochs=30, seed=2))
     assert len(losses) == 31
     for before, after in zip(losses, losses[1:]):
         assert after <= before * (1 + 1e-9) + 1e-12
@@ -435,7 +436,7 @@ def test_nmf_loss_is_non_increasing_every_epoch(synthetic_dataset):
 def test_nmf_factors_stay_nonnegative_after_every_epoch():
     d = _rank_one_dataset()
     for epochs in range(1, 9):
-        p, q, _ = fit_nmf(d, NmfParams(n_factors=3, n_epochs=epochs, init_seed=4))
+        p, q, _ = fit_nmf(d, NmfParams(n_factors=3, n_epochs=epochs, seed=4))
         assert np.all(p >= 0)
         assert np.all(q >= 0)
 
@@ -449,7 +450,7 @@ def _three_product_loop(d, params):
     rated_values, observed = d.dense_matrix()
     mask = observed.astype(np.float64)
     target = rated_values * mask
-    rng = np.random.default_rng(params.init_seed)
+    rng = np.random.default_rng(params.seed)
     scale = np.sqrt(d.ratings.mean() / params.n_factors)
     p = rng.uniform(size=(d.n_users, params.n_factors)) * scale
     q = rng.uniform(size=(d.n_items, params.n_factors)) * scale
@@ -470,7 +471,7 @@ def _multi_block_dataset():
 
 def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
     # 60 users and 80 items are one block, so every product is the whole-matrix one
-    params = NmfParams(n_factors=5, n_epochs=12, init_seed=3)
+    params = NmfParams(n_factors=5, n_epochs=12, seed=3)
     d = synthetic_dataset
     p, q, losses, dense_losses = _three_product_loop(d, params)
 
@@ -485,7 +486,7 @@ def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
 def test_fit_nmf_matches_the_three_product_loop_over_many_blocks():
     # a wrong slice or a skipped block moves P and Q far beyond the last bits
     # that blocked products may change
-    params = NmfParams(n_factors=5, n_epochs=6, init_seed=3)
+    params = NmfParams(n_factors=5, n_epochs=6, seed=3)
     d = _multi_block_dataset()
     p, q, losses, _ = _three_product_loop(d, params)
     got_p, got_q, got_losses = fit_nmf(d, params)
@@ -497,7 +498,7 @@ def test_fit_nmf_matches_the_three_product_loop_over_many_blocks():
 
 def test_nmf_scores_do_not_depend_on_the_thread_count(monkeypatch, caplog):
     d = _multi_block_dataset()
-    params = NmfParams(n_factors=5, n_epochs=3, init_seed=3)
+    params = NmfParams(n_factors=5, n_epochs=3, seed=3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would race
     try:
@@ -656,7 +657,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
     c = candidate_sets(d)
     assert np.flatnonzero(c[3]).tolist() == [3]
 
-    params = NmfParams(n_factors=2, n_epochs=300, init_seed=6)
+    params = NmfParams(n_factors=2, n_epochs=300, seed=6)
     graph = predict_nmf(d, params)
     predicted = graph.matrix[3, 3]
     assert 1.0 <= predicted <= 5.0
@@ -667,7 +668,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
         observed.tolist(),
         params.n_factors,
         params.n_epochs,
-        params.init_seed,
+        params.seed,
         float(d.ratings.mean()),
     )
     reference = min(5.0, max(1.0, sum(p_ref[3][t] * q_ref[3][t] for t in range(2))))

@@ -557,6 +557,23 @@ def test_greedy_matches_rescan_oracle_at_medium_scale():
         assert result.achieved_increase == achieved
 
 
+def test_greedy_resumed_from_a_shorter_walk_equals_one_longer_walk():
+    # the pool never shrinks and a dead user stays dead, so a walk resumed from
+    # theta1's lists skips exactly the moves a walk to theta1 + theta2 had passed
+    checked = 0
+    for graph, k in enumerate_small_instances():
+        base = top_k(graph, k)
+        for threshold in (1.0, 3.5):
+            for first, more in [(0, 2), (1, 1), (1, 3), (2, 2)]:
+                head = greedy_rerank(graph, base, GreedyParams(theta=first, threshold=threshold))
+                tail = greedy_rerank(graph, head.recommendations, GreedyParams(theta=more, threshold=threshold))
+                whole = greedy_rerank(graph, base, GreedyParams(theta=first + more, threshold=threshold))
+                assert tail.recommendations.tolist() == whole.recommendations.tolist()
+                assert head.achieved_increase + tail.achieved_increase == whole.achieved_increase
+                checked += 1
+    assert checked == 960
+
+
 def test_greedy_is_deterministic():
     graph = _random_graph(9)
     base = top_k(graph, 2)

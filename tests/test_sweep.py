@@ -307,7 +307,7 @@ def test_config_validation_errors():
 # each config field that a run passes on to a parameter class, and the field it fills
 FEEDS = [("knn_neighbors", KnnParams, "n_neighbors"), ("knn_min_overlap", KnnParams, "min_overlap"),
          ("nmf_factors", NmfParams, "n_factors"), ("nmf_epochs", NmfParams, "n_epochs"),
-         ("seed", NmfParams, "init_seed"), ("seed", RandomParams, "seed"), ("ell", RandomParams, "ell"),
+         ("seed", NmfParams, "seed"), ("seed", RandomParams, "seed"), ("ell", RandomParams, "ell"),
          ("theta", GreedyParams, "theta"), ("threshold", GreedyParams, "threshold")]
 
 
@@ -559,6 +559,39 @@ def test_cached_and_uncached_runs_write_identical_files(synthetic_file, tmp_path
     assert len(list((tmp_path / "fresh").glob("scores_nmf_*.npy"))) == 2
     assert refit == outputs(tmp_path / "plain3", nmf_epochs=3)
     assert refit["results.csv"] != fresh["results.csv"]
+
+
+def _cache_name(synthetic_file, out, **kw) -> str:
+    run_sweep(small_cfg(synthetic_file, out, cache=True, **kw))
+    [path] = out.glob("scores_*.npy")
+    return path.name
+
+
+# the settings each predictor's fit reads, each with a value other than small_cfg's
+FIT_SETTINGS = {"knn": {"knn_neighbors": 7, "knn_min_overlap": 2},
+                "nmf": {"nmf_factors": 3, "nmf_epochs": 3, "seed": 12}}
+
+
+@pytest.mark.parametrize("predictor", FIT_SETTINGS)
+def test_each_setting_of_a_fit_and_no_other_changes_its_cache_file(synthetic_file, tmp_path, predictor):
+    # a changed setting refits into its own file instead of loading a stale one;
+    # a setting the fit does not read finds the same file
+    base = _cache_name(synthetic_file, tmp_path / "base", predictor=predictor)
+    names = {base}
+    for key, value in FIT_SETTINGS[predictor].items():
+        names.add(_cache_name(synthetic_file, tmp_path / key, predictor=predictor, **{key: value}))
+    assert len(names) == 1 + len(FIT_SETTINGS[predictor])
+    other = "nmf" if predictor == "knn" else "knn"
+    for key, value in FIT_SETTINGS[other].items():
+        assert _cache_name(synthetic_file, tmp_path / f"unread-{key}", predictor=predictor, **{key: value}) == base
+
+
+def test_cache_file_names_are_locked(synthetic_file, tmp_path):
+    # a cache written by an earlier version is found again only while its name holds
+    for predictor, name in [("knn", "scores_knn_e3719d3ed9c83526.npy"), ("nmf", "scores_nmf_f4d5eea06f079bac.npy")]:
+        out = tmp_path / predictor
+        run_sweep(build_config(data=synthetic_file, predictor=predictor, k=3, cache=True, out=out))
+        assert [p.name for p in out.glob("scores_*")] == [name]
 
 
 def test_per_user_files_written(synthetic_file, tmp_path):
