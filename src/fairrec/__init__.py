@@ -31,6 +31,7 @@ from .predictors import (
 from .reranking import (
     GreedyParams,
     GreedyRerankResult,
+    GreedyWalk,
     RandomParams,
     greedy_rerank,
     random_rerank,
@@ -48,6 +49,7 @@ __all__ = [
     "FactorizationError",
     "GreedyParams",
     "GreedyRerankResult",
+    "GreedyWalk",
     "InvalidInputError",
     "KnnParams",
     "NmfParams",

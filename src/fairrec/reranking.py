@@ -27,7 +27,11 @@ user with no entry that another user still receives is dead for the rest
 of the call: the counts of listed items never rise (a victim loses one, an
 introduced item goes from 0 to 1 and is never introduced again), so such a
 user never gets one. The walk tries exactly the live moves of one fully
-sorted move list, in that list's order.
+sorted move list, in that list's order. Theta only decides where the walk
+stops, so one walk to the largest theta of a grid records what a walk to
+each smaller theta does: its first theta introductions, each with its
+user, its victim's base column and the new item. A cut replaces those
+victims in the base lists and puts each row back in list order.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import require_candidates
-from .errors import InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, reject_rows
+from .errors import InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, check_type, reject_rows
 from .predictors import ScoreGraph
 
 logger = logging.getLogger(__name__)
@@ -78,10 +82,64 @@ class GreedyParams:
         check_field_types(self)
 
 
-@dataclass
+@dataclass(frozen=True)
+class GreedyWalk:
+    """The record of one greedy walk to ``theta``, from which ``cut`` reads the result at any theta up to it.
+
+    ``base`` holds the lists walked from and ``base_scores`` their scores.
+    Row i of ``moves`` is the i-th introduction, in walk order: its user,
+    the base column of its victim and the new item; ``scores[i]`` is the
+    new item's score. Row i of ``counts`` holds the moves popped and the
+    users marked dead after the i-th introduction (row 0: before the first),
+    and its last row where the walk stopped.
+    """
+
+    theta: int
+    base: np.ndarray  # (n_users, k) int64
+    base_scores: np.ndarray  # (n_users, k) float64
+    moves: np.ndarray  # (achieved, 3) int64
+    scores: np.ndarray  # (achieved,) float64
+    counts: np.ndarray  # (achieved + 2, 2) int64
+
+    def cut(self, theta: int) -> GreedyRerankResult:
+        """What ``greedy_rerank`` returns from the walk's base and threshold at a theta up to the walk's.
+
+        A walk to theta makes exactly this walk's first min(theta, achieved)
+        introductions, as theta only decides where a walk stops. Each
+        replaces its victim's base entry; each row is then put in list
+        order. The DEBUG counter line is the one that walk logs: its moves
+        popped and users marked dead are the counts at its last
+        introduction, or where this walk ran dry before theta, and its tied
+        and lost swaps are read from the two scores of each swap. Every cut
+        returns a new lists array.
+        """
+        check_type("theta", theta, "NonNegativeInt")
+        if theta > self.theta:
+            raise InvalidInputError(f"theta={theta} exceeds {self.theta}, the theta walked to")
+        n = min(int(theta), len(self.moves))
+        users, columns, items = self.moves[:n].T
+        scores = self.scores[:n]
+        lists, list_scores = self.base.copy(), self.base_scores.copy()
+        lists[users, columns] = items
+        list_scores[users, columns] = scores
+        lists = np.take_along_axis(lists, np.lexsort((lists, -list_scores)), axis=1)
+        victims = self.base_scores[users, columns]
+        popped, dead = self.counts[min(theta, n + 1)]  # a walk that ran dry before theta stopped where this one did
+        logger.debug(
+            "greedy_rerank: theta=%d: %d items introduced, %d moves popped, %d users marked dead, "
+            "%d swaps whose victim scored the same as the new item, %d users with a swap whose victim scored higher",
+            theta, n, popped, dead, np.count_nonzero(victims == scores), len(set(users[victims > scores].tolist())),
+        )
+        return GreedyRerankResult(lists, n, self)
+
+
+@dataclass(frozen=True)
 class GreedyRerankResult:
+    """Greedy's lists and achieved increase at one theta, and the walk they were cut from."""
+
     recommendations: np.ndarray  # (n_users, k) dense item ids
     achieved_increase: int
+    walk: GreedyWalk  # walk.cut gives the result at any other theta up to the walk's
 
 
 # cells of the score matrix that _ordered_blocks selects from at a time: each block
@@ -175,15 +233,19 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     """Raise the number of distinct recommended items by up to theta.
 
     ``base`` is a list set for the graph; the result's ``recommendations``
-    is a new int64 array of the same shape, each row in list order.
+    is a new int64 array of the same shape, each row in list order. The
+    result's ``walk`` records every introduction, so ``result.walk.cut(t)``
+    gives, for any t up to theta, what a call at t returns, counter line
+    included, without walking again.
 
     Moves are (user, item) pairs with the item outside the current pool and
     a score of at least the threshold, tried in order of descending score
     (ties: lower item id, then lower user id). Rows are kept as
-    ``(-score, item)`` pairs in list order, and a move replaces the last
-    entry of its user's row that another user still receives; users without
-    such an entry are skipped for that item. Stops after theta introductions
-    or when no feasible move remains, reporting the achieved increase.
+    ``(-score, item, base column)`` triples in list order, and a move
+    replaces the last entry of its user's row that another user still
+    receives; users without such an entry are skipped for that item. Stops
+    after theta introductions or when no feasible move remains, reporting
+    the achieved increase.
 
     The moves are walked from ``graph.matrix`` alone: a heap holds
     ``(-score, item, user)`` for each unpooled item whose best live user
@@ -200,18 +262,19 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     heap therefore pops exactly the live moves of the fully sorted move
     list, in its order, and skips none that could apply.
 
-    One line is logged at DEBUG on this module's logger per call: theta,
-    the items introduced, the moves popped, the users marked dead, the
-    swaps whose victim scored the same as the new item, and the users with
-    a swap whose victim scored higher, the only swap that lowers a list's
-    score mass. On a top-k base every swap is one of the two: a victim is a
-    base entry (an introduced item is listed once, so it is never a
-    victim), and a top-k entry never scores below an item outside the pool.
+    One line is logged at DEBUG on this module's logger per call, and one
+    per cut: theta, the items introduced, the moves popped, the users marked
+    dead, the swaps whose victim scored the same as the new item, and the
+    users with a swap whose victim scored higher, the only swap that lowers
+    a list's score mass. On a top-k base every swap is one of the two: a
+    victim is a base entry (an introduced item is listed once, so it is
+    never a victim), and a top-k entry never scores below an item outside
+    the pool.
     """
     [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
-    # each row as (-score, item) pairs in list order
-    rows = [sorted(zip(neg, items)) for neg, items in zip((-scores).tolist(), base.tolist())]
+    # each row as (-score, item, base column) triples in list order
+    rows = [sorted(zip(neg, items, range(base.shape[1]))) for neg, items in zip((-scores).tolist(), base.tolist())]
     counts_list = counts.tolist()
 
     # (item, user) scores with NaN read as 0.0, below any threshold (thresholds lie in
@@ -224,9 +287,10 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     heapq.heapify(heap)
     live = np.ones(graph.n_users, dtype=bool)
 
-    achieved = popped = tied = 0
-    losers = set()  # users with a swap whose victim scored above the new item
-    while heap and achieved < params.theta:
+    popped = dead = 0
+    moves = []  # per introduction: (user, base column of its victim, item)
+    counted = [(0, 0)]  # (moves popped, users marked dead) before the first introduction and after each
+    while heap and len(moves) < params.theta:
         popped += 1
         neg_score, item, user = heap[0]
         row = rows[user]
@@ -234,6 +298,7 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
         while victim >= 0 and counts_list[row[victim][1]] < 2:
             victim -= 1
         if victim < 0:
+            dead += bool(live[user])
             live[user] = False  # for good: the counts of listed items never rise
             column = np.where(live, filled[item], 0.0)
             user = int(column.argmax())
@@ -243,23 +308,18 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
                 heapq.heappop(heap)
             continue
         heapq.heappop(heap)
-        if row[victim][0] == neg_score:
-            tied += 1
-        elif row[victim][0] < neg_score:
-            losers.add(user)
-        counts_list[row[victim][1]] -= 1
+        _, replaced, slot = row.pop(victim)
+        counts_list[replaced] -= 1
         counts_list[item] = 1
-        del row[victim]
-        bisect.insort(row, (neg_score, item))
-        achieved += 1
+        bisect.insort(row, (neg_score, item, slot))
+        moves.append((user, slot, item))
+        counted.append((popped, dead))
 
-    lists = np.array([[item for _, item in row] for row in rows], dtype=np.int64)
-    logger.debug(
-        "greedy_rerank: theta=%d: %d items introduced, %d moves popped, %d users marked dead, "
-        "%d swaps whose victim scored the same as the new item, %d users with a swap whose victim scored higher",
-        params.theta, achieved, popped, graph.n_users - np.count_nonzero(live), tied, len(losers),
-    )
-    return GreedyRerankResult(lists, achieved_increase=achieved)
+    counted.append((popped, dead))  # where the walk stopped
+    moves = np.array(moves, dtype=np.int64).reshape(-1, 3)
+    walk = GreedyWalk(params.theta, np.array(base, dtype=np.int64), scores, moves,
+                      graph.matrix[moves[:, 0], moves[:, 2]], np.array(counted))
+    return walk.cut(params.theta)
 
 
 def _list_scores(graph: ScoreGraph, *list_sets: np.ndarray) -> list[np.ndarray]:

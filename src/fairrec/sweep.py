@@ -5,6 +5,8 @@ grid point per l (random) or theta (greedy). Outputs are deterministic for
 a fixed config and seed: results.csv, one scatter file per disparity
 metric (aggregate diversity on x), and optional per-user and SVG files.
 Grid points share one immutable ScoreGraph and are evaluated in grid order.
+Random's lists come from one blocked pass over the whole l grid, Greedy's
+from one walk to the largest theta, cut at every other theta.
 
 Settings come from defaults, a ``key = value`` file whose every line has one
 form, and keywords or flags; each text value is read by its field's
@@ -178,9 +180,12 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
 
     Returns the reports in output order: baseline first, then grid order.
     Every grid point's lists are drawn in the order stage with top-k:
-    Random's for every l in one call, Greedy's in one call per theta. Under
-    DEBUG, each stage (read, scores, order, each grid point's report,
-    write) logs its wall time and the peak RSS so far on ``fairrec.sweep``.
+    Random's for every l in one call, Greedy's from one ``greedy_rerank``
+    call at the largest theta, whose walk is cut at every other theta. So
+    greedy logs one counter line per grid point, the largest theta's (the
+    walk's own) first, then the others' in grid order. Under DEBUG, each
+    stage (read, scores, order, each grid point's report, write) logs its
+    wall time and the peak RSS so far on ``fairrec.sweep``.
     """
     marks = [time.perf_counter()]
     dataset = load_ratings(cfg.data)
@@ -194,9 +199,11 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     if cfg.post == "random":  # one blocked pass draws every l's lists
         drawn = random_rerank(graph, RandomParams(ell=cfg.ell, seed=cfg.seed), cfg.k)
         points += [("random", ell, lists, None) for ell, lists in zip(cfg.ell, drawn)]
-    elif cfg.post == "greedy":  # one walk per theta, each from the top-k lists
-        for theta in cfg.theta:
-            result = greedy_rerank(graph, top, GreedyParams(theta=theta, threshold=cfg.threshold))
+    elif cfg.post == "greedy":  # one walk from the top-k lists to the largest theta, cut at every other point
+        longest = cfg.theta.index(max(cfg.theta))  # that point's lists and counter line are the walk's own
+        walked = greedy_rerank(graph, top, GreedyParams(theta=cfg.theta[longest], threshold=cfg.threshold))
+        for n, theta in enumerate(cfg.theta):
+            result = walked if n == longest else walked.walk.cut(theta)
             points.append(("greedy", theta, result.recommendations, result.achieved_increase))
     _log_stage(marks, "order")
 

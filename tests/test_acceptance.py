@@ -247,14 +247,17 @@ def test_criterion_5_diversity_disparity_trend_synthetic(synthetic_knn):
 
 def test_greedy_counters_on_the_ml100k_shaped_knn_scores(synthetic_knn, caplog):
     # the benchmark's knn-greedy ratings at seed 1: 2,869 of the 4,056 pops find a
-    # user already dead, and each of them skips the victim scan
+    # user already dead, and each of them skips the victim scan. One walk to 1000
+    # logs that line, and its cut at 500 logs the line a walk to 500 logs (README)
     with caplog.at_level(logging.DEBUG, logger="fairrec.reranking"):
-        greedy_rerank(synthetic_knn, top_k(synthetic_knn, 5), GreedyParams(theta=1000))
-    [line] = [r.getMessage() for r in caplog.records if r.name == "fairrec.reranking"]
-    assert line == (
+        greedy_rerank(synthetic_knn, top_k(synthetic_knn, 5), GreedyParams(theta=1000)).walk.cut(500)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fairrec.reranking"]
+    assert lines == [
         "greedy_rerank: theta=1000: 1000 items introduced, 4056 moves popped, 187 users marked dead, "
-        "335 swaps whose victim scored the same as the new item, 173 users with a swap whose victim scored higher"
-    )
+        "335 swaps whose victim scored the same as the new item, 173 users with a swap whose victim scored higher",
+        "greedy_rerank: theta=500: 500 items introduced, 1971 moves popped, 90 users marked dead, "
+        "335 swaps whose victim scored the same as the new item, 57 users with a swap whose victim scored higher",
+    ]
 
 
 def test_criterion_6_small_instance_oracle():

@@ -388,11 +388,17 @@ _COUNTERS = re.compile(
 )
 
 
-def _logged_counters(caplog, graph, base, params):
+def _logged_line(caplog, call):
+    """Make the call and return its result and the one line it logs on fairrec.reranking."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fairrec.reranking"):
-        result = greedy_rerank(graph, base, params)
+        result = call()
     [line] = [r.getMessage() for r in caplog.records if r.name == "fairrec.reranking"]
+    return result, line
+
+
+def _logged_counters(caplog, graph, base, params):
+    result, line = _logged_line(caplog, lambda: greedy_rerank(graph, base, params))
     return result, {key: int(value) for key, value in _COUNTERS.fullmatch(line).groupdict().items()}
 
 
@@ -572,6 +578,64 @@ def test_greedy_resumed_from_a_shorter_walk_equals_one_longer_walk():
                 assert head.achieved_increase + tail.achieved_increase == whole.achieved_increase
                 checked += 1
     assert checked == 960
+
+
+def _cuts_equal_standalone_calls(caplog, graph, base, threshold, thetas, rescan_up_to):
+    """Walk once to max(thetas); each cut must equal a call at its theta, line included, and the re-scan oracle."""
+    walked = greedy_rerank(graph, base, GreedyParams(theta=max(thetas), threshold=threshold))
+    for theta in thetas:
+        cut, line = _logged_line(caplog, lambda: walked.walk.cut(theta))
+        alone, alone_line = _logged_line(caplog, lambda: greedy_rerank(graph, base, GreedyParams(theta, threshold)))
+        assert np.array_equal(cut.recommendations, alone.recommendations), theta
+        assert (cut.achieved_increase, line) == (alone.achieved_increase, alone_line)
+        if theta <= rescan_up_to:
+            lists, achieved = greedy_rescan(graph, base, base.shape[1], theta, threshold)
+            assert (cut.recommendations.tolist(), cut.achieved_increase) == (lists, achieved), theta
+    return walked.achieved_increase
+
+
+def test_greedy_cuts_of_one_walk_equal_calls_at_each_theta_on_enumerated_instances(caplog):
+    # a walk to n_items always runs dry first (the pool already holds an item),
+    # so the cuts run from 0 to past the point where it ran dry
+    checked = 0
+    for graph, k in enumerate_small_instances():
+        base = top_k(graph, k)
+        for threshold in (1.0, 3.5):
+            thetas = range(graph.n_items + 1)
+            achieved = _cuts_equal_standalone_calls(caplog, graph, base, threshold, thetas, graph.n_items)
+            assert achieved < graph.n_items
+            checked += len(thetas)
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("threshold", [1.0, 3.5])
+@pytest.mark.parametrize("predictor", ["knn", "nmf"])
+def test_greedy_cuts_of_one_walk_equal_calls_at_each_theta_on_tie_heavy_graphs(
+        caplog, tie_heavy_graphs, predictor, threshold):
+    # every cut is held to a call at its theta; the re-scan oracle reaches the first ten at this size
+    graph = tie_heavy_graphs[predictor]
+    base = top_k(graph, 5)
+    achieved = greedy_rerank(graph, base, GreedyParams(theta=graph.n_items, threshold=threshold)).achieved_increase
+    assert 100 < achieved < graph.n_items  # the walk runs dry before its theta
+    thetas = [0, 1, 2, 10, 100, achieved, achieved + 1, graph.n_items]
+    _cuts_equal_standalone_calls(caplog, graph, base, threshold, thetas, rescan_up_to=10)
+
+
+def test_greedy_result_is_frozen_and_every_cut_owns_its_lists():
+    graph = _random_graph(5)
+    base = top_k(graph, 3)
+    walked = greedy_rerank(graph, base, GreedyParams(theta=6))
+    with pytest.raises(AttributeError):
+        walked.achieved_increase = 0
+    cuts = [walked, walked.walk.cut(6), walked.walk.cut(6), walked.walk.cut(0), walked.walk.cut(0)]
+    for n, one in enumerate(cuts):
+        assert not np.shares_memory(one.recommendations, base)
+        assert not any(np.shares_memory(one.recommendations, other.recommendations) for other in cuts[n + 1:])
+    assert np.array_equal(cuts[3].recommendations, base)
+    for theta, message in [(7, "theta=7 exceeds 6, the theta walked to"), (2.5, "theta must be an integer >= 0"),
+                           (-1, "theta must be an integer >= 0, got -1")]:
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            walked.walk.cut(theta)
 
 
 def test_greedy_is_deterministic():

@@ -441,6 +441,34 @@ def test_greedy_grid_reports_achieved_increase(synthetic_file, tmp_path):
     assert aggs == sorted(aggs)
 
 
+def test_a_greedy_sweep_walks_once_and_each_point_equals_a_one_theta_sweep(
+        synthetic_file, tmp_path, monkeypatch, caplog):
+    # one walk to the largest theta serves a grid out of order with a repeat; its
+    # counter line comes first, then each other point's, each one a one-theta sweep's own
+    walks = []
+
+    def counted(graph, base, params):
+        walks.append(params)
+        return fairrec.greedy_rerank(graph, base, params)
+
+    def sweep_at(grid, out):
+        walks.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fairrec.reranking"):
+            run_sweep(small_cfg(synthetic_file, out, post="greedy", theta=grid, threshold=3.0))
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        return walks[:], rows, [r.getMessage() for r in caplog.records if r.name == "fairrec.reranking"]
+
+    monkeypatch.setattr(sweep, "greedy_rerank", counted)
+    grid = (20, 5, 60, 5)
+    calls, rows, lines = sweep_at(grid, tmp_path / "grid")
+    assert calls == [GreedyParams(theta=60, threshold=3.0)]
+    alone = {theta: sweep_at((theta,), tmp_path / f"theta{theta}") for theta in set(grid)}
+    assert all(len(walked) == len(row) == len(line) == 1 for walked, row, line in alone.values())
+    assert rows == [alone[theta][1][0] for theta in grid] and len(set(rows)) == 3
+    assert lines == [alone[theta][2][0] for theta in (60, 20, 5, 5)]
+
+
 def test_greedy_sweep_regression_lock(synthetic_file, tmp_path):
     # exact outputs frozen after a run whose structure was verified by the
     # invariant tests (monotone diversity, exact achieved counts)
