@@ -86,7 +86,7 @@ class GreedyParams:
 class GreedyWalk:
     """The record of one greedy walk to ``theta``, from which ``cut`` reads the result at any theta up to it.
 
-    ``base`` holds the lists walked from and ``base_scores`` their scores.
+    ``threshold`` is the walk's score threshold, ``base`` holds the lists walked from and ``base_scores`` their scores.
     Row i of ``moves`` is the i-th introduction, in walk order: its user,
     the base column of its victim and the new item; ``scores[i]`` is the
     new item's score. Row i of ``counts`` holds the moves popped and the
@@ -95,6 +95,7 @@ class GreedyWalk:
     """
 
     theta: int
+    threshold: float
     base: np.ndarray  # (n_users, k) int64
     base_scores: np.ndarray  # (n_users, k) float64
     moves: np.ndarray  # (achieved, 3) int64
@@ -229,14 +230,18 @@ def random_rerank(graph: ScoreGraph, params: RandomParams, k: int) -> list[np.nd
     return lists
 
 
-def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> GreedyRerankResult:
+def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
+                  walk: GreedyWalk | None = None) -> GreedyRerankResult:
     """Raise the number of distinct recommended items by up to theta.
 
     ``base`` is a list set for the graph; the result's ``recommendations``
     is a new int64 array of the same shape, each row in list order. The
     result's ``walk`` records every introduction, so ``result.walk.cut(t)``
     gives, for any t up to theta, what a call at t returns, counter line
-    included, without walking again.
+    included, without walking again. Passing such a ``walk`` (from this
+    graph, this base and ``params.threshold``, to at least ``params.theta``)
+    returns its cut at ``params.theta`` instead of walking; a walk from
+    another base or threshold is an ``InvalidInputError``.
 
     Moves are (user, item) pairs with the item outside the current pool and
     a score of at least the threshold, tried in order of descending score
@@ -271,6 +276,10 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
     never a victim), and a top-k entry never scores below an item outside
     the pool.
     """
+    if walk is not None:
+        if walk.threshold != params.threshold or not np.array_equal(walk.base, base):
+            raise InvalidInputError("walk is from another base or threshold")
+        return walk.cut(params.theta)
     [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
     # each row as (-score, item, base column) triples in list order
@@ -317,7 +326,7 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams) -> 
 
     counted.append((popped, dead))  # where the walk stopped
     moves = np.array(moves, dtype=np.int64).reshape(-1, 3)
-    walk = GreedyWalk(params.theta, np.array(base, dtype=np.int64), scores, moves,
+    walk = GreedyWalk(params.theta, params.threshold, np.array(base, dtype=np.int64), scores, moves,
                       graph.matrix[moves[:, 0], moves[:, 2]], np.array(counted))
     return walk.cut(params.theta)
 

@@ -181,9 +181,10 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     Returns the reports in output order: baseline first, then grid order.
     Every grid point's lists are drawn in the order stage with top-k:
     Random's for every l in one call, Greedy's from one ``greedy_rerank``
-    call at the largest theta, whose walk is cut at every other theta. So
-    greedy logs one counter line per grid point, the largest theta's (the
-    walk's own) first, then the others' in grid order. Under DEBUG, each
+    call per theta: the largest theta's walks, and every other theta's is
+    given that walk and cut from it. So greedy logs one counter line per
+    grid point, the largest theta's (the walk's own) first, then the
+    others' in grid order. Under DEBUG, each
     stage (read, scores, order, each grid point's report, write) logs its
     wall time and the peak RSS so far on ``fairrec.sweep``.
     """
@@ -200,10 +201,11 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
         drawn = random_rerank(graph, RandomParams(ell=cfg.ell, seed=cfg.seed), cfg.k)
         points += [("random", ell, lists, None) for ell, lists in zip(cfg.ell, drawn)]
     elif cfg.post == "greedy":  # one walk from the top-k lists to the largest theta, cut at every other point
-        longest = cfg.theta.index(max(cfg.theta))  # that point's lists and counter line are the walk's own
+        longest = cfg.theta.index(max(cfg.theta))  # that point's call walks; every other point's is cut from its walk
         walked = greedy_rerank(graph, top, GreedyParams(theta=cfg.theta[longest], threshold=cfg.threshold))
         for n, theta in enumerate(cfg.theta):
-            result = walked if n == longest else walked.walk.cut(theta)
+            params = GreedyParams(theta=theta, threshold=cfg.threshold)
+            result = walked if n == longest else greedy_rerank(graph, top, params, walk=walked.walk)
             points.append(("greedy", theta, result.recommendations, result.achieved_increase))
     _log_stage(marks, "order")
 

@@ -63,8 +63,11 @@ def test_names_the_benchmark_hooks_read_remain():
     assert {"n_ratings"} <= _names(RatingsDataset)
     assert {"items"} <= _names(ScoreGraph)
     assert {"achieved_increase"} <= _names(GreedyRerankResult)
-    # the greedy hook reads params positionally or by keyword, one scalar theta per call
-    assert list(inspect.signature(fairrec.greedy_rerank).parameters) == ["graph", "base", "params"]
+    # the greedy hook reads params positionally or by keyword, one scalar theta per call;
+    # a walk to cut from is passed by keyword only, so it never takes params' place
+    greedy = inspect.signature(fairrec.greedy_rerank).parameters
+    assert list(greedy) == ["graph", "base", "params", "walk"]
+    assert (greedy["walk"].kind, greedy["walk"].default) == (inspect.Parameter.KEYWORD_ONLY, None)
     assert {f.name: f.type for f in dataclasses.fields(GreedyParams)}["theta"] == "NonNegativeInt"
     assert list(inspect.signature(save_score_cache).parameters) == ["graph", "path"]
 

@@ -638,6 +638,23 @@ def test_greedy_result_is_frozen_and_every_cut_owns_its_lists():
             walked.walk.cut(theta)
 
 
+def test_greedy_given_a_walk_returns_its_cut_and_rejects_another_base_or_threshold(caplog):
+    graph = _random_graph(5)
+    base = top_k(graph, 3)
+    walk = greedy_rerank(graph, base, GreedyParams(theta=6, threshold=2.0)).walk
+    for theta in range(7):
+        given, line = _logged_line(caplog, lambda: greedy_rerank(graph, base, GreedyParams(theta, 2.0), walk=walk))
+        cut, cut_line = _logged_line(caplog, lambda: walk.cut(theta))
+        assert np.array_equal(given.recommendations, cut.recommendations)
+        assert (given.achieved_increase, line) == (cut.achieved_increase, cut_line) and given.walk is walk
+    other = base[:, ::-1].copy()
+    for lists, params, message in [(base, GreedyParams(7, 2.0), "theta=7 exceeds 6, the theta walked to"),
+                                   (base, GreedyParams(3, 3.5), "walk is from another base or threshold"),
+                                   (other, GreedyParams(3, 2.0), "walk is from another base or threshold")]:
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            greedy_rerank(graph, lists, params, walk=walk)
+
+
 def test_greedy_is_deterministic():
     graph = _random_graph(9)
     base = top_k(graph, 2)

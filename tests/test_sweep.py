@@ -443,13 +443,14 @@ def test_greedy_grid_reports_achieved_increase(synthetic_file, tmp_path):
 
 def test_a_greedy_sweep_walks_once_and_each_point_equals_a_one_theta_sweep(
         synthetic_file, tmp_path, monkeypatch, caplog):
-    # one walk to the largest theta serves a grid out of order with a repeat; its
-    # counter line comes first, then each other point's, each one a one-theta sweep's own
+    # one walk to the largest theta serves a grid out of order with a repeat: every
+    # other point's call is cut from it; its counter line comes first, then each
+    # other point's, each one a one-theta sweep's own
     walks = []
 
-    def counted(graph, base, params):
-        walks.append(params)
-        return fairrec.greedy_rerank(graph, base, params)
+    def counted(graph, base, params, walk=None):
+        walks.append((params, walk is None))
+        return fairrec.greedy_rerank(graph, base, params, walk=walk)
 
     def sweep_at(grid, out):
         walks.clear()
@@ -462,7 +463,7 @@ def test_a_greedy_sweep_walks_once_and_each_point_equals_a_one_theta_sweep(
     monkeypatch.setattr(sweep, "greedy_rerank", counted)
     grid = (20, 5, 60, 5)
     calls, rows, lines = sweep_at(grid, tmp_path / "grid")
-    assert calls == [GreedyParams(theta=60, threshold=3.0)]
+    assert calls == [(GreedyParams(theta=theta, threshold=3.0), theta == 60) for theta in (60, 20, 5, 5)]
     alone = {theta: sweep_at((theta,), tmp_path / f"theta{theta}") for theta in set(grid)}
     assert all(len(walked) == len(row) == len(line) == 1 for walked, row, line in alone.values())
     assert rows == [alone[theta][1][0] for theta in grid] and len(set(rows)) == 3
