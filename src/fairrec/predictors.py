@@ -169,9 +169,11 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     (float64), each user's order of all users and its inverse, the ranks
     (both int16 up to 32,768 users, else int32), and until the item loop
     one bool per user pair; all of these go before the scores are clamped.
-    Every step before the item loop but the similarity product runs in
-    blocks of user rows, so the one other large temporary is a float32 copy
-    of the mask, freed before the product. Row blocks, then items, run on
+    That bool comes from one whole float32 product of the mask, whose
+    counts are exact in any order; the counts and the mask's float32 copy
+    are freed before the similarity product. The centring, the norms and
+    the order run in blocks of user rows, so their temporaries stay small,
+    and the similarity product runs whole. Row blocks, then items, run on
     one thread per CPU this process may run on. Each row and each item
     column is written by one thread with the same operations in the same
     order, so the scores do not depend on the thread count.
@@ -197,15 +199,16 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     # exceeds m, so a larger min_overlap is read as m + 1, which float32 holds
     observed_f = observed.astype(np.float32)
     floor = min(params.min_overlap, m + 1)
+    # one whole product, before the similarities exist, so its float32 counts never stack on them
+    thin = observed_f @ observed_f.T < floor  # pairs below min_overlap
+    del observed_f
     norms = np.empty(n)
-    thin = np.empty((n, n), dtype=bool)  # pairs below min_overlap
 
     def centre(r: slice) -> None:
         block = deviations[r]
         block -= means[r, None]
         block[~observed[r]] = 0.0
         norms[r] = np.sqrt((block**2).sum(axis=1))
-        np.less(observed_f[r] @ observed_f.T, floor, out=thin[r])
 
     def order(r: slice) -> None:
         block = sims[r]
@@ -249,7 +252,6 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # consuming every result re-raises a worker's exception here
         list(pool.map(centre, blocks))
-        del observed_f
         safe_norms = np.where(norms > 0, norms, 1.0)
         # whole: numpy sends a @ a.T to SYRK, whose bits a row block could move
         sims = deviations @ deviations.T

@@ -36,7 +36,6 @@ victims in the base lists and puts each row back in list order.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import logging
 from dataclasses import dataclass
@@ -245,10 +244,12 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
 
     Moves are (user, item) pairs with the item outside the current pool and
     a score of at least the threshold, tried in order of descending score
-    (ties: lower item id, then lower user id). Rows are kept as
-    ``(-score, item, base column)`` triples in list order, and a move
-    replaces the last entry of its user's row that another user still
-    receives; users without such an entry are skipped for that item. Stops
+    (ties: lower item id, then lower user id). A move replaces the last
+    base entry of its user's row, in list order, that another user still
+    receives; users without such an entry are skipped for that item. Each
+    row is kept as a stack of its base columns in list order: the victim
+    scan pops for good every last entry that no other user receives, a move
+    pops its victim, and an introduced item never joins a stack. Stops
     after theta introductions or when no feasible move remains, reporting
     the achieved increase.
 
@@ -258,8 +259,8 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
     per-call copy of the matrix with NaN read as 0.0 (argmax takes the
     lowest user id among ties). Popping a move that finds a victim
     introduces its item, which is never pushed again. A move without a
-    victim marks its user dead (a move whose user is already dead has none
-    and skips the scan), and the item moves on to the argmax of its
+    victim marks its user dead (a move whose user is already dead finds its
+    stack empty), and the item moves on to the argmax of its
     scores over the live users, or leaves the heap once that score is below
     the threshold. A dead user stays dead: the counts of listed items never
     rise (a victim loses one, an introduced item goes from 0 to 1 once), so
@@ -282,8 +283,9 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
         return walk.cut(params.theta)
     [scores] = _list_scores(graph, base)
     counts = np.bincount(base.ravel(), minlength=graph.n_items)
-    # each row as (-score, item, base column) triples in list order
-    rows = [sorted(zip(neg, items, range(base.shape[1]))) for neg, items in zip((-scores).tolist(), base.tolist())]
+    rows = base.tolist()
+    # each row's base columns in list order, so the last is the first a move may replace
+    stacks = np.lexsort((base, -scores)).tolist()
     counts_list = counts.tolist()
 
     # (item, user) scores with NaN read as 0.0, below any threshold (thresholds lie in
@@ -301,12 +303,12 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
     counted = [(0, 0)]  # (moves popped, users marked dead) before the first introduction and after each
     while heap and len(moves) < params.theta:
         popped += 1
-        neg_score, item, user = heap[0]
-        row = rows[user]
-        victim = len(row) - 1 if live[user] else -1  # the last entry another user still receives
-        while victim >= 0 and counts_list[row[victim][1]] < 2:
-            victim -= 1
-        if victim < 0:
+        _, item, user = heap[0]
+        row, stack = rows[user], stacks[user]
+        # pop for good each last entry no other user still receives: counts never rise
+        while stack and counts_list[row[stack[-1]]] < 2:
+            stack.pop()
+        if not stack:  # no victim: the user is dead
             dead += bool(live[user])
             live[user] = False  # for good: the counts of listed items never rise
             column = np.where(live, filled[item], 0.0)
@@ -317,10 +319,9 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
                 heapq.heappop(heap)
             continue
         heapq.heappop(heap)
-        _, replaced, slot = row.pop(victim)
-        counts_list[replaced] -= 1
+        slot = stack.pop()  # the new item joins no stack: listed once, it is never a victim
+        counts_list[row[slot]] -= 1
         counts_list[item] = 1
-        bisect.insort(row, (neg_score, item, slot))
         moves.append((user, slot, item))
         counted.append((popped, dead))
 

@@ -570,8 +570,10 @@ def test_predict_knn_peak_memory_stays_below_two_and_a_half_matrices():
 def test_predict_knn_peak_memory_stays_below_eighteen_bytes_per_user_pair():
     # beside the ratings and their mask (9 bytes a cell), the similarities (8),
     # the int16 order and ranks (2 each) and the thin-pair bool (1) fit in 18
-    # bytes a user pair; an n_users**2 temporary of the argsort's float64 key
-    # or int64 order, or of the overlap counts, does not
+    # bytes a user pair. The overlap counts are a float32 n_users**2 temporary,
+    # but they are freed before the similarities exist, so they stack on none
+    # of these; an n_users**2 temporary of the argsort's float64 key or int64
+    # order does not fit
     peak, n, m = _predict_knn_peak(1500, 200)
     assert peak < 9 * n * m + 18 * n * n
 

@@ -563,6 +563,26 @@ def test_greedy_matches_rescan_oracle_at_medium_scale():
         assert result.achieved_increase == achieved
 
 
+@pytest.mark.parametrize("threshold", [1.0, 3.5])
+def test_greedy_from_a_base_whose_rows_are_not_in_list_order_equals_the_list_ordered_base(caplog, threshold):
+    # each row's columns are rotated by 1..k-1 places, so no row is stored in
+    # list order; the walk reads every row in list order whatever its columns
+    graph = predict_knn(parse_ratings(triples_to_lines(synthetic_triples())))
+    base = top_k(graph, 5)
+    shift = np.random.default_rng(0).integers(1, 5, size=(graph.n_users, 1))
+    rotated = np.take_along_axis(base, (np.arange(5) + shift) % 5, axis=1)
+    assert (rotated != base).any(axis=1).all()
+    achieved = greedy_rerank(graph, base, GreedyParams(theta=graph.n_items, threshold=threshold)).achieved_increase
+    assert 20 < achieved < graph.n_items
+    for theta in (0, 1, 5, 20, achieved, graph.n_items):
+        ordered, line = _logged_line(caplog, lambda: greedy_rerank(graph, base, GreedyParams(theta, threshold)))
+        mixed, mixed_line = _logged_line(caplog, lambda: greedy_rerank(graph, rotated, GreedyParams(theta, threshold)))
+        assert np.array_equal(mixed.recommendations, ordered.recommendations), theta
+        assert (mixed.achieved_increase, mixed_line) == (ordered.achieved_increase, line)
+        lists, expected = greedy_rescan(graph, rotated, 5, theta, threshold)
+        assert (mixed.recommendations.tolist(), mixed.achieved_increase) == (lists, expected), theta
+
+
 def test_greedy_resumed_from_a_shorter_walk_equals_one_longer_walk():
     # the pool never shrinks and a dead user stays dead, so a walk resumed from
     # theta1's lists skips exactly the moves a walk to theta1 + theta2 had passed
