@@ -20,13 +20,14 @@ introduces not-yet-recommended items with a score above a threshold, one at
 a time in globally descending score order, each replacing the last entry of
 the victim user's list that another user still receives; the
 recommended-item pool therefore never shrinks and grows by exactly the
-achieved increase. Greedy reads only the score matrix. It walks its moves
-as a heap that holds each unpooled item's best live user, found by one
-argmax over the item's scores (NaN read as 0.0, below any threshold). A
-user with no entry that another user still receives is dead for the rest
-of the call: the counts of listed items never rise (a victim loses one, an
-introduced item goes from 0 to 1 and is never introduced again), so such a
-user never gets one. The walk tries exactly the live moves of one fully
+achieved increase. Greedy reads only the score matrix and copies none of
+it: it walks its moves as a heap that holds each unpooled item's best live
+user (NaN read as 0.0, below any threshold), found first by one pass over
+blocks of rows and, once that user is dead, by one argmax over the item's
+column. A user with no entry that another user still receives is dead for
+the rest of the call: the counts of listed items never rise (a victim loses
+one, an introduced item goes from 0 to 1 and is never introduced again), so
+such a user never gets one. The walk tries exactly the live moves of one fully
 sorted move list, in that list's order. Theta only decides where the walk
 stops, so one walk to the largest theta of a grid records what a walk to
 each smaller theta does: its first theta introductions, each with its
@@ -107,11 +108,11 @@ class GreedyWalk:
         A walk to theta makes exactly this walk's first min(theta, achieved)
         introductions, as theta only decides where a walk stops. Each
         replaces its victim's base entry; each row is then put in list
-        order. The DEBUG counter line is the one that walk logs: its moves
-        popped and users marked dead are the counts at its last
-        introduction, or where this walk ran dry before theta, and its tied
-        and lost swaps are read from the two scores of each swap. Every cut
-        returns a new lists array.
+        order. The counters, and the DEBUG line that formats them, are the
+        ones that walk gives: its moves popped and users marked dead are the
+        counts at its last introduction, or where this walk ran dry before
+        theta, and its tied and lost swaps are read from the two scores of
+        each swap. Every cut returns a new lists array.
         """
         check_type("theta", theta, "NonNegativeInt")
         if theta > self.theta:
@@ -124,26 +125,37 @@ class GreedyWalk:
         list_scores[users, columns] = scores
         lists = np.take_along_axis(lists, np.lexsort((lists, -list_scores)), axis=1)
         victims = self.base_scores[users, columns]
-        popped, dead = self.counts[min(theta, n + 1)]  # a walk that ran dry before theta stopped where this one did
+        popped, dead = self.counts[min(theta, n + 1)].tolist()  # a walk that ran dry before theta stopped here
+        result = GreedyRerankResult(lists, n, popped, dead, int(np.count_nonzero(victims == scores)),
+                                    len(set(users[victims > scores].tolist())), self)
         logger.debug(
             "greedy_rerank: theta=%d: %d items introduced, %d moves popped, %d users marked dead, "
             "%d swaps whose victim scored the same as the new item, %d users with a swap whose victim scored higher",
-            theta, n, popped, dead, np.count_nonzero(victims == scores), len(set(users[victims > scores].tolist())),
+            theta, result.achieved_increase, result.popped, result.dead, result.tied, result.lost,
         )
-        return GreedyRerankResult(lists, n, self)
+        return result
 
 
 @dataclass(frozen=True)
 class GreedyRerankResult:
-    """Greedy's lists and achieved increase at one theta, and the walk they were cut from."""
+    """Greedy's lists and achieved increase at one theta, its counters, and the walk they were cut from.
+
+    The counters are the ones its DEBUG line formats: the moves popped off
+    the heap, the users marked dead, the swaps whose victim scored the same
+    as the new item, and the users with a swap whose victim scored higher.
+    """
 
     recommendations: np.ndarray  # (n_users, k) dense item ids
     achieved_increase: int
+    popped: int
+    dead: int
+    tied: int
+    lost: int
     walk: GreedyWalk  # walk.cut gives the result at any other theta up to the walk's
 
 
-# cells of the score matrix that _ordered_blocks selects from at a time: each block
-# of rows is copied and masked on its own, so its working set stays a few MiB
+# cells of the score matrix that _ordered_blocks and greedy_rerank read at a time: each
+# block of rows is copied and masked on its own, so its working set stays a few MiB
 _BLOCK_CELLS = 1 << 18
 
 
@@ -255,13 +267,15 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
 
     The moves are walked from ``graph.matrix`` alone: a heap holds
     ``(-score, item, user)`` for each unpooled item whose best live user
-    still reaches the threshold, starting from one argmax per item over a
-    per-call copy of the matrix with NaN read as 0.0 (argmax takes the
-    lowest user id among ties). Popping a move that finds a victim
+    still reaches the threshold, with NaN read as 0.0. Each item's first
+    best user comes from one pass over blocks of rows of the matrix, each
+    block read as one argmax per item; a later block takes an item only on
+    a strictly higher score, so the lowest user id wins ties, and no copy
+    of the matrix is made. Popping a move that finds a victim
     introduces its item, which is never pushed again. A move without a
     victim marks its user dead (a move whose user is already dead finds its
-    stack empty), and the item moves on to the argmax of its
-    scores over the live users, or leaves the heap once that score is below
+    stack empty), and the item moves on to the argmax of its column of the
+    matrix over the live users, or leaves the heap once that score is below
     the threshold. A dead user stays dead: the counts of listed items never
     rise (a victim loses one, an introduced item goes from 0 to 1 once), so
     a row without an entry that another user receives never gains one. The
@@ -288,11 +302,21 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
     stacks = np.lexsort((base, -scores)).tolist()
     counts_list = counts.tolist()
 
-    # (item, user) scores with NaN read as 0.0, below any threshold (thresholds lie in
-    # [1, 5], so fmax, which also lifts a score below 0 to 0.0, changes no move)
-    filled = np.fmax(graph.matrix.T, 0.0, order="C")
-    users = filled.argmax(axis=1)  # each item's best user, the lowest id among ties
-    best = filled.max(axis=1)
+    # scores are read with NaN as 0.0, below any threshold (thresholds lie in [1, 5], so
+    # fmax, which also lifts a score below 0 to 0.0, changes no move). Each item's best
+    # user comes from blocks of rows: a later block takes an item only on a strictly
+    # higher score, so the lowest user id keeps a tie, as one argmax per column would
+    best = np.full(graph.n_items, -np.inf)
+    users = np.zeros(graph.n_items, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // graph.n_items)
+    for first in range(0, graph.n_users, step):
+        block = np.fmax(graph.matrix[first : first + step], 0.0)
+        block_users = block.argmax(axis=0)
+        block_best = block.max(axis=0)
+        better = block_best > best
+        best[better] = block_best[better]
+        users[better] = block_users[better] + first
+    del block
     start = np.flatnonzero((counts == 0) & (best >= params.threshold))
     heap = list(zip((-best[start]).tolist(), start.tolist(), users[start].tolist()))
     heapq.heapify(heap)
@@ -311,7 +335,8 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
         if not stack:  # no victim: the user is dead
             dead += bool(live[user])
             live[user] = False  # for good: the counts of listed items never rise
-            column = np.where(live, filled[item], 0.0)
+            column = np.where(live, graph.matrix[:, item], 0.0)
+            np.fmax(column, 0.0, out=column)
             user = int(column.argmax())
             if column[user] >= params.threshold:
                 heapq.heapreplace(heap, (-float(column[user]), item, user))

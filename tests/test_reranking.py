@@ -398,8 +398,12 @@ def _logged_line(caplog, call):
 
 
 def _logged_counters(caplog, graph, base, params):
+    """Call greedy; return its result and its line's counters, which must be the result's own fields."""
     result, line = _logged_line(caplog, lambda: greedy_rerank(graph, base, params))
-    return result, {key: int(value) for key, value in _COUNTERS.fullmatch(line).groupdict().items()}
+    logged = {key: int(value) for key, value in _COUNTERS.fullmatch(line).groupdict().items()}
+    assert logged == {"theta": params.theta, "introduced": result.achieved_increase, "popped": result.popped,
+                      "dead": result.dead, "tied": result.tied, "losers": result.lost}
+    return result, logged
 
 
 def _counted_from_lists(graph, base, recs):
@@ -489,6 +493,64 @@ def test_greedy_pops_of_dead_users_change_no_list_and_no_counter(caplog, seed):
         assert result.achieved_increase == achieved
         assert (logged["introduced"], logged["popped"], logged["dead"]) == counted
     assert counted[1] > counted[0] + counted[2]  # some pops find a user already dead
+
+
+def test_greedy_gives_an_item_tied_across_row_blocks_to_its_lowest_user(monkeypatch):
+    # two users per block: item 3 scores 5.0 for user 0 (block 0) and user 4 (block 2), and
+    # 4.0 for user 2 (block 1); every user's base is item 0, so every user has a victim
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 4 * 2)
+    item_3 = {0: 5.0, 2: 4.0, 4: 5.0}
+    graph = graph_of(*[[(0, 5.0)] + ([(3, item_3[u])] if u in item_3 else []) for u in range(6)], n_items=4)
+    base = top_k(graph, 1)
+    assert base.ravel().tolist() == [0] * 6
+    result = greedy_rerank(graph, base, GreedyParams(theta=1))
+    assert result.recommendations.ravel().tolist() == [3, 0, 0, 0, 0, 0]
+    assert (result.recommendations.tolist(), result.achieved_increase) == greedy_rescan(graph, base, 1, 1, 3.5)
+
+
+def test_greedy_moves_an_item_on_past_a_dead_user_who_scored_it_inf():
+    # user 0 scores item 2 inf but has no victim (no other user receives item 1), so item 2
+    # moves on to user 1: a dead user's inf must read as 0.0, not as NaN, which argmax picks
+    graph = graph_of([(1, 5.0), (2, np.inf)], [(0, 5.0), (2, 4.0)], [(0, 5.0)], n_items=3)
+    base = np.array([[1], [0], [0]])
+    result = greedy_rerank(graph, base, GreedyParams(theta=1))
+    assert (result.recommendations.tolist(), result.achieved_increase, result.dead) == ([[1], [2], [0]], 1, 1)
+    assert (result.recommendations.tolist(), result.achieved_increase) == greedy_rescan(graph, base, 1, 1, 3.5)
+
+
+@pytest.mark.parametrize("cells", [1, 40 * 3, 40 * 7])  # 60 rows in 60, 20 and 9 blocks
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_in_row_blocks_equals_the_rescan_oracle_on_tie_heavy_graphs(monkeypatch, caplog, seed, cells):
+    # rows 0-14 score 5.0 wherever rated, so most items' best score ties across blocks;
+    # threshold 1.0 leaves users without a victim, whose items move on by column
+    graph = ScoreGraph(_tie_heavy_matrix(seed), np.arange(60))
+    base = top_k(graph, 3)
+    for theta, threshold in [(5, 3.5), (graph.n_items, 3.5), (graph.n_items, 1.0), (graph.n_items, 5.0)]:
+        params = GreedyParams(theta=theta, threshold=threshold)
+        monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 20)  # one block: an argmax over each whole column
+        _, whole = _logged_counters(caplog, graph, base, params)
+        monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+        result, blocked = _logged_counters(caplog, graph, base, params)
+        assert blocked == whole, (theta, threshold)
+        lists, achieved = greedy_rescan(graph, base, 3, theta, threshold)
+        assert (result.recommendations.tolist(), result.achieved_increase) == (lists, achieved), (theta, threshold)
+
+
+def test_greedy_working_set_stays_below_half_the_matrix(monkeypatch):
+    # each item's best user comes from one block of rows at a time, and a move without a
+    # victim reads one column: no item-major copy of the scores (a whole matrix) is made
+    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    graph = ScoreGraph(_tie_heavy_matrix(5, n_users=600, n_items=400), np.arange(600))
+    base = top_k(graph, 5)
+    for threshold in (1.0, 3.5):
+        tracemalloc.start()
+        try:
+            result = greedy_rerank(graph, base, GreedyParams(theta=graph.n_items, threshold=threshold))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.matrix.nbytes / 2, threshold
+        assert result.dead > 0 or threshold == 3.5  # at 1.0, items move on by column
 
 
 def _random_graph(seed, n_users=12, n_items=30, rated_fraction=0.4):
