@@ -144,9 +144,16 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-# cells per row block of predict_knn's steps before its item loop: a block's
-# temporaries stay a few hundred KiB on each thread
-_KNN_BLOCK_CELLS = 1 << 15
+# cells per row block of the passes that read a score-sized array a block of rows
+# at a time (predict_knn's steps before its item loop, reranking's ordered
+# blocks): a block's temporaries stay a few hundred KiB on each thread
+_BLOCK_CELLS = 1 << 15
+
+
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """0..n_rows in slices of _BLOCK_CELLS // width rows (at least one), the last one possibly shorter."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def _index_dtype(n: int) -> type[np.signedinteger]:
@@ -186,13 +193,12 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     deviations, observed = dataset.dense_matrix()
     counts = observed.sum(axis=1)
     means = deviations.sum(axis=1) / counts
-    step = max(1, _KNN_BLOCK_CELLS // max(n, m))
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    blocks = _row_blocks(n, max(n, m))
     index = _index_dtype(n)
     workers = _workers(max(len(blocks), m))
     logger.debug(
         "predict_knn order: %d user blocks of at most %d rows, %s ids, on %d threads",
-        len(blocks), min(step, n), np.dtype(index).name, workers,
+        len(blocks), blocks[0].stop, np.dtype(index).name, workers,
     )
 
     # float32 adds the integer overlap counts exactly in any order; no count

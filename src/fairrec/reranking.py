@@ -6,8 +6,8 @@ and each metric) takes the score graph and applies one check,
 ``_list_scores``, which also gathers the lists' scores. Each row is
 ordered by descending score with ties broken by ascending item id.
 One blocked pass, ``_ordered_blocks``, puts each row's first d items in
-that order (non-candidates last), selecting only to depth d in blocks of
-rows of a fixed cell count, so it builds no score-sized temporary.
+that order (non-candidates last), selecting only to depth d in the row
+blocks of ``predictors._row_blocks``, so it builds no score-sized temporary.
 ``top_k`` writes the pass to depth k into its lists once every user has k
 candidates. Random serves a whole l grid from one such pass and keeps no
 order: it first draws, for every l, k rank positions uniformly from each
@@ -22,12 +22,12 @@ the victim user's list that another user still receives; the
 recommended-item pool therefore never shrinks and grows by exactly the
 achieved increase. Greedy reads only the score matrix and copies none of
 it: it walks its moves as a heap that holds each unpooled item's best live
-user (NaN read as 0.0, below any threshold), found first by one pass over
-blocks of rows and, once that user is dead, by one argmax over the item's
-column. A user with no entry that another user still receives is dead for
-the rest of the call: the counts of listed items never rise (a victim loses
-one, an introduced item goes from 0 to 1 and is never introduced again), so
-such a user never gets one. The walk tries exactly the live moves of one fully
+user (NaN read as 0.0, below any threshold), found by one argmax over the
+item's column, at the start and again each time that user dies. A user
+with no entry that another user still receives is dead for the rest of
+the call: the counts of listed items never rise (a victim loses one, an
+introduced item goes from 0 to 1 and is never introduced again), so such
+a user never gets one. The walk tries exactly the live moves of one fully
 sorted move list, in that list's order. Theta only decides where the walk
 stops, so one walk to the largest theta of a grid records what a walk to
 each smaller theta does: its first theta introductions, each with its
@@ -45,7 +45,7 @@ import numpy as np
 
 from .dataset import require_candidates
 from .errors import InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types, check_type, reject_rows
-from .predictors import ScoreGraph
+from .predictors import ScoreGraph, _row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -154,11 +154,6 @@ class GreedyRerankResult:
     walk: GreedyWalk  # walk.cut gives the result at any other theta up to the walk's
 
 
-# cells of the score matrix that _ordered_blocks and greedy_rerank read at a time: each
-# block of rows is copied and masked on its own, so its working set stays a few MiB
-_BLOCK_CELLS = 1 << 18
-
-
 def _ordered_blocks(graph: ScoreGraph, depth: int):
     """Yield ``(rows, order)`` for each block of rows, ``order`` their first ``depth`` items.
 
@@ -172,9 +167,7 @@ def _ordered_blocks(graph: ScoreGraph, depth: int):
     that every user's candidates reach, and ``random_rerank`` min(max(l),
     n_items) with every l >= k.
     """
-    step = max(1, _BLOCK_CELLS // graph.n_items)
-    for start in range(0, graph.n_users, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(graph.n_users, graph.n_items):
         block = np.fmax(graph.matrix[rows], -np.inf)  # NaN below every score
         negated = -block
         negated.partition(depth - 1, axis=1)
@@ -267,16 +260,14 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
 
     The moves are walked from ``graph.matrix`` alone: a heap holds
     ``(-score, item, user)`` for each unpooled item whose best live user
-    still reaches the threshold, with NaN read as 0.0. Each item's first
-    best user comes from one pass over blocks of rows of the matrix, each
-    block read as one argmax per item; a later block takes an item only on
-    a strictly higher score, so the lowest user id wins ties, and no copy
-    of the matrix is made. Popping a move that finds a victim
-    introduces its item, which is never pushed again. A move without a
-    victim marks its user dead (a move whose user is already dead finds its
-    stack empty), and the item moves on to the argmax of its column of the
-    matrix over the live users, or leaves the heap once that score is below
-    the threshold. A dead user stays dead: the counts of listed items never
+    still reaches the threshold, with NaN read as 0.0. An item's best user
+    is the argmax of its column of the matrix over the live users, so the
+    lowest user id wins ties, and no copy of the matrix is made. Popping a
+    move that finds a victim introduces its item, which is never pushed
+    again. A move without a victim marks its user dead (a move whose user
+    is already dead finds its stack empty), and the item moves on to its
+    best live user, or leaves the heap once that score is below the
+    threshold. A dead user stays dead: the counts of listed items never
     rise (a victim loses one, an introduced item goes from 0 to 1 once), so
     a row without an entry that another user receives never gains one. The
     heap therefore pops exactly the live moves of the fully sorted move
@@ -302,25 +293,18 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
     stacks = np.lexsort((base, -scores)).tolist()
     counts_list = counts.tolist()
 
-    # scores are read with NaN as 0.0, below any threshold (thresholds lie in [1, 5], so
-    # fmax, which also lifts a score below 0 to 0.0, changes no move). Each item's best
-    # user comes from blocks of rows: a later block takes an item only on a strictly
-    # higher score, so the lowest user id keeps a tie, as one argmax per column would
-    best = np.full(graph.n_items, -np.inf)
-    users = np.zeros(graph.n_items, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // graph.n_items)
-    for first in range(0, graph.n_users, step):
-        block = np.fmax(graph.matrix[first : first + step], 0.0)
-        block_users = block.argmax(axis=0)
-        block_best = block.max(axis=0)
-        better = block_best > best
-        best[better] = block_best[better]
-        users[better] = block_users[better] + first
-    del block
-    start = np.flatnonzero((counts == 0) & (best >= params.threshold))
-    heap = list(zip((-best[start]).tolist(), start.tolist(), users[start].tolist()))
-    heapq.heapify(heap)
     live = np.ones(graph.n_users, dtype=bool)
+
+    def best(item: int) -> tuple[float, int, int]:
+        """The heap entry of the item's best live user: the lowest user id keeps a tie."""
+        # a dead user and NaN read as 0.0, below any threshold (thresholds lie in [1, 5], so
+        # fmax, which also lifts a score below 0 to 0.0, changes no move)
+        column = np.fmax(np.where(live, graph.matrix[:, item], 0.0), 0.0)
+        user = int(column.argmax())
+        return -float(column[user]), item, user
+
+    heap = [move for move in map(best, np.flatnonzero(counts == 0).tolist()) if -move[0] >= params.threshold]
+    heapq.heapify(heap)
 
     popped = dead = 0
     moves = []  # per introduction: (user, base column of its victim, item)
@@ -335,11 +319,9 @@ def greedy_rerank(graph: ScoreGraph, base: np.ndarray, params: GreedyParams, *,
         if not stack:  # no victim: the user is dead
             dead += bool(live[user])
             live[user] = False  # for good: the counts of listed items never rise
-            column = np.where(live, graph.matrix[:, item], 0.0)
-            np.fmax(column, 0.0, out=column)
-            user = int(column.argmax())
-            if column[user] >= params.threshold:
-                heapq.heapreplace(heap, (-float(column[user]), item, user))
+            move = best(item)
+            if -move[0] >= params.threshold:
+                heapq.heapreplace(heap, move)
             else:
                 heapq.heappop(heap)
             continue

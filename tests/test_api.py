@@ -38,8 +38,9 @@ REMOVED = {
     fairrec: {"CandidateSets", "write_ratings", "RecommendationSet", "rank_order", "score_disparity",
               "recommendation_disparity"},
     fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
-    fairrec.predictors: {"_Rows"},
-    fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates", "rank_order"},
+    fairrec.predictors: {"_Rows", "_KNN_BLOCK_CELLS"},
+    fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates", "rank_order",
+                        "_BLOCK_CELLS"},
     fairrec.sweep: {"_has_type_of", "_KINDS", "parse_grid", "_BOOLEANS", "_QUOTED", "_predictor"},
     SweepConfig: {"validate"},
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists", "score_disparity",

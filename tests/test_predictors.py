@@ -350,6 +350,22 @@ def test_knn_scores_do_not_depend_on_the_index_width(monkeypatch, caplog):
         "predict_knn order: 2 user blocks of at most 156 rows, int32 ids, on 2 threads"]
 
 
+@pytest.mark.parametrize("cells,blocks,rows", [(210, 210, 1), (210 * 80, 3, 80), (1 << 20, 1, 210)],
+                         ids=["one-row-each", "shorter-last", "one-block"])
+def test_knn_scores_do_not_depend_on_the_row_blocks(monkeypatch, caplog, cells, blocks, rows):
+    # 210 users on 60 items: a block holds cells // 210 rows, so 80 rows make blocks of 80, 80 and 50
+    from _oracles import knn_full_sort
+
+    d = parse_ratings(_popular_items_lines(True))
+    params = KnnParams(n_neighbors=5, min_overlap=3)
+    monkeypatch.setattr("fairrec.predictors._BLOCK_CELLS", cells)
+    with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
+        matrix, _ = _scores_on_cpus(monkeypatch, predict_knn, d, params, 2)
+    assert np.array_equal(matrix, knn_full_sort(d, params), equal_nan=True)
+    assert _predictor_messages(caplog, "predict_knn order:") == [
+        f"predict_knn order: {blocks} user blocks of at most {rows} rows, int16 ids, on 2 threads"]
+
+
 @pytest.mark.parametrize(
     "seed,n_neighbors,min_overlap",
     [(0, 40, 1), (1, 3, 1), (2, 1, 1), (3, 5, 2), (4, 2, 3)],

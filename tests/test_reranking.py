@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from fairrec import reranking
+from fairrec import predictors, reranking
 from fairrec import (
     CandidateShortfallError,
     GreedyParams,
@@ -139,7 +139,7 @@ def ordered(graph, depth):
 @pytest.mark.parametrize("seed", range(3))
 def test_rank_order_equals_a_stable_full_sort_in_blocks(monkeypatch, seed, cells):
     # rated_fraction 0.9 leaves many rows with fewer candidates than the depth
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", cells)
     for rated_fraction in (0.3, 0.9):
         graph = ScoreGraph(_tie_heavy_matrix(seed, rated_fraction=rated_fraction), np.arange(60))
         for depth in (1, 5, 12, 39, 40):  # 40: every item
@@ -155,7 +155,7 @@ def test_rank_order_puts_non_candidates_last_by_ascending_id():
 def test_rank_order_working_set_stays_below_a_fraction_of_the_matrix(monkeypatch):
     # one block of rows at a time: besides its result, the selection holds no
     # score-sized temporary, such as a negated copy or a full row sort
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", 1 << 12)
     graph = ScoreGraph(_tie_heavy_matrix(5, n_users=400, n_items=300), np.arange(400))
     for depth in (5, 50):
         tracemalloc.start()
@@ -247,7 +247,7 @@ GRIDS = [(3,), (12, 3, 40), (40, 5, 12, 5), (10**21, 41, 3, 7, 3), (7, 3, 41, 12
 @pytest.mark.parametrize("cells", [1, 40 * 7, 1 << 20])  # 60 rows in 60, 9 and 1 blocks
 @pytest.mark.parametrize("seed", range(3))
 def test_random_grid_equals_the_per_ell_oracle_on_tie_heavy_graphs(monkeypatch, seed, cells):
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", cells)
     for rated_fraction, k in ((0.3, 3), (0.8, 1)):  # 0.8 leaves about 8 candidates a user
         graph = ScoreGraph(_tie_heavy_matrix(seed, rated_fraction=rated_fraction), np.arange(60))
         ranked = np.argsort(-graph.matrix, axis=1, kind="stable")
@@ -263,7 +263,7 @@ def test_random_grid_equals_the_per_ell_oracle_on_tie_heavy_graphs(monkeypatch, 
 def test_random_holds_no_order_of_the_deepest_ell(monkeypatch):
     # one block of rows at a time, each gathered at every l's draws and dropped:
     # even at max(l) = n_items the call never holds an (n_users, n_items) order
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", 1 << 12)
     graph = ScoreGraph(_tie_heavy_matrix(5, n_users=400, n_items=300), np.arange(400))
     order_bytes = graph.n_users * graph.n_items * np.dtype(np.int64).itemsize
     tracemalloc.start()
@@ -496,9 +496,10 @@ def test_greedy_pops_of_dead_users_change_no_list_and_no_counter(caplog, seed):
 
 
 def test_greedy_gives_an_item_tied_across_row_blocks_to_its_lowest_user(monkeypatch):
-    # two users per block: item 3 scores 5.0 for user 0 (block 0) and user 4 (block 2), and
-    # 4.0 for user 2 (block 1); every user's base is item 0, so every user has a victim
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 4 * 2)
+    # item 3 scores 5.0 for users 0 and 4 and 4.0 for user 2, so the argmax over its column
+    # gives it to user 0; top_k builds the base two users per block, and every user's base
+    # is item 0, so every user has a victim
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", 4 * 2)
     item_3 = {0: 5.0, 2: 4.0, 4: 5.0}
     graph = graph_of(*[[(0, 5.0)] + ([(3, item_3[u])] if u in item_3 else []) for u in range(6)], n_items=4)
     base = top_k(graph, 1)
@@ -521,15 +522,16 @@ def test_greedy_moves_an_item_on_past_a_dead_user_who_scored_it_inf():
 @pytest.mark.parametrize("cells", [1, 40 * 3, 40 * 7])  # 60 rows in 60, 20 and 9 blocks
 @pytest.mark.parametrize("seed", range(3))
 def test_greedy_in_row_blocks_equals_the_rescan_oracle_on_tie_heavy_graphs(monkeypatch, caplog, seed, cells):
-    # rows 0-14 score 5.0 wherever rated, so most items' best score ties across blocks;
-    # threshold 1.0 leaves users without a victim, whose items move on by column
+    # the cells vary only top_k's row blocks, which build the base; greedy reads each
+    # item's column whole. Rows 0-14 score 5.0 wherever rated, so most items' best score
+    # ties among users; threshold 1.0 leaves users without a victim, whose items move on
     graph = ScoreGraph(_tie_heavy_matrix(seed), np.arange(60))
-    base = top_k(graph, 3)
     for theta, threshold in [(5, 3.5), (graph.n_items, 3.5), (graph.n_items, 1.0), (graph.n_items, 5.0)]:
         params = GreedyParams(theta=theta, threshold=threshold)
-        monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 20)  # one block: an argmax over each whole column
-        _, whole = _logged_counters(caplog, graph, base, params)
-        monkeypatch.setattr(reranking, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(predictors, "_BLOCK_CELLS", 1 << 20)  # one block
+        _, whole = _logged_counters(caplog, graph, top_k(graph, 3), params)
+        monkeypatch.setattr(predictors, "_BLOCK_CELLS", cells)
+        base = top_k(graph, 3)
         result, blocked = _logged_counters(caplog, graph, base, params)
         assert blocked == whole, (theta, threshold)
         lists, achieved = greedy_rescan(graph, base, 3, theta, threshold)
@@ -537,9 +539,9 @@ def test_greedy_in_row_blocks_equals_the_rescan_oracle_on_tie_heavy_graphs(monke
 
 
 def test_greedy_working_set_stays_below_half_the_matrix(monkeypatch):
-    # each item's best user comes from one block of rows at a time, and a move without a
-    # victim reads one column: no item-major copy of the scores (a whole matrix) is made
-    monkeypatch.setattr(reranking, "_BLOCK_CELLS", 1 << 12)
+    # top_k builds the base one block of rows at a time, and greedy reads one column per
+    # item's best user: no item-major copy of the scores (a whole matrix) is made
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", 1 << 12)
     graph = ScoreGraph(_tie_heavy_matrix(5, n_users=600, n_items=400), np.arange(600))
     base = top_k(graph, 5)
     for threshold in (1.0, 3.5):
