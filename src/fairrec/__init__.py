@@ -1,6 +1,6 @@
 """Collaborative filtering, diversity re-ranking, and user-disparity metrics."""
 
-from .dataset import RatingsDataset, candidate_sets, load_ratings, parse_ratings
+from .dataset import RatingsDataset, candidate_sets, load_ratings
 from .errors import (
     CandidateShortfallError,
     DuplicateRatingError,
@@ -70,7 +70,6 @@ __all__ = [
     "load_ratings",
     "load_score_cache",
     "overlap_similarity",
-    "parse_ratings",
     "predict_knn",
     "predict_nmf",
     "random_rerank",

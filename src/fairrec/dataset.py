@@ -1,4 +1,4 @@
-"""MovieLens-format ratings: parsing, the rating matrix, the candidate mask.
+"""MovieLens-format ratings: the one reader, the sparse ratings, the candidate mask.
 
 The input format is one rating per line, ``user item rating timestamp``,
 separated by tabs or single spaces. Timestamps are discarded. Raw file ids
@@ -6,21 +6,23 @@ are remapped to dense 0-based ids (assigned in ascending raw-id order, so
 the mapping does not depend on line order); downstream code works with
 dense ids only, and reports translate back through ``user_ids`` and
 ``item_ids``. A user's candidates are the items they have not rated, held
-for all users as one (n_users, n_items) bool mask.
+for all users as one (n_users, n_items) bool mask; ``candidate_sets``
+builds it, and its complement is the rated-cell mask every predictor reads.
 
-A file of plain lines (four unsigned integers below 10**18 each, nothing
-else) is split in one vectorised pass, any other source by a line loop that
-names a faulty line and reads each field with ``parse_number``, the one rule
-for what text is an integer; one checker then checks the ratings and pairs
-of both and maps the ids.
+``load_ratings`` reads every source: a path, a text stream or any iterable
+of lines. A file of plain lines (four unsigned integers below 10**18 each,
+nothing else) is split in one vectorised pass, any other source by a line
+loop that names a faulty line and reads each field with ``parse_number``,
+the one rule for what text is an integer; one checker then checks the
+ratings and pairs of both and maps the ids.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
@@ -66,21 +68,14 @@ class RatingsDataset:
             digest.update(array.tobytes())
         return digest.hexdigest()
 
-    def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (ratings, observed-mask) as dense (n_users, n_items) arrays."""
-        r = np.zeros((self.n_users, self.n_items))
-        r[self.users, self.items] = self.ratings
-        mask = np.zeros((self.n_users, self.n_items), dtype=bool)
-        mask[self.users, self.items] = True
-        return r, mask
 
-
-def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDataset:
+def load_ratings(source: str | os.PathLike | IO[str] | Iterable[str]) -> RatingsDataset:
     """Parse ``user item rating timestamp`` lines into a RatingsDataset.
 
-    Accepts a path, an open text stream, or any iterable of lines. Raises
-    RatingParseError for malformed lines, RatingRangeError for ratings
-    outside 1-5, and DuplicateRatingError for repeated (user, item) pairs.
+    Accepts a path (``str`` or ``os.PathLike``), an open text stream, or any
+    iterable of lines. Raises RatingParseError for malformed lines,
+    RatingRangeError for ratings outside 1-5, and DuplicateRatingError for
+    repeated (user, item) pairs.
 
     A file is first read whole and split in one vectorised pass
     (``_parse_plain``); any other file, split into lines as
@@ -89,7 +84,7 @@ def parse_ratings(source: str | Path | IO[str] | Iterable[str]) -> RatingsDatase
     as it does in a list of lines. One checker then takes either's fields, so
     every format fault is found before any bad rating or repeated pair.
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as handle:
             data = handle.read()
         fields = _parse_plain(data)
@@ -188,11 +183,6 @@ def _checked(raw_users, raw_items, stars, line_nos) -> RatingsDataset:
         user_ids=user_ids,
         item_ids=item_ids,
     )
-
-
-def load_ratings(path: str | Path) -> RatingsDataset:
-    """Parse a ratings file from disk."""
-    return parse_ratings(Path(path))
 
 
 def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> np.ndarray:

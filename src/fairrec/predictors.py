@@ -190,7 +190,9 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
 
     n, m = dataset.n_users, dataset.n_items
     # one score-sized array: the ratings, centred in place, then the scores
-    deviations, observed = dataset.dense_matrix()
+    observed = ~candidate_sets(dataset)
+    deviations = np.zeros((n, m))
+    deviations[dataset.users, dataset.items] = dataset.ratings
     counts = observed.sum(axis=1)
     means = deviations.sum(axis=1) / counts
     blocks = _row_blocks(n, max(n, m))

@@ -166,12 +166,19 @@ def _obtain_scores(cfg: SweepConfig, dataset):
 
 
 def _log_stage(marks: list[float], stage: str) -> None:
-    """At DEBUG, mark the time and log the stage's wall seconds since the last mark and the peak RSS so far."""
-    if logger.isEnabledFor(logging.DEBUG):
-        import resource  # POSIX only, so imported only when a stage is logged
+    """At DEBUG, mark the time and log the stage's wall seconds since the last mark and the peak RSS so far.
 
+    On Linux the peak is ``VmHWM``, this process's own: Linux carries
+    ``ru_maxrss`` across ``exec``, so that reads a larger parent's peak.
+    """
+    if logger.isEnabledFor(logging.DEBUG):
         marks.append(time.perf_counter())
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        try:  # kB, as ru_maxrss on Linux
+            peak = int(re.search(rb"VmHWM:\s*(\d+)", Path("/proc/self/status").read_bytes())[1]) / (1 << 10)
+        except OSError:  # no /proc: not Linux
+            import resource  # POSIX only, so imported only when a stage is logged
+
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
         logger.debug("run_sweep: %s: %.3f s, peak RSS %.1f MB", stage, marks[-1] - marks[-2], peak)
 
 

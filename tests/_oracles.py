@@ -11,12 +11,20 @@ order as it was before one blocked pass served the whole l grid, kept as
 written so the rewrites can be held to them exactly at sizes the re-scan
 oracles cannot reach. graph_from_pairs and
 candidate_scores build and read score graphs the way the tests state them,
-as per-user (item, score) pairs.
+as per-user (item, score) pairs, and dense_ratings lays a dataset's ratings
+out as a matrix.
 """
 
 import numpy as np
 
 from fairrec import InvalidInputError, ScoreGraph
+
+
+def dense_ratings(dataset):
+    """Dense (ratings, observed mask); every rating is >= 1, so a cell is rated exactly when nonzero."""
+    values = np.zeros((dataset.n_users, dataset.n_items))
+    values[dataset.users, dataset.items] = dataset.ratings
+    return values, values != 0
 
 
 def graph_from_pairs(pairs_per_user, n_items: int) -> ScoreGraph:
@@ -234,7 +242,7 @@ def knn_full_sort(dataset, params):
     (n_users, n_items) matrix, NaN for rated items, to compare bit for bit.
     """
     n, m = dataset.n_users, dataset.n_items
-    rated_values, observed = dataset.dense_matrix()
+    rated_values, observed = dense_ratings(dataset)
     counts = observed.sum(axis=1)
     means = rated_values.sum(axis=1) / counts
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairrec import parse_ratings
+from fairrec import load_ratings
 
 ML100K_ENV = "FAIRREC_ML100K"
 ML100K_CANDIDATE_PATHS = (
@@ -94,4 +94,4 @@ def synthetic_file(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def synthetic_dataset(synthetic_file):
-    return parse_ratings(synthetic_file)
+    return load_ratings(synthetic_file)

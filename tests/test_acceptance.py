@@ -25,7 +25,6 @@ from fairrec import (
     greedy_rerank,
     load_ratings,
     overlap_similarity,
-    parse_ratings,
     predict_knn,
     predict_nmf,
     random_rerank,
@@ -164,7 +163,7 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
 @pytest.fixture(scope="module")
 def synthetic_ratings():
     """ML-100K-shaped synthetic ratings, for criteria 3-5 without MovieLens."""
-    dataset = parse_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
+    dataset = load_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
     candidate_sets(dataset, min_size=5)  # every user can fill a list of 5
     return dataset
 

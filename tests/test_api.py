@@ -36,8 +36,8 @@ def test_every_exported_name_resolves():
 # names no pipeline path, CLI flag or benchmark hook read, removed from the API
 REMOVED = {
     fairrec: {"CandidateSets", "write_ratings", "RecommendationSet", "rank_order", "score_disparity",
-              "recommendation_disparity"},
-    fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines"},
+              "recommendation_disparity", "parse_ratings"},
+    fairrec.dataset: {"CandidateSets", "write_ratings", "_write_lines", "parse_ratings"},
     fairrec.predictors: {"_Rows", "_KNN_BLOCK_CELLS"},
     fairrec.reranking: {"RecommendationSet", "_check_lists", "_reject_rows", "_require_candidates", "rank_order",
                         "_BLOCK_CELLS"},
@@ -46,7 +46,7 @@ REMOVED = {
     fairrec.metrics: {"RecommendationSet", "_write_lines", "_check_aligned", "_check_lists", "score_disparity",
                       "recommendation_disparity"},
     ScoreGraph: {"from_pairs", "scores", "provenance", "lookup", "ranked_users", "ranked"},
-    RatingsDataset: {"rated_items", "user_index", "item_index"},
+    RatingsDataset: {"rated_items", "user_index", "item_index", "dense_matrix"},
     RandomParams: {"tag"},
     GreedyParams: {"tag"},
     KnnParams: {"tag"},  # the score cache's key reads the params' fields

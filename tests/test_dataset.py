@@ -14,7 +14,6 @@ from fairrec import (
     RatingRangeError,
     candidate_sets,
     load_ratings,
-    parse_ratings,
 )
 from fairrec.dataset import _parse_plain
 
@@ -29,7 +28,7 @@ def _arrays(d):
 def _outcome(source):
     """The parsed arrays as (dtype, shape, bytes), or the error's type and message."""
     try:
-        return _arrays(parse_ratings(source))
+        return _arrays(load_ratings(source))
     except Exception as exc:  # every outcome is compared, not only the expected ones
         return type(exc), str(exc)
 
@@ -50,7 +49,7 @@ def file_outcomes(text: str):
 
 
 def parse(lines):
-    """parse_ratings(lines), checked against the same lines read from a file.
+    """load_ratings(lines), checked against the same lines read from a file.
 
     The file must give exactly what the list gives: the same arrays, or the
     same error type and message. An open stream gives the same, except that
@@ -64,7 +63,7 @@ def parse(lines):
     else:
         assert from_stream[0] is RatingParseError
         assert "not ASCII" in from_stream[1]
-    return parse_ratings(list(lines))
+    return load_ratings(list(lines))
 
 
 def test_parse_three_lines_direct_readback():
@@ -145,7 +144,7 @@ def test_plain_file_content_faults_need_no_second_parse(last, error, message, tm
 
     monkeypatch.setattr("fairrec.dataset._parse_lines", line_loop)
     with pytest.raises(error) as info:
-        parse_ratings(path)
+        load_ratings(path)
     assert str(info.value) == message
 
 
@@ -156,7 +155,7 @@ def test_a_format_fault_is_reported_before_an_earlier_content_fault(tmp_path):
     with open(path, encoding="ascii") as stream:
         for source in (path, str(path), stream, lines):
             with pytest.raises(RatingParseError, match="^line 3: non-numeric user or item id$"):
-                parse_ratings(source)
+                load_ratings(source)
 
 
 def test_rating_beyond_int64_is_named_in_full():
@@ -207,17 +206,25 @@ def test_vectorised_pass_reads_leading_zeros_18_digits_and_edge_whitespace():
     assert d.item_ids.tolist() == [10, 20]
 
 
+def test_load_ratings_reads_any_os_pathlike(synthetic_file):
+    class Location:  # an os.PathLike that is not a Path, so not to be read as lines
+        def __fspath__(self):
+            return str(synthetic_file)
+
+    assert _arrays(load_ratings(Location())) == _arrays(load_ratings(synthetic_file))
+
+
 def test_load_ratings_equals_the_line_loop(synthetic_file):
     assert _parse_plain(synthetic_file.read_bytes()) is not None
     with open(synthetic_file, encoding="ascii") as stream:
-        assert _arrays(load_ratings(synthetic_file)) == _arrays(parse_ratings(stream))
+        assert _arrays(load_ratings(synthetic_file)) == _arrays(load_ratings(stream))
 
 
 def test_non_ascii_file_rejected(tmp_path):
     path = tmp_path / "bad.data"
     path.write_bytes("1 10 4 0\n1 2ダ4 0\n".encode("utf-8"))
     with pytest.raises(RatingParseError, match="ASCII"):
-        parse_ratings(path)
+        load_ratings(path)
 
 
 def test_non_ascii_byte_past_the_first_read_chunk_names_its_line(tmp_path):
@@ -229,7 +236,7 @@ def test_non_ascii_byte_past_the_first_read_chunk_names_its_line(tmp_path):
     path = tmp_path / "bad.data"
     path.write_bytes(bytes(data))
     with pytest.raises(RatingParseError, match=f"^line {line}: not ASCII text$"):
-        parse_ratings(path)
+        load_ratings(path)
 
 
 def test_dense_ids_are_contiguous_and_sorted_by_raw_id():

@@ -15,7 +15,7 @@ from fairrec import (
     gini,
     greedy_rerank,
     overlap_similarity,
-    parse_ratings,
+    load_ratings,
     satisfaction,
     top_k,
 )
@@ -352,11 +352,11 @@ def test_write_per_user_csv_needs_one_row_per_dataset_user(tmp_path):
     top = top_k(graph, 1)
     report = disparity_report(graph, top, top, predictor="knn", post="none", param=0)
     destination = tmp_path / "per_user.csv"
-    two_users = parse_ratings(["7 1 5 0\n", "8 2 4 0\n"])
+    two_users = load_ratings(["7 1 5 0\n", "8 2 4 0\n"])
     with pytest.raises(InvalidInputError, match="a report of 3 users for a dataset of 2"):
         write_per_user_csv(report, destination, two_users)
     assert not destination.exists()
-    write_per_user_csv(report, destination, parse_ratings(["7 1 5 0\n", "8 2 4 0\n", "9 1 3 0\n"]))
+    write_per_user_csv(report, destination, load_ratings(["7 1 5 0\n", "8 2 4 0\n", "9 1 3 0\n"]))
     assert destination.read_text(encoding="ascii").splitlines()[1:] == [
         "7,1.000000,1.000000",
         "8,1.000000,1.000000",

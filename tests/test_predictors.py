@@ -24,7 +24,7 @@ from fairrec import (
     fit_nmf,
     greedy_rerank,
     load_score_cache,
-    parse_ratings,
+    load_ratings,
     predict_knn,
     predict_nmf,
     random_rerank,
@@ -34,7 +34,7 @@ from fairrec import (
 )
 from fairrec.predictors import _check_finite, _index_dtype
 
-from _oracles import candidate_scores
+from _oracles import candidate_scores, dense_ratings
 from conftest import synthetic_triples, triples_to_lines
 
 
@@ -44,7 +44,7 @@ def dataset_of(*user_ratings):
     for u, ratings in enumerate(user_ratings, start=1):
         for item, stars in ratings.items():
             lines.append(f"{u} {item} {stars} 0\n")
-    return parse_ratings(lines)
+    return load_ratings(lines)
 
 
 def knn_score(graph, user, item):
@@ -230,13 +230,13 @@ def test_knn_is_invariant_under_user_relabeling():
     # generic instance (no similarity ties), so renaming raw user ids must
     # permute predictions without changing them
     triples = synthetic_triples(n_users=20, n_items=25, seed=5, min_per_user=6, max_per_user=14)
-    d1 = parse_ratings(triples_to_lines(triples))
+    d1 = load_ratings(triples_to_lines(triples))
     g1 = predict_knn(d1)
 
     rng = np.random.default_rng(0)
     new_ids = {u + 1: int(p) + 101 for u, p in enumerate(rng.permutation(d1.n_users))}
     relabeled = [(new_ids[u], i, r) for u, i, r in triples]
-    d2 = parse_ratings(triples_to_lines(relabeled))
+    d2 = load_ratings(triples_to_lines(relabeled))
     g2 = predict_knn(d2)
 
     for raw_old, raw_new in new_ids.items():
@@ -268,7 +268,7 @@ def _popular_items_lines(tie_heavy: bool) -> list[str]:
 def test_knn_matches_full_sort_bit_for_bit(tie_heavy, n_neighbors, min_overlap):
     from _oracles import knn_full_sort
 
-    d = parse_ratings(_popular_items_lines(tie_heavy))
+    d = load_ratings(_popular_items_lines(tie_heavy))
     params = KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap)
     assert (np.bincount(d.items) > n_neighbors).sum() >= 15  # the partial-selection path
     graph = predict_knn(d, params)
@@ -304,7 +304,7 @@ def _scores_on_cpus(monkeypatch, predict, d, params, cpus):
 def test_knn_scores_do_not_depend_on_the_thread_count(monkeypatch, caplog, synthetic_dataset, lines, params):
     from _oracles import knn_full_sort
 
-    d = synthetic_dataset if lines is None else parse_ratings(lines)
+    d = synthetic_dataset if lines is None else load_ratings(lines)
     expected = knn_full_sort(d, params)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would race
@@ -340,7 +340,7 @@ def test_knn_scores_do_not_depend_on_the_index_width(monkeypatch, caplog):
     # must give the same bits as int16, which every other test here runs
     from _oracles import knn_full_sort
 
-    d = parse_ratings(_popular_items_lines(True))
+    d = load_ratings(_popular_items_lines(True))
     params = KnnParams(n_neighbors=5, min_overlap=3)
     monkeypatch.setattr("fairrec.predictors._index_dtype", lambda n: np.int32)
     with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
@@ -356,7 +356,7 @@ def test_knn_scores_do_not_depend_on_the_row_blocks(monkeypatch, caplog, cells, 
     # 210 users on 60 items: a block holds cells // 210 rows, so 80 rows make blocks of 80, 80 and 50
     from _oracles import knn_full_sort
 
-    d = parse_ratings(_popular_items_lines(True))
+    d = load_ratings(_popular_items_lines(True))
     params = KnnParams(n_neighbors=5, min_overlap=3)
     monkeypatch.setattr("fairrec.predictors._BLOCK_CELLS", cells)
     with caplog.at_level(logging.DEBUG, logger="fairrec.predictors"):
@@ -376,7 +376,7 @@ def test_knn_matches_loop_reference(seed, n_neighbors, min_overlap):
     triples = synthetic_triples(
         n_users=18, n_items=22, seed=seed, min_per_user=5, max_per_user=12
     )
-    d = parse_ratings(triples_to_lines(triples))
+    d = load_ratings(triples_to_lines(triples))
     c = candidate_sets(d)
     graph = predict_knn(d, KnnParams(n_neighbors=n_neighbors, min_overlap=min_overlap))
     expected = knn_rescan(d, c, n_neighbors, min_overlap)
@@ -429,7 +429,7 @@ def _rank_one_dataset():
 def test_nmf_reconstructs_a_rank_one_matrix():
     d = _rank_one_dataset()
     p, q, losses = fit_nmf(d, NmfParams(n_factors=2, n_epochs=2000, seed=1))
-    dense, observed = d.dense_matrix()
+    dense, observed = dense_ratings(d)
     errors = np.abs((p @ q.T) - dense)[observed]
     assert errors.max() <= 1e-2
     assert losses[-1] < losses[0]
@@ -463,7 +463,7 @@ def _three_product_loop(d, params):
     Returns P, Q, the losses summed over the observed entries alone, and the
     same losses summed over the whole masked matrix.
     """
-    rated_values, observed = d.dense_matrix()
+    rated_values, observed = dense_ratings(d)
     mask = observed.astype(np.float64)
     target = rated_values * mask
     rng = np.random.default_rng(params.seed)
@@ -482,7 +482,7 @@ def _three_product_loop(d, params):
 
 def _multi_block_dataset():
     # 800 users and 900 items make two 384-row blocks on each axis, the last one longer
-    return parse_ratings(triples_to_lines(synthetic_triples(n_users=800, n_items=900)))
+    return load_ratings(triples_to_lines(synthetic_triples(n_users=800, n_items=900)))
 
 
 def test_fit_nmf_equals_the_three_product_loop_exactly(synthetic_dataset):
@@ -538,7 +538,7 @@ def _fit_nmf_peaks():
     """fit_nmf's traced peak over its matrix's bytes, at one block and at two blocks per axis."""
     peaks = []
     for n_users, n_items in ((300, 400), (800, 900)):
-        d = parse_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
+        d = load_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             fit_nmf(d, NmfParams(n_factors=5, n_epochs=2))
@@ -564,7 +564,7 @@ def test_fit_nmf_peak_memory_stays_below_one_and_a_half_matrices():
 
 def _predict_knn_peak(n_users, n_items):
     """predict_knn's traced peak in bytes, and the dataset's shape."""
-    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
+    d = load_ratings(triples_to_lines(synthetic_triples(n_users=n_users, n_items=n_items)))
     tracemalloc.start()
     try:
         predict_knn(d, KnnParams(n_neighbors=5))
@@ -600,7 +600,7 @@ def test_predict_knn_releases_its_user_pair_arrays_before_the_clamp(monkeypatch)
     # (12 bytes a user pair) are gone, so the clamp's bool temporaries do not
     # stack on them. At 600 users and 80 items one int16 user-pair array
     # alone (2 bytes a pair) is larger than the bound
-    d = parse_ratings(triples_to_lines(synthetic_triples(n_users=600, n_items=80)))
+    d = load_ratings(triples_to_lines(synthetic_triples(n_users=600, n_items=80)))
     clamp = ScoreGraph.from_matrix.__func__
     held = []
 
@@ -624,6 +624,21 @@ def test_nmf_params_validation():
         NmfParams(n_factors=0)
     with pytest.raises(InvalidInputError):
         NmfParams(n_epochs=-1)
+
+
+@pytest.mark.parametrize("n_epochs, message", [
+    (1, "factorization diverged to non-finite values"),  # the loss after an epoch
+    (0, "factorization produced non-finite factors"),  # the factors, when no epoch runs
+])
+def test_fit_nmf_rejects_non_finite_factors(n_epochs, message, monkeypatch):
+    class NanStarts:  # NaN, not inf: inf * 0 warns, and the warning would fail the test first
+        def uniform(self, size):
+            return np.full(size, np.nan)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NanStarts())
+    with pytest.raises(FactorizationError) as raised:
+        fit_nmf(_rank_one_dataset(), NmfParams(n_factors=2, n_epochs=n_epochs, seed=1))
+    assert str(raised.value) == message
 
 
 def test_check_finite_raises_on_nan():
@@ -671,7 +686,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
         for i in range(4):
             if (u, i) != (3, 3):
                 lines.append(f"{u + 1} {i + 1} {values[u, i]} 0\n")
-    d = parse_ratings(lines)
+    d = load_ratings(lines)
     c = candidate_sets(d)
     assert np.flatnonzero(c[3]).tolist() == [3]
 
@@ -680,7 +695,7 @@ def test_nmf_hidden_entry_matches_reference_implementation():
     predicted = graph.matrix[3, 3]
     assert 1.0 <= predicted <= 5.0
 
-    dense, observed = d.dense_matrix()
+    dense, observed = dense_ratings(d)
     p_ref, q_ref = _nmf_reference(
         dense.tolist(),
         observed.tolist(),
@@ -735,7 +750,7 @@ def test_errors_name_raw_user_ids():
     # raw user ids 101 and 205 map to dense 0 and 1; 205 rated all but one item
     lines = ["101 1 5 0\n", "101 2 3 0\n"]
     lines += [f"205 {i} {1 + i % 5} 0\n" for i in range(1, 5)]
-    d = parse_ratings(lines)
+    d = load_ratings(lines)
     graph = predict_knn(d)
     assert graph.user_ids.tolist() == [101, 205]
     lists = np.array([[2], [0]])  # dense item 0 is raw item 1, rated by both users
@@ -769,14 +784,14 @@ def test_score_cache_round_trip(tmp_path, synthetic_dataset):
 
 def test_score_cache_rejects_stale_candidates(tmp_path):
     triples = synthetic_triples()
-    before = parse_ratings(triples_to_lines(triples))
+    before = load_ratings(triples_to_lines(triples))
     path = tmp_path / "scores.npy"
     save_score_cache(predict_knn(before), path=path)
 
     # the cache was written before user 0 rated one more, existing item
     unrated = np.setdiff1d(np.arange(before.n_items), before.items[before.users == 0])
     raw_user, raw_item = before.user_ids[0], before.item_ids[unrated[0]]
-    after = parse_ratings(triples_to_lines(triples + [(raw_user, raw_item, 4)]))
+    after = load_ratings(triples_to_lines(triples + [(raw_user, raw_item, 4)]))
     assert (after.n_users, after.n_items) == (before.n_users, before.n_items)
     with pytest.raises(InvalidInputError, match=f"user {raw_user} do not match"):
         load_score_cache(path, after)
@@ -826,7 +841,7 @@ def _scored(matrix, value):
     ],
 )
 def test_score_cache_rejects_malformed_files(tmp_path, contents, message):
-    d = parse_ratings([f"{101 + u} {i} {1 + (u + i) % 5} 0\n" for u in range(5) for i in range(u, u + 3)])
+    d = load_ratings([f"{101 + u} {i} {1 + (u + i) % 5} 0\n" for u in range(5) for i in range(u, u + 3)])
     graph = ScoreGraph.from_matrix(np.full((d.n_users, d.n_items), 3.0), d)
     path = tmp_path / "scores.npy"
     path.write_bytes(contents(graph.matrix))

@@ -15,7 +15,7 @@ from fairrec import (
     ScoreGraph,
     aggregate_diversity,
     greedy_rerank,
-    parse_ratings,
+    load_ratings,
     predict_knn,
     predict_nmf,
     random_rerank,
@@ -631,7 +631,7 @@ def test_greedy_matches_rescan_oracle_at_medium_scale():
 def test_greedy_from_a_base_whose_rows_are_not_in_list_order_equals_the_list_ordered_base(caplog, threshold):
     # each row's columns are rotated by 1..k-1 places, so no row is stored in
     # list order; the walk reads every row in list order whatever its columns
-    graph = predict_knn(parse_ratings(triples_to_lines(synthetic_triples())))
+    graph = predict_knn(load_ratings(triples_to_lines(synthetic_triples())))
     base = top_k(graph, 5)
     shift = np.random.default_rng(0).integers(1, 5, size=(graph.n_users, 1))
     rotated = np.take_along_axis(base, (np.arange(5) + shift) % 5, axis=1)
@@ -778,7 +778,7 @@ def test_greedy_rejects_mismatched_base():
 def tie_heavy_graphs():
     # clamping ties 28% (KNN) and 82% (NMF) of the top-5 scores at 5.0
     triples = synthetic_triples(n_users=250, n_items=300, seed=1, min_per_user=10, max_per_user=60)
-    d = parse_ratings(triples_to_lines(triples))
+    d = load_ratings(triples_to_lines(triples))
     return {"knn": predict_knn(d), "nmf": predict_nmf(d)}
 
 

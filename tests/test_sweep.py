@@ -691,6 +691,13 @@ def test_cli_run_with_config_file(synthetic_file, tmp_path, capsys):
     assert "D_S=" in stdout
 
 
+def _run_python(script, *args):
+    """Run ``python -c script args`` on this fairrec, its stdout and stderr captured as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(fairrec.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
+
+
 def test_a_sweep_imports_no_masked_array_module(synthetic_file, tmp_path):
     # numpy.ma is a lazy numpy submodule; no report or writer needs it, so a
     # whole sweep loads none of it beyond what importing the CLI loaded
@@ -704,9 +711,7 @@ def test_a_sweep_imports_no_masked_array_module(synthetic_file, tmp_path):
     )
     args = ["run", "--data", str(synthetic_file), "--post", "greedy", "--k", "3", "--theta", "1,4", "--per-user",
             "--out", str(tmp_path / "out")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(fairrec.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
+    run = _run_python(script, *args)
     assert run.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "greedy__knn__score_disparity.dat").exists()
 
@@ -782,6 +787,27 @@ def test_each_stage_line_times_its_own_stage(synthetic_file, tmp_path, monkeypat
     assert [line.split(",")[0] for line in lines] == [
         f"run_sweep: {stage}: {2 * n + 1}.000 s" for n, stage in enumerate(stages)]
     assert all(float(line.split("peak RSS ")[1].removesuffix(" MB")) > 0 for line in lines)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the run's own peak is read from Linux's /proc")
+def test_stage_lines_read_the_runs_own_peak_not_its_parents(tmp_path):
+    # Linux carries ru_maxrss across exec, so a run spawned by a process that
+    # once held about 300 MB read that peak at every stage; VmHWM is the run's own
+    ratings = tmp_path / "ratings.data"
+    ratings.write_text("".join(f"{u} {i} {1 + (u + i) % 5} 0\n"
+                               for u in range(1, 9) for i in range(1, 13) if (u + i) % 3))
+    script = (
+        "import subprocess, sys\n"
+        "ballast = b'x' * (300 << 20)\n"
+        "del ballast\n"
+        "sys.exit(subprocess.run([sys.executable, '-m', 'fairrec', *sys.argv[1:]]).returncode)\n"
+    )
+    args = ["run", "-v", "--data", str(ratings), "--k", "2", "--out", str(tmp_path / "out")]
+    run = _run_python(script, *args)
+    stage = re.compile(r"^fairrec\.sweep: run_sweep: .+, peak RSS (\d+\.\d) MB$", re.M)
+    peaks = [float(peak) for peak in stage.findall(run.stderr)]
+    assert len(peaks) == 5  # read, scores, order, none 0, write
+    assert max(peaks) < 200
 
 
 def test_cli_flags_override_config(synthetic_file, tmp_path):
