@@ -7,7 +7,9 @@ the mapping does not depend on line order); downstream code works with
 dense ids only, and reports translate back through ``user_ids`` and
 ``item_ids``. A user's candidates are the items they have not rated, held
 for all users as one (n_users, n_items) bool mask; ``candidate_sets``
-builds it, and its complement is the rated-cell mask every predictor reads.
+builds it and does nothing else. Its complement is the rated-cell mask every
+predictor reads, and its row sums are the counts ``require_candidates``
+checks against a list size k.
 
 ``load_ratings`` reads every source: a path, a text stream or any iterable
 of lines. A file of plain lines (four unsigned integers below 10**18 each,
@@ -69,13 +71,13 @@ class RatingsDataset:
         return digest.hexdigest()
 
 
-def load_ratings(source: str | os.PathLike | IO[str] | Iterable[str]) -> RatingsDataset:
+def load_ratings(source: str | bytes | os.PathLike | IO[str] | Iterable[str]) -> RatingsDataset:
     """Parse ``user item rating timestamp`` lines into a RatingsDataset.
 
-    Accepts a path (``str`` or ``os.PathLike``), an open text stream, or any
-    iterable of lines. Raises RatingParseError for malformed lines,
-    RatingRangeError for ratings outside 1-5, and DuplicateRatingError for
-    repeated (user, item) pairs.
+    Accepts a path (``str``, ``bytes`` or ``os.PathLike``), an open text
+    stream, or any iterable of lines. Raises RatingParseError for malformed
+    lines, RatingRangeError for ratings outside 1-5, and DuplicateRatingError
+    for repeated (user, item) pairs.
 
     A file is first read whole and split in one vectorised pass
     (``_parse_plain``); any other file, split into lines as
@@ -84,7 +86,7 @@ def load_ratings(source: str | os.PathLike | IO[str] | Iterable[str]) -> Ratings
     as it does in a list of lines. One checker then takes either's fields, so
     every format fault is found before any bad rating or repeated pair.
     """
-    if isinstance(source, (str, os.PathLike)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "rb") as handle:
             data = handle.read()
         fields = _parse_plain(data)
@@ -185,15 +187,14 @@ def _checked(raw_users, raw_items, stars, line_nos) -> RatingsDataset:
     )
 
 
-def candidate_sets(dataset: RatingsDataset, min_size: int | None = None) -> np.ndarray:
+def candidate_sets(dataset: RatingsDataset) -> np.ndarray:
     """The (n_users, n_items) bool mask of unrated items: row u is user u's candidates.
 
-    If min_size is given, it is a list size k for ``require_candidates``.
+    Its row sums are the candidate counts that ``require_candidates`` checks
+    against a list size k.
     """
     mask = np.ones((dataset.n_users, dataset.n_items), dtype=bool)
     mask[dataset.users, dataset.items] = False
-    if min_size is not None:
-        require_candidates(mask.sum(axis=1), dataset.user_ids, min_size)
     return mask
 
 

@@ -178,7 +178,8 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     one bool per user pair; all of these go before the scores are clamped.
     That bool comes from one whole float32 product of the mask, whose
     counts are exact in any order; the counts and the mask's float32 copy
-    are freed before the similarity product. The centring, the norms and
+    are freed before the similarity product. The deviations are centred in
+    one scatter at the rated cells, unrated cells staying 0; the norms and
     the order run in blocks of user rows, so their temporaries stay small,
     and the similarity product runs whole. Row blocks, then items, run on
     one thread per CPU this process may run on. Each row and each item
@@ -189,12 +190,13 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     from concurrent.futures import ThreadPoolExecutor
 
     n, m = dataset.n_users, dataset.n_items
-    # one score-sized array: the ratings, centred in place, then the scores
+    # one score-sized array: the ratings, centred at the rated cells, then the scores
     observed = ~candidate_sets(dataset)
     deviations = np.zeros((n, m))
     deviations[dataset.users, dataset.items] = dataset.ratings
     counts = observed.sum(axis=1)
     means = deviations.sum(axis=1) / counts
+    deviations[dataset.users, dataset.items] -= means[dataset.users]  # unrated cells stay 0
     blocks = _row_blocks(n, max(n, m))
     index = _index_dtype(n)
     workers = _workers(max(len(blocks), m))
@@ -212,11 +214,8 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
     del observed_f
     norms = np.empty(n)
 
-    def centre(r: slice) -> None:
-        block = deviations[r]
-        block -= means[r, None]
-        block[~observed[r]] = 0.0
-        norms[r] = np.sqrt((block**2).sum(axis=1))
+    def norm(r: slice) -> None:
+        norms[r] = np.sqrt((deviations[r] ** 2).sum(axis=1))
 
     def order(r: slice) -> None:
         block = sims[r]
@@ -259,7 +258,7 @@ def predict_knn(dataset: RatingsDataset, params: KnnParams = KnnParams()) -> Sco
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # consuming every result re-raises a worker's exception here
-        list(pool.map(centre, blocks))
+        list(pool.map(norm, blocks))
         safe_norms = np.where(norms > 0, norms, 1.0)
         # whole: numpy sends a @ a.T to SYRK, whose bits a row block could move
         sims = deviations @ deviations.T

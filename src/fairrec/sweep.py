@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dataset import candidate_sets, load_ratings
+from .dataset import candidate_sets, load_ratings, require_candidates
 from .errors import FIELD_KINDS, InvalidInputError, NonNegativeInt, PositiveInt, Stars, check_field_types
 from .metrics import DisparityReport, disparity_report, write_per_user_csv, write_results_csv
 from .predictors import (
@@ -197,7 +197,8 @@ def run_sweep(cfg: SweepConfig) -> list[DisparityReport]:
     """
     marks = [time.perf_counter()]
     dataset = load_ratings(cfg.data)
-    candidate_sets(dataset, min_size=cfg.k)  # a user short of k candidates fails before the fit
+    # a user short of k candidates fails before the fit
+    require_candidates(candidate_sets(dataset).sum(axis=1), dataset.user_ids, cfg.k)
     _log_stage(marks, "read")
     cfg.out.mkdir(parents=True, exist_ok=True)  # a rejected input leaves no directory behind
     graph = _obtain_scores(cfg, dataset)

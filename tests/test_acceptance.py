@@ -33,6 +33,8 @@ from fairrec import (
     top_k,
 )
 
+from fairrec.dataset import require_candidates
+
 from _oracles import enumerate_small_instances, gini_pairwise, graph_from_pairs, greedy_rescan
 from conftest import ml100k_path, require_ml100k, synthetic_triples, triples_to_lines
 
@@ -47,7 +49,7 @@ def ml_knn():
     """MovieLens KNN scores shared by criteria 3-4."""
     path = require_ml100k()
     dataset = load_ratings(path)
-    candidate_sets(dataset, min_size=5)  # every user can fill a list of 5
+    require_candidates(candidate_sets(dataset).sum(axis=1), dataset.user_ids, 5)  # every user can fill a list of 5
     return predict_knn(dataset)
 
 
@@ -164,7 +166,7 @@ def test_criterion_5_diversity_disparity_trend(tmp_path):
 def synthetic_ratings():
     """ML-100K-shaped synthetic ratings, for criteria 3-5 without MovieLens."""
     dataset = load_ratings(triples_to_lines(synthetic_triples(943, 1682, 1, 20, 192)))
-    candidate_sets(dataset, min_size=5)  # every user can fill a list of 5
+    require_candidates(candidate_sets(dataset).sum(axis=1), dataset.user_ids, 5)  # every user can fill a list of 5
     return dataset
 
 

@@ -73,6 +73,11 @@ def test_names_the_benchmark_hooks_read_remain():
     assert list(inspect.signature(save_score_cache).parameters) == ["graph", "path"]
 
 
+def test_candidate_sets_only_builds_the_mask():
+    # a list size is checked by require_candidates over the mask's row sums, not by an option here
+    assert list(inspect.signature(fairrec.candidate_sets).parameters) == ["dataset"]
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: GreedyParams(theta=2.5), "theta must be an integer >= 0, got 2.5"),
     (lambda: GreedyParams(theta=True), "theta must be an integer >= 0, got True"),  # not one move

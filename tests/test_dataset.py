@@ -1,3 +1,4 @@
+import os
 import tempfile
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -15,7 +16,7 @@ from fairrec import (
     candidate_sets,
     load_ratings,
 )
-from fairrec.dataset import _parse_plain
+from fairrec.dataset import _parse_plain, require_candidates
 
 from conftest import synthetic_triples
 
@@ -214,6 +215,10 @@ def test_load_ratings_reads_any_os_pathlike(synthetic_file):
     assert _arrays(load_ratings(Location())) == _arrays(load_ratings(synthetic_file))
 
 
+def test_load_ratings_reads_a_bytes_path(synthetic_file):
+    assert _arrays(load_ratings(os.fsencode(synthetic_file))) == _arrays(load_ratings(synthetic_file))
+
+
 def test_load_ratings_equals_the_line_loop(synthetic_file):
     assert _parse_plain(synthetic_file.read_bytes()) is not None
     with open(synthetic_file, encoding="ascii") as stream:
@@ -331,10 +336,11 @@ def test_candidate_singleton_when_all_but_one_rated():
     assert np.flatnonzero(cands[1]).tolist() == [4]
 
 
-def test_min_size_rejects_user_by_raw_id():
+def test_require_candidates_rejects_user_by_raw_id():
     lines = ["1 1 3 0\n", "1 2 3 0\n"] + [f"9 {i} 4 0\n" for i in (1, 2, 3, 4, 5)]
+    d = parse(lines)
     with pytest.raises(CandidateShortfallError, match="user 9"):
-        candidate_sets(parse(lines), min_size=2)
+        require_candidates(candidate_sets(d).sum(axis=1), d.user_ids, 2)
 
 
 @settings(max_examples=60, deadline=None)
